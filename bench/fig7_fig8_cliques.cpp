@@ -85,8 +85,8 @@ int main() {
     CliqueGenStats stats;
     const auto cliques = generateMaximalCliques(matrix, active, 1000, &stats);
     std::printf("Figure 8 — maximal cliques generated (%zu, with %zu "
-                "gen_max_clique calls, %zu branches pruned by i < index):\n",
-                cliques.size(), stats.recursions, stats.pruned);
+                "pivoting Bron-Kerbosch calls):\n",
+                cliques.size(), stats.recursions);
     int index = 1;
     for (const DynBitset& clique : cliques) {
       std::printf("  C%d: {", index++);

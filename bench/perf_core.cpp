@@ -267,22 +267,6 @@ void BM_PaperBlocks(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperBlocks)->DenseRange(0, 4);
 
-void BM_ReferenceBronKerbosch(benchmark::State& state) {
-  const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
-  const CodegenOptions options;
-  const SplitNodeDag snd =
-      SplitNodeDag::build(dag, arch1(), arch1Dbs(), options);
-  const auto assignment = AssignmentExplorer(snd, options).explore().front();
-  const AssignedGraph graph =
-      AssignedGraph::materialize(snd, assignment, options);
-  const ParallelismMatrix matrix(graph, -1);
-  DynBitset active(graph.size(), true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(referenceMaximalCliques(matrix, active));
-  }
-}
-BENCHMARK(BM_ReferenceBronKerbosch)->Arg(16)->Arg(32);
-
 // --- compilation service (DESIGN.md System 23) ---
 
 void BM_FingerprintCompute(benchmark::State& state) {

@@ -8,113 +8,95 @@ namespace aviv {
 
 namespace {
 
-// The recursion works on raw word buffers bump-allocated from an arena (one
-// clique + cand pair per branch, rewound as each branch returns), so a round
-// of generation touches malloc only for the emitted cliques themselves.
+// Bron-Kerbosch with the Tomita pivot. The recursion works on raw word
+// buffers bump-allocated from an arena (one R/P/X triple per branch,
+// rewound as each branch returns), so a round of generation touches malloc
+// only for the emitted cliques themselves.
 struct Generator {
   const ParallelismMatrix& matrix;
-  const DynBitset& active;
   size_t maxCliques;
-  CliqueGenStats* stats;
+  CliqueGenStats& stats;
   Arena& arena;
   size_t n;      // node count (bits per set)
   size_t words;  // uint64_t words per set
   std::vector<DynBitset> out;
+  bool stopped = false;
 
   [[nodiscard]] uint64_t* allocSet() { return arena.alloc<uint64_t>(words); }
-
-  // Paper Fig 8. `clique` is the current clique; `cand` the nodes parallel
-  // with every clique member; `index` the largest seed/branch node so far.
-  // Both buffers are owned (mutated) by this invocation.
-  void gen(uint64_t* clique, uint64_t* cand, size_t index) {
-    if (stats != nullptr) ++stats->recursions;
-    if (out.size() >= maxCliques) {
-      if (stats != nullptr) stats->capped = true;
-      return;
-    }
-
-    // First loop: absorb nodes that preclude no other candidate.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t i = bits::findFirst(cand, 0, n); i < n;
-           i = bits::findFirst(cand, i + 1, n)) {
-        // "adding i will not preclude adding any other node": every other
-        // candidate is parallel with i, i.e. cand & ~row(i) is {i} or empty.
-        const uint64_t* row = matrix.row(static_cast<AgId>(i)).wordData();
-        const size_t selfWord = i >> 6;
-        bool anyPrecluded = false;
-        for (size_t w = 0; w < words; ++w) {
-          uint64_t precluded = cand[w] & ~row[w];
-          if (w == selfWord) precluded &= ~(uint64_t{1} << (i & 63));
-          if (precluded != 0) {
-            anyPrecluded = true;
-            break;
-          }
-        }
-        if (anyPrecluded) continue;
-        if (i < index) {
-          // Pruning condition: every maximal clique through this branch was
-          // already generated starting from i.
-          if (stats != nullptr) ++stats->pruned;
-          return;
-        }
-        bits::set(clique, i);
-        bits::reset(cand, i);
-        changed = true;
-      }
-    }
-
-    if (!bits::any(cand, words)) {
-      DynBitset emitted;
-      emitted.assignWords(n, clique);
-      out.push_back(std::move(emitted));
-      return;
-    }
-
-    // Second loop: branch on each remaining candidate.
-    for (size_t i = bits::findFirst(cand, 0, n); i < n;
-         i = bits::findFirst(cand, i + 1, n)) {
-      const Arena::Mark branchMark = arena.mark();
-      uint64_t* nextClique = allocSet();
-      bits::copy(nextClique, clique, words);
-      bits::set(nextClique, i);
-      uint64_t* nextCand = allocSet();
-      bits::andInto(nextCand, cand, matrix.row(static_cast<AgId>(i)).wordData(),
-                    words);
-      gen(nextClique, nextCand, std::max(i, index));
-      arena.rewind(branchMark);
-      if (out.size() >= maxCliques) return;
-    }
+  [[nodiscard]] const uint64_t* row(size_t i) const {
+    return matrix.row(static_cast<AgId>(i)).wordData();
   }
 
-  void run() {
-    for (size_t seed = active.findFirst(); seed < active.size();
-         seed = active.findFirst(seed + 1)) {
-      const Arena::Mark seedMark = arena.mark();
-      uint64_t* clique = allocSet();
-      bits::clear(clique, words);
-      bits::set(clique, seed);
-      // Candidates: neighbours within the active set.
-      uint64_t* cand = allocSet();
-      bits::andInto(cand, matrix.row(static_cast<AgId>(seed)).wordData(),
-                    active.wordData(), words);
-      gen(clique, cand, seed);
-      arena.rewind(seedMark);
-      if (out.size() >= maxCliques) {
-        if (stats != nullptr && active.findFirst(seed + 1) < active.size())
-          stats->capped = true;
-        break;
+  // Reports clique r ∪ {a, b} (n: no node), honouring the cap.
+  void report(const uint64_t* r, size_t a, size_t b) {
+    if (out.size() == maxCliques) {
+      stats.capped = true;
+      stopped = true;
+      return;
+    }
+    DynBitset clique;
+    clique.assignWords(n, r);
+    if (a < n) clique.set(a);
+    if (b < n) clique.set(b);
+    out.push_back(std::move(clique));
+  }
+
+  // `r` is the clique so far, `p` the nodes that extend it (non-empty), `x`
+  // the nodes that extend it but whose cliques were already reported. `p`
+  // and `x` are owned (mutated) by this invocation. A branch that leaves
+  // fewer than two nodes to extend with has at most one maximal clique and
+  // is resolved inline instead of recursing.
+  void expand(const uint64_t* r, uint64_t* p, uint64_t* x) {
+    ++stats.recursions;
+    // Pivot: the node of P ∪ X with the most neighbours in P. Every maximal
+    // clique through R contains the pivot or a non-neighbour of it, so only
+    // P \ N(pivot) needs a branch.
+    size_t pivot = n;
+    size_t pivotDegree = 0;
+    for (const uint64_t* set : {static_cast<const uint64_t*>(p),
+                                static_cast<const uint64_t*>(x)}) {
+      for (size_t u = bits::findFirst(set, 0, n); u < n;
+           u = bits::findFirst(set, u + 1, n)) {
+        const size_t degree = bits::intersectCount(p, row(u), words);
+        if (pivot == n || degree > pivotDegree) {
+          pivot = u;
+          pivotDegree = degree;
+        }
       }
+    }
+
+    uint64_t* branch = allocSet();
+    bits::andNotInto(branch, p, row(pivot), words);
+    for (size_t v = bits::findFirst(branch, 0, n); v < n;
+         v = bits::findFirst(branch, v + 1, n)) {
+      const Arena::Mark branchMark = arena.mark();
+      uint64_t* nextP = allocSet();
+      bits::andInto(nextP, p, row(v), words);
+      const size_t grow = bits::intersectCount(nextP, nextP, words);
+      if (grow == 0) {
+        // R ∪ {v} cannot grow: a maximal clique unless X extends it.
+        if (bits::intersectCount(x, row(v), words) == 0) report(r, v, n);
+      } else if (grow == 1) {
+        // Only R ∪ {v, w} remains, maximal unless X extends it.
+        const size_t w = bits::findFirst(nextP, 0, n);
+        uint64_t* nextX = allocSet();
+        bits::andInto(nextX, x, row(v), words);
+        if (bits::intersectCount(nextX, row(w), words) == 0) report(r, v, w);
+      } else {
+        uint64_t* nextR = allocSet();
+        bits::copy(nextR, r, words);
+        bits::set(nextR, v);
+        uint64_t* nextX = allocSet();
+        bits::andInto(nextX, x, row(v), words);
+        expand(nextR, nextP, nextX);
+      }
+      arena.rewind(branchMark);
+      if (stopped) return;
+      bits::reset(p, v);
+      bits::set(x, v);
     }
   }
 };
-
-void sortAndDedup(std::vector<DynBitset>& cliques) {
-  std::sort(cliques.begin(), cliques.end(),
-            [](const DynBitset& a, const DynBitset& b) { return a.lexLess(b); });
-  cliques.erase(std::unique(cliques.begin(), cliques.end()), cliques.end());
-}
 
 }  // namespace
 
@@ -127,67 +109,24 @@ std::vector<DynBitset> generateMaximalCliques(const ParallelismMatrix& matrix,
   Arena localArena;
   Arena& arena = scratch != nullptr ? *scratch : localArena;
   const ArenaScope scope(arena);
-  Generator gen{matrix, active,        maxCliques,         stats,
-                arena,  active.size(), active.wordCount(), {}};
-  gen.run();
-  sortAndDedup(gen.out);
-  if (stats != nullptr) stats->emitted = gen.out.size();
+  CliqueGenStats localStats;
+  CliqueGenStats& st = stats != nullptr ? *stats : localStats;
+  st = CliqueGenStats{};
+  Generator gen{matrix, maxCliques,    st, arena,
+                active.size(), active.wordCount(), {}};
+  uint64_t* r = gen.allocSet();
+  bits::clear(r, gen.words);
+  uint64_t* p = gen.allocSet();
+  bits::copy(p, active.wordData(), gen.words);
+  uint64_t* x = gen.allocSet();
+  bits::clear(x, gen.words);
+  // An empty active set has no maximal clique to report (the empty set is
+  // not an instruction).
+  if (active.any()) gen.expand(r, p, x);
+  std::sort(gen.out.begin(), gen.out.end(),
+            [](const DynBitset& a, const DynBitset& b) { return a.lexLess(b); });
+  st.emitted = gen.out.size();
   return gen.out;
-}
-
-namespace {
-
-void bronKerbosch(const ParallelismMatrix& matrix, DynBitset r, DynBitset p,
-                  DynBitset x, std::vector<DynBitset>& out) {
-  if (p.none() && x.none()) {
-    out.push_back(std::move(r));
-    return;
-  }
-  // Pivot: candidate from p | x with the most neighbours in p.
-  DynBitset px = p;
-  px |= x;
-  size_t pivot = px.findFirst();
-  size_t bestDeg = 0;
-  for (size_t u = px.findFirst(); u < px.size(); u = px.findFirst(u + 1)) {
-    const size_t deg = p.intersectCount(matrix.row(u));
-    if (deg >= bestDeg) {
-      bestDeg = deg;
-      pivot = u;
-    }
-  }
-  DynBitset branch = p;
-  branch.andNot(matrix.row(pivot));
-  for (size_t v = branch.findFirst(); v < branch.size();
-       v = branch.findFirst(v + 1)) {
-    DynBitset r2 = r;
-    r2.set(v);
-    DynBitset p2 = p;
-    p2 &= matrix.row(v);
-    DynBitset x2 = x;
-    x2 &= matrix.row(v);
-    bronKerbosch(matrix, std::move(r2), std::move(p2), std::move(x2), out);
-    p.reset(v);
-    x.set(v);
-  }
-}
-
-}  // namespace
-
-std::vector<DynBitset> referenceMaximalCliques(const ParallelismMatrix& matrix,
-                                               const DynBitset& active) {
-  AVIV_CHECK(active.size() == matrix.size());
-  std::vector<DynBitset> out;
-  DynBitset p = active;
-  // Restrict rows to active implicitly by intersecting p/x with active rows:
-  // start from p = active and never add non-active nodes.
-  bronKerbosch(matrix, DynBitset(active.size()), std::move(p),
-               DynBitset(active.size()), out);
-  // Bron-Kerbosch over the full rows can include non-active neighbours in
-  // its maximality notion; rows already exclude deleted nodes, and callers
-  // pass active = uncovered. Intersect defensively and re-dedup.
-  for (DynBitset& clique : out) clique &= active;
-  sortAndDedup(out);
-  return out;
 }
 
 }  // namespace aviv

@@ -159,17 +159,29 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   std::optional<Candidate> best;
   // Prefix-minima state for the best-cost trajectory (spans both
   // tryAssignments calls; indices only collide when the first call produced
-  // no completion at all).
+  // no completion at all). It is also the covering cutoff: the best
+  // (instructions, spills) over the candidates of all earlier waves.
   std::optional<std::pair<int, int>> trajBest;
   std::string lastFailure;
-  std::atomic<bool> anySuccess{false};
   std::atomic<bool> timedOut{false};
+  // Clique ∩ ready sets scored across all candidates — a metrics-registry
+  // total only (search.cliqueRecursions is recorded per clique round).
+  size_t candidatesEvaluated = 0;
 
   // Covers every selected assignment (the parallel stage): each worker
   // materializes and covers candidates independently, keeping a worker-
   // local best; the serial reduction afterwards picks the deterministic
   // global winner and the highest-index failure message (what the serial
   // loop's "last failure" ends up being).
+  //
+  // Candidates run in waves — candidate 0 alone, then fixed index ranges of
+  // kCoverWave — and every candidate of a wave is covered against the best
+  // covering of the earlier waves: CoveringEngine cuts it as soon as its
+  // lower bound shows it cannot beat that cutoff. A cut candidate could
+  // neither win the (instructions, spills, index) reduction nor improve the
+  // trajectory, and the cutoff depends only on earlier waves, so output and
+  // every counter are identical at any worker count.
+  constexpr size_t kCoverWave = 8;
   auto tryAssignments = [&](const std::vector<Assignment>& candidates) {
     PhaseScope ph(tel, "cover");
     std::vector<std::optional<Candidate>> workerBest(
@@ -181,17 +193,19 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
     // the totals are independent of which worker covered which candidate).
     struct WorkerSearch {
       size_t cliqueRecursions = 0;
-      size_t cliquePruned = 0;
+      size_t candidatesEvaluated = 0;
       size_t candidatesAbandoned = 0;
       size_t spills = 0;
       size_t failed = 0;
+      size_t cut = 0;
       uint64_t arenaCalls = 0;
       uint64_t arenaBytes = 0;
       uint64_t arenaHighWater = 0;
     };
     std::vector<WorkerSearch> workerSearch(static_cast<size_t>(numWorkers));
     // Per-candidate completion records (disjoint slots — no contention);
-    // the serial prefix-minima walk below turns them into the trajectory.
+    // the serial prefix-minima walk after each wave turns them into the
+    // trajectory.
     struct Completion {
       bool completed = false;
       int instructions = 0;
@@ -200,6 +214,7 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
       int64_t tsNanos = 0;
     };
     std::vector<Completion> completions(candidates.size());
+    std::optional<CoverCutoff> cutoff;  // fixed for the running wave
 
     auto coverOne = [&](size_t index, int workerInt) {
       const auto worker = static_cast<size_t>(workerInt);
@@ -217,24 +232,33 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
       const ArenaScope candidateScope(ws.arena);
       ws.arena.resetHighWater();
       const ArenaStats arenaBefore = ws.arena.stats();
-      // Per-candidate arena deltas: exact sums/maxima independent of worker
-      // placement (see SearchStats), recorded on the same paths cover stats
-      // are (completed + register-infeasible, not deadline-expired).
-      auto recordArena = [&] {
+      AssignedGraph graph =
+          AssignedGraph::materialize(snd, assignment, options, &ws);
+      CoveringEngine engine(graph, dbs.transfers, dbs.constraints, options,
+                            deadline, &ws);
+      CoverStats coverStats;
+      // Counts the candidate's covering work — completed, cut, or
+      // register-infeasible alike (not deadline-expired). The partial stats
+      // are deterministic: a candidate stops at the same point regardless
+      // of the worker that ran it. Arena deltas are exact sums/maxima
+      // independent of worker placement (see SearchStats).
+      auto recordWork = [&] {
+        search.cliqueRecursions += coverStats.cliqueRecursions;
+        search.candidatesEvaluated += coverStats.candidatesEvaluated;
+        search.candidatesAbandoned += coverStats.candidatesAbandoned;
+        search.spills += static_cast<size_t>(coverStats.spillsInserted);
         const ArenaStats& after = ws.arena.stats();
         search.arenaCalls += after.allocCalls - arenaBefore.allocCalls;
         search.arenaBytes += after.bytesRequested - arenaBefore.bytesRequested;
         const uint64_t peak = after.highWater - arenaBefore.inUse;
         search.arenaHighWater = std::max(search.arenaHighWater, peak);
       };
-      AssignedGraph graph =
-          AssignedGraph::materialize(snd, assignment, options, &ws);
-      CoveringEngine engine(graph, dbs.transfers, dbs.constraints, options,
-                            deadline, &ws);
-      CoverStats coverStats;
-      Schedule schedule;
+      std::optional<Schedule> schedule;
       try {
-        schedule = engine.run(&coverStats);
+        if (cutoff.has_value())
+          schedule = engine.run(&coverStats, *cutoff);
+        else
+          schedule = engine.run(&coverStats);
       } catch (const DeadlineExceeded&) {
         // Budget ran out mid-covering: the partial schedule is unusable,
         // but an earlier candidate's complete covering (if any) still wins.
@@ -242,29 +266,21 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
         return;
       } catch (const Error& e) {
         // This assignment cannot satisfy the register limits; try others.
-        // Its partial covering work still happened — count it (the partial
-        // stats are deterministic: each candidate fails at the same point
-        // regardless of the worker that ran it).
-        search.cliqueRecursions += coverStats.cliqueRecursions;
-        search.cliquePruned += coverStats.cliquePruned;
-        search.candidatesAbandoned += coverStats.candidatesAbandoned;
-        search.spills += static_cast<size_t>(coverStats.spillsInserted);
+        recordWork();
         search.failed += 1;
-        recordArena();
         auto& fail = failures[worker];
         if (fail.second.empty() || index > fail.first)
           fail = {index, e.what()};
         return;
       }
-      search.cliqueRecursions += coverStats.cliqueRecursions;
-      search.cliquePruned += coverStats.cliquePruned;
-      search.candidatesAbandoned += coverStats.candidatesAbandoned;
-      search.spills += static_cast<size_t>(coverStats.spillsInserted);
-      recordArena();
+      recordWork();
+      if (!schedule.has_value()) {
+        search.cut += 1;
+        return;
+      }
       ++covered[worker];
-      anySuccess.store(true, std::memory_order_relaxed);
       std::optional<Candidate>& mine = workerBest[worker];
-      const int instructions = schedule.numInstructions();
+      const int instructions = schedule->numInstructions();
       Completion& done = completions[index];
       done.completed = true;
       done.instructions = instructions;
@@ -278,14 +294,38 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                           index)) {
         mine.emplace(Candidate{instructions, coverStats.spillsInserted, index,
                                assignment, std::move(graph),
-                               std::move(schedule), coverStats});
+                               std::move(*schedule), coverStats});
       }
     };
 
-    if (parallel && candidates.size() > 1) {
-      pool->parallelFor(candidates.size(), coverOne);
-    } else {
-      for (size_t i = 0; i < candidates.size(); ++i) coverOne(i, 0);
+    for (size_t begin = 0; begin < candidates.size();) {
+      const size_t end =
+          begin == 0 ? 1 : std::min(candidates.size(), begin + kCoverWave);
+      if (parallel && end - begin > 1) {
+        pool->parallelFor(end - begin, [&](size_t k, int worker) {
+          coverOne(begin + k, worker);
+        });
+      } else {
+        for (size_t i = begin; i < end; ++i) coverOne(i, 0);
+      }
+      // Best-cost trajectory: the deterministic prefix-minima of
+      // (instructions, spills) in candidate-index order. Equals what the
+      // serial loop would have called "best so far" after each improvement;
+      // only the wall-clock seconds differ between runs.
+      for (size_t i = begin; i < end; ++i) {
+        const Completion& done = completions[i];
+        if (!done.completed) continue;
+        const std::pair<int, int> key{done.instructions, done.spills};
+        if (trajBest.has_value() && !(key < *trajBest)) continue;
+        trajBest = key;
+        stats.trajectory.push_back(
+            {i, done.instructions, done.spills, done.seconds});
+        trace::counterAt("search", "cover.best-cost", "instructions",
+                         done.instructions, done.tsNanos);
+      }
+      if (trajBest.has_value())
+        cutoff = CoverCutoff{trajBest->first, trajBest->second};
+      begin = end;
     }
 
     size_t failIndex = 0;
@@ -294,9 +334,11 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
       stats.assignmentsCovered += covered[w];
       const WorkerSearch& search = workerSearch[w];
       stats.search.nodesVisited += search.cliqueRecursions;
-      stats.search.prunedByBound += search.cliquePruned;
+      stats.search.prunedByBound += search.cut;
       stats.search.backtracks += search.spills + search.failed;
       stats.search.candidatesAbandoned += search.candidatesAbandoned;
+      candidatesEvaluated += search.candidatesEvaluated;
+      stats.search.candidatesCut += search.cut;
       stats.search.arenaCalls += search.arenaCalls;
       stats.search.arenaBytes += search.arenaBytes;
       stats.search.arenaHighWater =
@@ -314,22 +356,6 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
         best = std::move(cand);
     }
     if (!failMessage.empty()) lastFailure = std::move(failMessage);
-
-    // Best-cost trajectory: the deterministic prefix-minima of
-    // (instructions, spills) in candidate-index order. Equals what the
-    // serial loop would have called "best so far" after each improvement;
-    // only the wall-clock seconds differ between runs.
-    for (size_t i = 0; i < completions.size(); ++i) {
-      const Completion& done = completions[i];
-      if (!done.completed) continue;
-      const std::pair<int, int> key{done.instructions, done.spills};
-      if (trajBest.has_value() && !(key < *trajBest)) continue;
-      trajBest = key;
-      stats.trajectory.push_back(
-          {i, done.instructions, done.spills, done.seconds});
-      trace::counterAt("search", "cover.best-cost", "instructions",
-                       done.instructions, done.tsNanos);
-    }
     ph.node().addCounter("candidates",
                          static_cast<int64_t>(candidates.size()));
   };
@@ -379,6 +405,10 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
         .add(static_cast<int64_t>(stats.search.backtracks));
     registry.counter("search.candidatesAbandoned")
         .add(static_cast<int64_t>(stats.search.candidatesAbandoned));
+    registry.counter("search.candidatesCut")
+        .add(static_cast<int64_t>(stats.search.candidatesCut));
+    registry.counter("search.candidatesEvaluated")
+        .add(static_cast<int64_t>(candidatesEvaluated));
     registry.counter("alloc.arena.calls")
         .add(static_cast<int64_t>(stats.search.arenaCalls));
     registry.counter("alloc.arena.bytes")
@@ -431,8 +461,6 @@ void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
                    static_cast<int64_t>(stats.cover.cliqueRounds));
   cover.setCounter("cliqueRecursions",
                    static_cast<int64_t>(stats.cover.cliqueRecursions));
-  cover.setCounter("cliquePruned",
-                   static_cast<int64_t>(stats.cover.cliquePruned));
   cover.setCounter("candidatesEvaluated",
                    static_cast<int64_t>(stats.cover.candidatesEvaluated));
   cover.setCounter("candidatesAbandoned",
@@ -456,6 +484,8 @@ void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
                     static_cast<int64_t>(stats.search.backtracks));
   search.setCounter("candidatesAbandoned",
                     static_cast<int64_t>(stats.search.candidatesAbandoned));
+  search.setCounter("candidatesCut",
+                    static_cast<int64_t>(stats.search.candidatesCut));
   search.setCounter("arenaCalls",
                     static_cast<int64_t>(stats.search.arenaCalls));
   search.setCounter("arenaBytes",
@@ -489,8 +519,6 @@ CoreStats coreStatsView(const TelemetryNode& phase) {
         static_cast<size_t>(cover->counter("cliqueRounds"));
     stats.cover.cliqueRecursions =
         static_cast<size_t>(cover->counter("cliqueRecursions"));
-    stats.cover.cliquePruned =
-        static_cast<size_t>(cover->counter("cliquePruned"));
     stats.cover.candidatesEvaluated =
         static_cast<size_t>(cover->counter("candidatesEvaluated"));
     stats.cover.candidatesAbandoned =
@@ -516,6 +544,8 @@ CoreStats coreStatsView(const TelemetryNode& phase) {
         static_cast<size_t>(search->counter("backtracks"));
     stats.search.candidatesAbandoned =
         static_cast<size_t>(search->counter("candidatesAbandoned"));
+    stats.search.candidatesCut =
+        static_cast<size_t>(search->counter("candidatesCut"));
     stats.search.arenaCalls =
         static_cast<uint64_t>(search->counter("arenaCalls"));
     stats.search.arenaBytes =

@@ -30,13 +30,16 @@ namespace aviv {
 // invariant the service cache tests pin down).
 struct SearchStats {
   size_t nodesVisited = 0;         // explore states expanded + clique
-                                   // branch-and-bound recursions
-  size_t prunedByBound = 0;        // explore bound rejections + clique
-                                   // branches cut
+                                   // recursions
+  size_t prunedByBound = 0;        // explore bound rejections + candidates
+                                   // cut by the covering bound
   size_t backtracks = 0;           // beam drops + spill-forced regenerations
                                    // + register-infeasible candidates
   size_t candidatesAbandoned = 0;  // covering candidates with no fitting
                                    // member subset
+  size_t candidatesCut = 0;        // candidate assignments abandoned because
+                                   // their lower bound could not beat an
+                                   // earlier wave's covering
   // Workspace-arena accounting over all candidate coverings. Chunk-boundary
   // waste is never charged (see support/arena.h), so calls/bytes are exact
   // per-candidate sums and highWater is a max of per-candidate peaks —
@@ -84,7 +87,10 @@ struct CoreResult {
 // When `pool` is non-null and options.jobs > 1, the selected assignments are
 // covered in parallel; the winner is reduced with a deterministic
 // (instructions, spills, candidate index) tie-break so the result is
-// bit-identical to the serial run. When `phase` is non-null the stage
+// bit-identical to the serial run. Candidates are covered in waves (0 alone,
+// then ranges of 8) against the best covering of the earlier waves, and a
+// candidate whose lower bound cannot beat it is cut (SearchStats::
+// candidatesCut) — it could never have won. When `phase` is non-null the stage
 // timings and counters are recorded under it (children "splitnode",
 // "explore", "cover" — see recordCoreStats for the counter names).
 //
@@ -122,14 +128,14 @@ struct CoreResult {
 //   child "explore": completeAssignments, statesExpanded, prunedByBound,
 //                    beamDropped, capped
 //   child "cover": assignmentsCovered, candidates, jobs, cliquesGenerated,
-//                  cliqueRounds, cliqueRecursions, cliquePruned,
-//                  candidatesEvaluated, candidatesAbandoned, spillsInserted,
-//                  timedOut
+//                  cliqueRounds, cliqueRecursions, candidatesEvaluated,
+//                  candidatesAbandoned, spillsInserted, timedOut
 //     children "best:<k>": the best-cost trajectory, counters candidate,
 //                          instructions, spills (seconds = wall time, which
 //                          sameShapeAs ignores)
 //   child "search": nodesVisited, prunedByBound, backtracks,
-//                   candidatesAbandoned (order-independent totals)
+//                   candidatesAbandoned, candidatesCut, arenaCalls,
+//                   arenaBytes, arenaHighWater (order-independent totals)
 void recordCoreStats(const CoreStats& stats, TelemetryNode& phase);
 [[nodiscard]] CoreStats coreStatsView(const TelemetryNode& phase);
 

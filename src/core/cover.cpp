@@ -1,11 +1,9 @@
 #include "core/cover.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <tuple>
-#include <cstdio>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "core/clique.h"
 #include "core/legality.h"
@@ -51,9 +49,50 @@ DynBitset liveOutSet(const AssignedGraph& graph) {
   return liveOut;
 }
 
+// Lower bound on the instructions a covering still has to emit once the
+// nodes in `covered` are scheduled: the larger of
+//   * the most uncovered operations waiting on one functional unit (each
+//     instruction issues at most one operation per unit), and
+//   * the longest dependency chain starting at an uncovered operation, plus
+//     one when that operation still waits on an uncovered predecessor
+//     (every node on a chain needs its own, later instruction).
+// `heights` is AssignedGraph::levelsFromTop() of the current graph;
+// `unitLoad` is scratch. Spills keep the bound valid: they never delete or
+// re-unit an operation and only rewire consumers of covered values (onto
+// reload chains, deleting those values' transfers). Every descendant of an
+// uncovered operation is uncovered and carries an uncovered value, so no
+// chain below an uncovered operation ever shortens, and a rewired
+// operation still waits on its reload.
+int remainingInstructionsBound(const AssignedGraph& graph,
+                               const DynBitset& covered,
+                               const std::vector<int>& heights,
+                               std::vector<int>& unitLoad) {
+  unitLoad.assign(graph.machine().units().size(), 0);
+  int bound = 0;
+  for (AgId id = 0; id < graph.size(); ++id) {
+    const AgNode& n = graph.node(id);
+    if (n.kind != AgKind::kOp || covered.test(id)) continue;
+    bound = std::max(bound, ++unitLoad[n.unit]);
+    bool waits = false;
+    for (AgId pred : n.preds) waits |= !covered.test(pred);
+    bound = std::max(bound, heights[id] + 1 + (waits ? 1 : 0));
+  }
+  return bound;
+}
+
 }  // namespace
 
 Schedule CoveringEngine::run(CoverStats* stats) {
+  return *cover(stats, nullptr);
+}
+
+std::optional<Schedule> CoveringEngine::run(CoverStats* stats,
+                                            const CoverCutoff& cutoff) {
+  return cover(stats, &cutoff);
+}
+
+std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
+                                              const CoverCutoff* cutoff) {
   CoverStats localStats;
   CoverStats& st = stats != nullptr ? *stats : localStats;
   st = CoverStats{};
@@ -87,6 +126,24 @@ Schedule CoveringEngine::run(CoverStats* stats) {
       deadline_->check("covering");
     }
 
+    if (rebuild) heights = graph_.levelsFromTop();
+    // The bound is checked before the first round and after every emitted
+    // instruction or spill; without a cutoff only the round-0 value is
+    // recorded.
+    if (cutoff != nullptr || st.cliqueRounds == 0) {
+      const int bound =
+          schedule.numInstructions() +
+          remainingInstructionsBound(graph_, covered, heights, ws.unitLoad);
+      if (st.cliqueRounds == 0) st.lowerBound = bound;
+      if (cutoff != nullptr &&
+          std::tie(bound, st.spillsInserted) >=
+              std::tie(cutoff->instructions, cutoff->spills)) {
+        trace::instant("search", "cover.cut", {}, "bound", bound,
+                       "spillsSoFar", st.spillsInserted);
+        return std::nullopt;
+      }
+    }
+
     if (rebuild) {
       trace::Span roundSpan("search", "cover.clique-round");
       ws.matrix.rebuild(graph_, options_.cliqueLevelWindow, ws);
@@ -101,7 +158,6 @@ Schedule CoveringEngine::run(CoverStats* stats) {
                                  &ws.arena),
           graph_, constraints_);
       st.cliqueRecursions += genStats.recursions;
-      st.cliquePruned += genStats.pruned;
       roundSpan.arg("cliques", static_cast<int64_t>(genStats.emitted));
       roundSpan.arg("recursions", static_cast<int64_t>(genStats.recursions));
       if (metrics::on()) {
@@ -111,8 +167,6 @@ Schedule CoveringEngine::run(CoverStats* stats) {
           sizes.record(static_cast<int64_t>(clique.count()));
         registry.counter("search.cliqueRecursions")
             .add(static_cast<int64_t>(genStats.recursions));
-        registry.counter("search.cliquePruned")
-            .add(static_cast<int64_t>(genStats.pruned));
       }
       // If the generation cap truncated the clique set, guarantee coverage
       // with singletons so every node remains schedulable.
@@ -136,7 +190,6 @@ Schedule CoveringEngine::run(CoverStats* stats) {
           st.cliquesGenerated > options_.maxTotalCliques)
         throw ResourceLimitExceeded("total cliques", st.cliquesGenerated,
                                     options_.maxTotalCliques);
-      heights = graph_.levelsFromTop();
       rebuild = false;
     }
 
@@ -397,14 +450,6 @@ Schedule CoveringEngine::run(CoverStats* stats) {
 
     // No selectable clique: all remaining groupings would exceed register
     // resources (Section IV-D spill path).
-    if (std::getenv("AVIV_COVER_DEBUG") != nullptr) {
-      fprintf(stderr, "[cover] spill needed; covered=%zu/%zu ready=%zu\n",
-              covered.count(), covered.size(), ready.count());
-      ready.forEach([&](size_t i) {
-        fprintf(stderr, "[cover]   ready %s\n",
-                graph_.describe(static_cast<AgId>(i)).c_str());
-      });
-    }
     AVIV_REQUIRE_MSG(anyReadyClique,
                      "ready nodes exist but no clique contains one");
     if (st.spillsInserted >= static_cast<int>(spillGuard))
@@ -415,7 +460,8 @@ Schedule CoveringEngine::run(CoverStats* stats) {
 
     trace::instant("search", "cover.spill", {}, "spillsSoFar",
                    st.spillsInserted, "covered",
-                   static_cast<int64_t>(covered.count()));
+                   static_cast<int64_t>(covered.count()), "ready",
+                   static_cast<int64_t>(ready.count()));
     performSpill(graph_, xferDb_, covered, spillState);
     st.spillsInserted += 1;
 

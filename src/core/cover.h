@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/assigned.h"
@@ -36,13 +37,20 @@ struct Schedule {
 struct CoverStats {
   size_t cliquesGenerated = 0;  // across all regeneration rounds
   size_t cliqueRounds = 0;
-  size_t cliqueRecursions = 0;      // branch-and-bound recursions in clique
+  size_t cliqueRecursions = 0;      // Bron-Kerbosch recursions in clique
                                     // generation, summed across rounds
-  size_t cliquePruned = 0;          // clique branches cut by the bound
   size_t candidatesEvaluated = 0;   // clique ∩ ready candidates scored
   size_t candidatesAbandoned = 0;   // candidates abandoned with no fitting
                                     // member subset (register pressure)
   int spillsInserted = 0;  // victim values spilled (Table I "#Spills")
+  int lowerBound = 0;      // round-0 lower bound on the instruction count
+};
+
+// The (instructions, spills) cost of the best complete covering an earlier
+// candidate reached — the key coverBlock's winner reduction orders by.
+struct CoverCutoff {
+  int instructions = 0;
+  int spills = 0;
 };
 
 class CoveringEngine {
@@ -65,7 +73,19 @@ class CoveringEngine {
   // small to hold the block's outputs / any feasible schedule.
   [[nodiscard]] Schedule run(CoverStats* stats = nullptr);
 
+  // Same, but abandons the covering — returning nullopt, with the partial
+  // work in `stats` — as soon as it provably cannot beat `cutoff`: checked
+  // before every covering round, a candidate is cut once
+  // (instructions emitted + a lower bound on those still to emit,
+  // spills so far) >= cutoff. See remainingInstructionsBound in cover.cpp.
+  // The final instruction count is at least that bound and spills only
+  // grow, so a cut covering could at best have tied the cutoff.
+  [[nodiscard]] std::optional<Schedule> run(CoverStats* stats,
+                                            const CoverCutoff& cutoff);
+
  private:
+  std::optional<Schedule> cover(CoverStats* stats, const CoverCutoff* cutoff);
+
   AssignedGraph& graph_;
   const TransferDatabase& xferDb_;
   const ConstraintDatabase& constraints_;

@@ -1,6 +1,7 @@
 #include "core/parallel_matrix.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include "core/workspace.h"
 #include "support/error.h"
@@ -12,6 +13,14 @@ ParallelismMatrix::ParallelismMatrix(const AssignedGraph& graph,
                                      int levelWindow) {
   CoverWorkspace ws;
   rebuild(graph, levelWindow, ws);
+}
+
+ParallelismMatrix::ParallelismMatrix(std::vector<DynBitset> rows)
+    : rows_(std::move(rows)) {
+  for (size_t a = 0; a < rows_.size(); ++a) {
+    AVIV_CHECK(rows_[a].size() == rows_.size() && !rows_[a].test(a));
+    rows_[a].forEach([&](size_t b) { AVIV_CHECK(rows_[b].test(a)); });
+  }
 }
 
 void ParallelismMatrix::rebuild(const AssignedGraph& graph, int levelWindow,

@@ -27,6 +27,11 @@ class ParallelismMatrix {
   // rows.
   ParallelismMatrix(const AssignedGraph& graph, int levelWindow);
 
+  // A matrix over explicit rows (rows[a].test(b): a and b may share an
+  // instruction). The rows must be symmetric with an empty diagonal. Lets
+  // the property tests drive the clique generator on arbitrary graphs.
+  explicit ParallelismMatrix(std::vector<DynBitset> rows);
+
   // Recomputes the matrix in place, reusing row storage and the workspace's
   // descendant/topo scratch instead of allocating per round.
   void rebuild(const AssignedGraph& graph, int levelWindow,

@@ -60,7 +60,7 @@ struct CoverWorkspace {
   // Spill-pressure and scheduling scratch.
   std::vector<int> pressure;
   std::vector<uint32_t> tryOrder;
-  std::vector<uint32_t> heights;
+  std::vector<int> unitLoad;  // remainingInstructionsBound scratch
 
   // Graph-analysis scratch (descendants, topological order).
   std::vector<DynBitset> desc;

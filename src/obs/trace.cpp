@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <utility>
 
 namespace aviv::trace {
 
@@ -227,20 +229,18 @@ size_t Tracer::retained() const {
 }
 
 void instant(const char* cat, std::string_view name, std::string_view rest,
-             const char* k0, int64_t v0, const char* k1, int64_t v1) {
+             const char* k0, int64_t v0, const char* k1, int64_t v1,
+             const char* k2, int64_t v2) {
   if (!on()) return;
   Event e;
   e.ph = 'i';
   e.cat = cat;
   e.setName(name, rest);
-  if (k0 != nullptr) {
-    e.argName[e.numArgs] = k0;
-    e.argVal[e.numArgs] = v0;
-    ++e.numArgs;
-  }
-  if (k1 != nullptr) {
-    e.argName[e.numArgs] = k1;
-    e.argVal[e.numArgs] = v1;
+  for (const auto& [key, value] :
+       {std::pair{k0, v0}, std::pair{k1, v1}, std::pair{k2, v2}}) {
+    if (key == nullptr) continue;
+    e.argName[e.numArgs] = key;
+    e.argVal[e.numArgs] = value;
     ++e.numArgs;
   }
   Tracer::instance().emit(e);

@@ -54,7 +54,7 @@ extern std::atomic<bool> g_enabled;
 // overwritten in place with no allocation.
 struct Event {
   static constexpr size_t kNameCapacity = 48;
-  static constexpr int kMaxArgs = 2;
+  static constexpr int kMaxArgs = 3;
 
   int64_t tsNanos = 0;   // since the tracer epoch (steady clock)
   int64_t durNanos = 0;  // 'X' events only
@@ -63,8 +63,8 @@ struct Event {
   const char* cat = "aviv";        // string literal
   char name[kNameCapacity] = {};   // NUL-terminated, truncated copy
   int numArgs = 0;
-  const char* argName[kMaxArgs] = {nullptr, nullptr};  // string literals
-  int64_t argVal[kMaxArgs] = {0, 0};
+  const char* argName[kMaxArgs] = {};  // string literals
+  int64_t argVal[kMaxArgs] = {};
 
   void setName(std::string_view a, std::string_view b = {});
 };
@@ -140,7 +140,8 @@ class Tracer {
 
 void instant(const char* cat, std::string_view name, std::string_view rest = {},
              const char* k0 = nullptr, int64_t v0 = 0,
-             const char* k1 = nullptr, int64_t v1 = 0);
+             const char* k1 = nullptr, int64_t v1 = 0,
+             const char* k2 = nullptr, int64_t v2 = 0);
 
 // One sample of the numeric series `name` (Chrome 'C' counter event).
 void counter(const char* cat, std::string_view name, const char* key,
@@ -153,7 +154,7 @@ void counterAt(const char* cat, std::string_view name, const char* key,
                int64_t value, int64_t tsNanos);
 
 // RAII complete-span recorder: captures the start time at construction and
-// emits one 'X' event at destruction. Up to two integer args may be
+// emits one 'X' event at destruction. Up to kMaxArgs integer args may be
 // attached before the scope closes.
 class Span {
  public:

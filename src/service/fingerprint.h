@@ -38,7 +38,11 @@ namespace aviv {
 // Version 3: the "search" child gained the workspace-arena accounting
 // (arenaCalls/arenaBytes/arenaHighWater), so version-2 entries would replay
 // without the alloc counters.
-inline constexpr uint32_t kFingerprintVersion = 3;
+// Version 4: clique generation became pivoting Bron-Kerbosch, so a round
+// the per-round cap truncates keeps a different clique subset (and may
+// emit different code); the cover telemetry dropped cliquePruned and the
+// "search" child gained candidatesCut.
+inline constexpr uint32_t kFingerprintVersion = 4;
 
 [[nodiscard]] Hash128 fingerprintMachine(const Machine& machine);
 [[nodiscard]] Hash128 fingerprintDag(const BlockDag& dag);

@@ -176,6 +176,14 @@ inline void andNotInto(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                        size_t words) {
   for (size_t i = 0; i < words; ++i) dst[i] = a[i] & ~b[i];
 }
+// |a & b|
+inline size_t intersectCount(const uint64_t* a, const uint64_t* b,
+                             size_t words) {
+  size_t n = 0;
+  for (size_t i = 0; i < words; ++i)
+    n += static_cast<size_t>(__builtin_popcountll(a[i] & b[i]));
+  return n;
+}
 // First set bit at or after `from`, or `limit` if none (limit in bits).
 inline size_t findFirst(const uint64_t* w, size_t from, size_t limit) {
   if (from >= limit) return limit;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/assign_explore.h"
-#include "core/assigned.h"
+#include <algorithm>
+#include <string>
+
+#include "core/codegen.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
 #include "support/rng.h"
@@ -11,53 +13,128 @@
 namespace aviv {
 namespace {
 
-void expectSameCliques(const ParallelismMatrix& matrix,
-                       const DynBitset& active) {
-  CliqueGenStats stats;
-  const auto fig8 = generateMaximalCliques(matrix, active, 100000, &stats);
-  const auto reference = referenceMaximalCliques(matrix, active);
-  ASSERT_EQ(fig8.size(), reference.size());
-  for (size_t i = 0; i < fig8.size(); ++i) EXPECT_EQ(fig8[i], reference[i]);
+// Independent oracle: enumerate every clique of `active` (each subset
+// whose members are pairwise parallel, grown in ascending id order), keep
+// the ones no other active node extends, and sort. No pivot, no excluded
+// set — nothing shared with the generator under test.
+std::vector<DynBitset> bruteForceMaximalCliques(const ParallelismMatrix& matrix,
+                                                const DynBitset& active) {
+  const size_t n = active.size();
+  std::vector<DynBitset> out;
+  std::vector<size_t> members;
+  auto maximal = [&] {
+    for (size_t v = 0; v < n; ++v) {
+      if (!active.test(v)) continue;
+      bool extends = true;
+      for (size_t m : members)
+        extends &= matrix.parallel(static_cast<AgId>(v), static_cast<AgId>(m));
+      if (extends) return false;  // also rejects v already in the clique
+    }
+    return true;
+  };
+  auto grow = [&](auto&& self, size_t from) -> void {
+    if (!members.empty() && maximal()) {
+      DynBitset clique(n);
+      for (size_t m : members) clique.set(m);
+      out.push_back(std::move(clique));
+    }
+    for (size_t v = from; v < n; ++v) {
+      if (!active.test(v)) continue;
+      bool joins = true;
+      for (size_t m : members)
+        joins &= matrix.parallel(static_cast<AgId>(v), static_cast<AgId>(m));
+      if (!joins) continue;
+      members.push_back(v);
+      self(self, v + 1);
+      members.pop_back();
+    }
+  };
+  grow(grow, 0);
+  std::sort(out.begin(), out.end(),
+            [](const DynBitset& a, const DynBitset& b) { return a.lexLess(b); });
+  return out;
 }
 
-TEST(CliqueGen, MatchesBronKerboschOnRealBlocks) {
-  const Machine machine = loadMachine("arch1");
-  const MachineDatabases dbs(machine);
-  for (const char* block : {"ex1", "ex2", "ex3", "ex4", "ex5"}) {
-    const BlockDag dag = loadBlock(block);
-    const CodegenOptions options;
-    const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, options);
-    const auto assignment =
-        AssignmentExplorer(snd, options).explore().front();
-    const AssignedGraph graph =
-        AssignedGraph::materialize(snd, assignment, options);
-    const ParallelismMatrix matrix(graph, /*levelWindow=*/-1);
-    DynBitset active(graph.size(), true);
-    expectSameCliques(matrix, active);
+void expectMatchesBruteForce(const ParallelismMatrix& matrix,
+                             const DynBitset& active,
+                             const std::string& where) {
+  CliqueGenStats stats;
+  const auto cliques = generateMaximalCliques(matrix, active, 1u << 20, &stats);
+  const auto oracle = bruteForceMaximalCliques(matrix, active);
+  EXPECT_FALSE(stats.capped) << where;
+  EXPECT_EQ(stats.emitted, cliques.size()) << where;
+  ASSERT_EQ(cliques.size(), oracle.size()) << where;
+  for (size_t i = 0; i < cliques.size(); ++i)
+    EXPECT_EQ(cliques[i], oracle[i]) << where << " clique " << i;
+}
+
+ParallelismMatrix randomMatrix(Rng& rng, size_t n, double density) {
+  std::vector<DynBitset> rows(n, DynBitset(n));
+  for (size_t a = 0; a < n; ++a)
+    for (size_t b = a + 1; b < n; ++b)
+      if (rng.chance(density)) {
+        rows[a].set(b);
+        rows[b].set(a);
+      }
+  return ParallelismMatrix(std::move(rows));
+}
+
+TEST(CliqueGen, MatchesBruteForceOnRandomGraphs) {
+  Rng rng(1234);
+  for (size_t n = 1; n <= 14; ++n) {
+    for (double density : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const ParallelismMatrix matrix = randomMatrix(rng, n, density);
+        DynBitset all(n, true);
+        expectMatchesBruteForce(matrix, all,
+                                "n=" + std::to_string(n) +
+                                    " density=" + std::to_string(density));
+        DynBitset subset(n);
+        for (size_t i = 0; i < n; ++i)
+          if (rng.chance(0.7)) subset.set(i);
+        expectMatchesBruteForce(matrix, subset,
+                                "subset of n=" + std::to_string(n));
+      }
+    }
   }
 }
 
-// Property test on random graphs: build a synthetic AssignedGraph-like
-// parallelism structure by generating random matrices directly. Since
-// ParallelismMatrix requires a graph, we instead probe the generator
-// through random *subsets* of a real graph's nodes.
-TEST(CliqueGen, MatchesBronKerboschOnRandomActiveSubsets) {
-  const Machine machine = loadMachine("arch1");
-  const MachineDatabases dbs(machine);
-  const BlockDag dag = loadBlock("ex4");
-  const CodegenOptions options;
-  const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, options);
-  const auto assignment = AssignmentExplorer(snd, options).explore().front();
-  const AssignedGraph graph =
-      AssignedGraph::materialize(snd, assignment, options);
-  const ParallelismMatrix matrix(graph, -1);
-
-  Rng rng(1234);
-  for (int trial = 0; trial < 30; ++trial) {
-    DynBitset active(graph.size());
-    for (size_t i = 0; i < graph.size(); ++i)
-      if (rng.chance(0.6)) active.set(i);
-    expectSameCliques(matrix, active);
+// The generator against the oracle on the parallelism graphs covering
+// actually sees: for each kernel × machine the winning assignment's graph
+// (spills applied), at every step of its schedule — the uncovered sets
+// clique rounds regenerate over — with and without the level window.
+TEST(CliqueGen, MatchesBruteForceOnKernelCoveringSteps) {
+  for (const char* machineName :
+       {"arch1", "arch2", "arch3", "arch4", "dsp16", "zoo/asym",
+        "zoo/buffered", "zoo/constrained", "zoo/minimal", "zoo/tiny",
+        "zoo/wide"}) {
+    const Machine machine = loadMachine(machineName);
+    const MachineDatabases dbs(machine);
+    for (const char* block : {"biquad", "dct4", "ex1", "ex2", "ex3", "ex4",
+                              "ex5", "fig2", "fig6", "matvec2"}) {
+      const BlockDag dag = loadBlock(block);
+      CoreResult result;
+      try {
+        result = coverBlock(dag, machine, dbs, CodegenOptions::heuristicsOn());
+      } catch (const Error&) {
+        continue;  // the machine cannot implement the block
+      }
+      const AssignedGraph& graph = result.graph;
+      for (int window : {-1, 2}) {
+        const ParallelismMatrix matrix(graph, window);
+        DynBitset active(graph.size());
+        for (AgId id = 0; id < graph.size(); ++id)
+          if (!graph.node(id).deleted()) active.set(id);
+        const auto& instrs = result.schedule.instrs;
+        for (size_t step = 0; step < instrs.size(); ++step) {
+          expectMatchesBruteForce(matrix, active,
+                                  std::string(block) + "/" + machineName +
+                                      " window " + std::to_string(window) +
+                                      " step " + std::to_string(step));
+          for (AgId id : instrs[step]) active.reset(id);
+        }
+      }
+    }
   }
 }
 
@@ -129,6 +206,8 @@ TEST(CliqueGen, LevelWindowReducesCliqueCount) {
   EXPECT_LE(windowedStats.emitted, fullStats.emitted);
 }
 
+// The cap keeps a deterministic subset of the full set, and `capped` is set
+// exactly when cliques were dropped.
 TEST(CliqueGen, CapSetsFlag) {
   const Machine machine = loadMachine("arch1");
   const MachineDatabases dbs(machine);
@@ -140,10 +219,20 @@ TEST(CliqueGen, CapSetsFlag) {
       AssignedGraph::materialize(snd, assignment, options);
   const ParallelismMatrix matrix(graph, -1);
   DynBitset active(graph.size(), true);
+  const auto all = generateMaximalCliques(matrix, active, 1u << 20);
+  ASSERT_GT(all.size(), 2u);
+
   CliqueGenStats stats;
-  const auto cliques = generateMaximalCliques(matrix, active, 2, &stats);
-  EXPECT_LE(cliques.size(), 2u);
+  const auto capped = generateMaximalCliques(matrix, active, 2, &stats);
+  EXPECT_EQ(capped.size(), 2u);
   EXPECT_TRUE(stats.capped);
+  for (const DynBitset& clique : capped)
+    EXPECT_NE(std::find(all.begin(), all.end(), clique), all.end());
+  EXPECT_EQ(generateMaximalCliques(matrix, active, 2), capped);
+
+  CliqueGenStats exact;
+  EXPECT_EQ(generateMaximalCliques(matrix, active, all.size(), &exact), all);
+  EXPECT_FALSE(exact.capped);
 }
 
 TEST(CliqueGen, SingleNodeGraphGivesSingletonClique) {

@@ -1,9 +1,9 @@
 // Search telemetry: the covering pipeline's exploration/covering effort is
 // recorded in the phase-telemetry tree (nodesVisited, prunedByBound,
-// backtracks, candidatesAbandoned, best-cost trajectory), round-trips
-// through coreStatsView, and — because every counter is a per-candidate
-// sum reduced deterministically — is identical for serial and parallel
-// covering runs.
+// backtracks, candidatesAbandoned, candidatesCut, best-cost trajectory),
+// round-trips through coreStatsView, and — because every counter is a
+// per-candidate sum reduced deterministically — is identical for serial and
+// parallel covering runs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -48,6 +48,7 @@ TEST(SearchTelemetry, CountersRecordedAndViewRoundTrips) {
   EXPECT_TRUE(search->hasCounter("prunedByBound"));
   EXPECT_TRUE(search->hasCounter("backtracks"));
   EXPECT_TRUE(search->hasCounter("candidatesAbandoned"));
+  EXPECT_TRUE(search->hasCounter("candidatesCut"));
 
   // The view read back from telemetry matches the in-memory stats the
   // compile produced — the cache replay path depends on this symmetry.
@@ -57,6 +58,7 @@ TEST(SearchTelemetry, CountersRecordedAndViewRoundTrips) {
   EXPECT_EQ(view.search.prunedByBound, live.search.prunedByBound);
   EXPECT_EQ(view.search.backtracks, live.search.backtracks);
   EXPECT_EQ(view.search.candidatesAbandoned, live.search.candidatesAbandoned);
+  EXPECT_EQ(view.search.candidatesCut, live.search.candidatesCut);
   ASSERT_EQ(view.trajectory.size(), live.trajectory.size());
   for (size_t k = 0; k < view.trajectory.size(); ++k) {
     EXPECT_EQ(view.trajectory[k].candidate, live.trajectory[k].candidate);
@@ -85,26 +87,38 @@ TEST(SearchTelemetry, TrajectoryIsMonotoneAndEndsAtWinner) {
 }
 
 TEST(SearchTelemetry, SerialAndParallelCountersIdentical) {
-  CompileRun serial = compileWithJobs("fig2", "arch3", 1);
-  CompileRun parallel = compileWithJobs("fig2", "arch3", 4);
-  // The session records its worker count ("jobs" on the root and on the
-  // cover phase) — the one counter that legitimately differs. Neutralize
-  // it, then demand bit-identical trees: sameShapeAs compares names, every
-  // other counter, and topology (including the search child and the
-  // best:<k> trajectory children) while ignoring wall-clock seconds, so
-  // search effort must not depend on the worker count.
-  for (CompileRun* run : {&serial, &parallel}) {
-    run->telemetry.setCounter("jobs", 0);
-    run->telemetry.child("block:fig2").child("cover").setCounter("jobs", 0);
+  // fig2/arch3 covers a handful of candidates; ex2/arch1 takes the
+  // exhaustive shortcut (216 candidates), so dozens of covering waves run
+  // four-wide against the cross-candidate cutoff.
+  for (const auto& [blockName, machineName] :
+       {std::pair{"fig2", "arch3"}, std::pair{"ex2", "arch1"}}) {
+    const std::string blockNode = std::string("block:") + blockName;
+    CompileRun serial = compileWithJobs(blockName, machineName, 1);
+    CompileRun parallel = compileWithJobs(blockName, machineName, 4);
+    // The session records its worker count ("jobs" on the root and on the
+    // cover phase) — the one counter that legitimately differs. Neutralize
+    // it, then demand bit-identical trees: sameShapeAs compares names, every
+    // other counter, and topology (including the search child and the
+    // best:<k> trajectory children) while ignoring wall-clock seconds, so
+    // search effort must not depend on the worker count.
+    for (CompileRun* run : {&serial, &parallel}) {
+      run->telemetry.setCounter("jobs", 0);
+      run->telemetry.child(blockNode).child("cover").setCounter("jobs", 0);
+    }
+    EXPECT_TRUE(serial.telemetry.sameShapeAs(parallel.telemetry)) << blockName;
+    const TelemetryNode* block = parallel.telemetry.findChild(blockNode);
+    ASSERT_NE(block, nullptr);
+    const CoreStats a = coreStatsView(*serial.telemetry.findChild(blockNode));
+    const CoreStats b = coreStatsView(*block);
+    EXPECT_EQ(a.search.nodesVisited, b.search.nodesVisited) << blockName;
+    EXPECT_EQ(a.search.backtracks, b.search.backtracks) << blockName;
+    EXPECT_EQ(a.search.candidatesCut, b.search.candidatesCut) << blockName;
+    ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << blockName;
+    if (std::string(blockName) == "ex2") {
+      EXPECT_GT(a.search.candidatesCut + a.assignmentsCovered, 9u);
+      EXPECT_GT(a.search.candidatesCut, 0u);
+    }
   }
-  EXPECT_TRUE(serial.telemetry.sameShapeAs(parallel.telemetry));
-  const TelemetryNode* block = parallel.telemetry.findChild("block:fig2");
-  ASSERT_NE(block, nullptr);
-  const CoreStats a = coreStatsView(*serial.telemetry.findChild("block:fig2"));
-  const CoreStats b = coreStatsView(*block);
-  EXPECT_EQ(a.search.nodesVisited, b.search.nodesVisited);
-  EXPECT_EQ(a.search.backtracks, b.search.backtracks);
-  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
 }
 
 }  // namespace

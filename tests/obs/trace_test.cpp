@@ -87,6 +87,7 @@ TEST_F(TraceTest, SpanRecordsCompleteEventWithArgs) {
     Span span("cat", "work:", "block");
     span.arg("items", 42);
     span.arg("cost", 7);
+    span.arg("extra", 3);
     span.arg("ignored", 1);  // beyond kMaxArgs: silently dropped
   }
   const std::string json = Tracer::instance().exportJson();
@@ -95,6 +96,7 @@ TEST_F(TraceTest, SpanRecordsCompleteEventWithArgs) {
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
   EXPECT_NE(json.find("\"items\":42"), std::string::npos);
   EXPECT_NE(json.find("\"cost\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"extra\":3"), std::string::npos);
   EXPECT_EQ(json.find("ignored"), std::string::npos);
 }
 

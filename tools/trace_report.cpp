@@ -7,6 +7,8 @@
 //   * trace overview: event counts by phase type, wall span, drop counter
 //   * top phases by SELF time (span duration minus nested spans on the same
 //     thread) — where the compile actually spent its time
+//   * covering summary: candidate coverings, how many the lower bound cut,
+//     spills
 //   * per-block breakdown: one section per "compile:<block>" span with the
 //     phase spans nested inside it (the block's critical path, since block
 //     compiles are single-threaded inside the span)
@@ -409,6 +411,24 @@ void reportTopPhases(const Trace& trace, size_t top) {
     std::printf("  ... %zu more span names\n", rows.size() - shown);
 }
 
+// Covering-search summary: candidate coverings started ("cover.candidate"
+// spans), how many the cross-candidate lower bound cut ("cover.cut"
+// instants), and spills inserted ("cover.spill" instants).
+void reportCovering(const Trace& trace) {
+  size_t candidates = 0, cut = 0, spills = 0;
+  for (const TraceEvent& e : trace.events) {
+    if (e.ph == 'X' && e.name == "cover.candidate") ++candidates;
+    if (e.ph == 'i' && e.name == "cover.cut") ++cut;
+    if (e.ph == 'i' && e.name == "cover.spill") ++spills;
+  }
+  if (candidates == 0) return;
+  std::printf("\ncovering: %zu candidates, %zu cut by the lower bound "
+              "(%.1f%%), %zu spills\n",
+              candidates, cut, 100.0 * static_cast<double>(cut) /
+                                   static_cast<double>(candidates),
+              spills);
+}
+
 // Per-block sections: each "compile:<block>" span with the phase spans that
 // ran inside its window on its thread. Block compiles are single-threaded
 // within the span (candidate-covering fan-out emits under the same tel
@@ -550,6 +570,7 @@ int main(int argc, char** argv) {
     }
 
     reportTopPhases(trace, top);
+    reportCovering(trace);
     reportBlocks(trace);
     if (!metricsPath.empty()) reportMetrics(metricsPath);
     return violations == 0 ? 0 : 1;
