@@ -33,6 +33,10 @@
 // report `skipped (shutdown)`, the cache manifest is flushed, and the
 // process exits 130.
 //
+// Both front ends hand each request line to one dispatch
+// (DaemonConfig::dispatch): in-process through serveRequestLine, or through
+// the isolated worker pool — either way a typed net::NetResponse.
+//
 // Server mode (--listen unix:/path.sock | --listen host:port): serves the
 // same grammar over the length-prefixed binary framing in src/net/frame.h,
 // one request line per frame. Responses are typed (ok/hit/degraded/
@@ -50,9 +54,10 @@
 //   --jobs <n>           worker threads compiling requests concurrently
 //   --repeat <n>         batch: run the whole batch n times in this process
 //                        (pass 2+ should be all cache hits)
-//   --expect-all-hits    batch: exit nonzero unless the final pass had 0
-//                        misses (degraded requests excluded: their results
-//                        are deliberately never cached)
+//   --expect-all-hits    batch: exit nonzero unless the cache is on and no
+//                        request of the final pass compiled a block cold
+//                        (degraded and quarantined requests excluded: their
+//                        results are deliberately never cached)
 //   --default-timeout <sec>  covering budget for requests without their own
 //                        timeout= token (0 = unlimited)
 //   --retries <n>        retry a request hit by a transient fault up to n
@@ -111,7 +116,7 @@
 // `quarantined` means output verification caught a miscompile: the emitted
 // result is the verified baseline, a repro artifact was quarantined, and —
 // like degraded requests — nothing was cached, so --expect-all-hits
-// excludes its misses.
+// excludes it.
 // Summary lines (per pass):
 //   avivd: pass 1: 10 requests, 9 ok, 1 degraded, 0 quarantined, 0 failed,
 //   0 skipped
@@ -170,6 +175,16 @@ struct DaemonConfig {
   // --isolate-workers: requests run in supervised worker processes
   // (src/proc) instead of in-process; null = classic in-process dispatch.
   std::shared_ptr<proc::WorkerPool> pool;
+
+  // The one request dispatch both front ends share. In-process telemetry
+  // merges into `tel`; isolated workers keep theirs.
+  net::NetResponse dispatch(const std::string& line, bool wantAsm,
+                            TelemetryNode& tel) const {
+    if (pool != nullptr) return pool->execute(line, wantAsm);
+    RequestExecConfig config = exec;
+    config.wantAsm = wantAsm;
+    return serveRequestLine(line, defaults, config, tel);
+  }
 };
 
 // Per-pass delta of the pool's supervision counters, printed like the
@@ -199,6 +214,20 @@ void printPoolSummary(const proc::WorkerPool& pool,
                                       before.reproBundles));
 }
 
+// Cache counters accumulated since `before`, one summary line.
+void printCacheSummary(const CacheStats& now, const CacheStats& before) {
+  std::printf(
+      "avivd: cache: %lld lookups, %lld hits, %lld misses, %lld corrupt, "
+      "%lld write-errors, %lld io-retries, %lld evictions\n",
+      static_cast<long long>(now.lookups - before.lookups),
+      static_cast<long long>(now.hits - before.hits),
+      static_cast<long long>(now.misses - before.misses),
+      static_cast<long long>(now.corrupt - before.corrupt),
+      static_cast<long long>(now.writeErrors - before.writeErrors),
+      static_cast<long long>(now.ioRetries - before.ioRetries),
+      static_cast<long long>(now.evictions - before.evictions));
+}
+
 void dumpMetricsTo(const std::string& path) {
   if (!path.empty()) writeFile(path, metrics::Registry::instance().toJson());
 }
@@ -210,13 +239,12 @@ void dumpTraceTo(const std::string& path) {
 
 // --- batch mode -----------------------------------------------------------
 
-int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
-             const std::string& batchPath, int repeat, bool expectAllHits,
-             bool printAsm) {
-  (void)flagsIn;
-  // Read and parse the whole batch up front. A malformed line is reported
-  // with its 1-based line:column and skipped — one typo must not take down
-  // the rest of the batch.
+int runBatch(const DaemonConfig& daemon, const std::string& batchPath,
+             int repeat, bool expectAllHits, bool printAsm) {
+  // Read and validate the whole batch up front. A malformed line is
+  // reported with its 1-based line:column and skipped — one typo must not
+  // take down the rest of the batch. Valid lines are kept raw: dispatch
+  // (in-process or an isolated worker) parses for itself.
   std::string batchText;
   if (batchPath == "-") {
     std::ostringstream buffer;
@@ -225,27 +253,20 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
   } else {
     batchText = readFile(batchPath);
   }
-  std::vector<std::shared_ptr<const ParsedRequest>> requests;
-  // Raw text of each valid request line, same indexing as `requests`:
-  // isolated workers (--isolate-workers) parse for themselves, so the pool
-  // dispatch ships the line, not the parse.
-  std::vector<std::string> rawLines;
+  std::vector<std::string> lines;
   int parseErrors = 0;
-  int requestLines = 0;
   {
-    std::istringstream lines(batchText);
+    std::istringstream in(batchText);
     std::string line;
     int lineNo = 0;
-    while (std::getline(lines, line)) {
+    while (std::getline(in, line)) {
       ++lineNo;
       const std::string_view stripped = trim(line);
       if (stripped.empty() || stripped[0] == '#') continue;
-      ++requestLines;
       const RequestParse parse =
           parseRequestLine(stripped, lineNo, daemon.defaults);
       if (parse.ok()) {
-        requests.push_back(parse.request);
-        rawLines.emplace_back(stripped);
+        lines.emplace_back(stripped);
       } else {
         ++parseErrors;
         std::printf("avivd: request line %s: %s (skipped)\n",
@@ -254,7 +275,7 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
       }
     }
   }
-  if (requests.empty()) {
+  if (lines.empty()) {
     if (parseErrors > 0) {
       // Every request line was malformed: this is a broken batch, not a
       // successful no-op — summarize and exit distinctly nonzero.
@@ -265,7 +286,6 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
       std::fflush(stdout);
       return 2;
     }
-    (void)requestLines;
     throw Error("batch contains no valid requests");
   }
 
@@ -273,9 +293,10 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
   ThreadPool pool(daemon.jobs);
   std::mutex outMu;
   bool allOk = true;
-  int64_t finalPassMisses = 0;
-  int64_t finalPassDegradedMisses = 0;
-  int64_t finalPassQuarantinedMisses = 0;
+  // kOk answers of the final pass: requests that compiled at least one
+  // block cold. Degraded and quarantined answers are their own types —
+  // their results are deliberately never cached.
+  size_t finalPassCold = 0;
   bool shutdown = false;
   const std::shared_ptr<ResultCache>& cache = daemon.exec.cache;
 
@@ -284,32 +305,23 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
     // Pre-create one disjoint telemetry subtree per request before the
     // fan-out (TelemetryNode is not thread-safe).
     std::vector<TelemetryNode*> requestTel;
-    requestTel.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i)
+    requestTel.reserve(lines.size());
+    for (size_t i = 0; i < lines.size(); ++i)
       requestTel.push_back(&passTel.child("req:" + std::to_string(i)));
 
     const CacheStats before = cache != nullptr ? cache->stats() : CacheStats{};
     const proc::PoolStats poolBefore =
         daemon.pool != nullptr ? daemon.pool->stats() : proc::PoolStats{};
     size_t okCount = 0;
+    size_t coldCount = 0;
     size_t degradedCount = 0;
     size_t quarantinedCount = 0;
     size_t skippedCount = 0;
-    // Isolated-worker mode: kOk responses (at least one cold block) stand
-    // in for cache misses, since the workers' cache stats live in other
-    // processes.
-    size_t coldOkCount = 0;
-    // Misses attributable to degraded/quarantined requests: their results
-    // are deliberately never cached, so --expect-all-hits must not count
-    // them against the pass.
-    int64_t degradedMisses = 0;
-    int64_t quarantinedMisses = 0;
     // Queue time = how long the request waited for a ThreadPool slot
-    // after the pass fan-out began; wall time = the compile itself.
+    // after the pass fan-out began; wall time = the request itself (under
+    // --isolate-workers the supervisor-side time, crash retries included).
     const WallTimer passTimer;
-    RequestExecConfig exec = daemon.exec;
-    exec.wantAsm = printAsm;
-    pool.parallelFor(requests.size(), [&](size_t i, int) {
+    pool.parallelFor(lines.size(), [&](size_t i, int) {
       const double queueMs = passTimer.seconds() * 1e3;
       if (g_shutdownRequested != 0) {
         // Drain mode: in-flight requests finish, pending ones skip.
@@ -321,118 +333,57 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
       }
       trace::Span reqSpan("avivd", "req:", std::to_string(i));
       const WallTimer reqTimer;
-      if (daemon.pool != nullptr) {
-        // Supervised dispatch: the worker process parses and executes; the
-        // typed result comes back over the socketpair. wall= is the
-        // supervisor-side time, so it includes any crash retry.
-        const proc::WorkerResult wr = daemon.pool->execute(rawLines[i],
-                                                           printAsm);
-        const double poolWallMs = reqTimer.seconds() * 1e3;
-        if (metrics::on())
-          metrics::Registry::instance()
-              .histogram("avivd.request.us")
-              .record(static_cast<int64_t>(poolWallMs * 1e3));
-        std::lock_guard<std::mutex> lock(outMu);
-        switch (wr.type) {
-          case net::FrameType::kQuarantined:
-            ++quarantinedCount;
-            std::printf("req %zu: quarantined %s wall=%.1fms queue=%.1fms\n",
-                        i, wr.detail.c_str(), poolWallMs, queueMs);
-            break;
-          case net::FrameType::kDegraded:
-            ++degradedCount;
-            std::printf("req %zu: degraded %s wall=%.1fms queue=%.1fms\n", i,
-                        wr.detail.c_str(), poolWallMs, queueMs);
-            break;
-          case net::FrameType::kHit:
-          case net::FrameType::kOk:
-            ++okCount;
-            if (wr.type == net::FrameType::kOk) ++coldOkCount;
-            std::printf("req %zu: ok %s wall=%.1fms queue=%.1fms\n", i,
-                        wr.detail.c_str(), poolWallMs, queueMs);
-            break;
-          default:
-            std::printf("req %zu: error %s wall=%.1fms queue=%.1fms\n", i,
-                        wr.detail.c_str(), poolWallMs, queueMs);
-            break;
-        }
-        if (printAsm) std::printf("%s", wr.body.c_str());
-        std::fflush(stdout);
-        return;
-      }
-      const RequestOutcome result =
-          executeRequest(*requests[i], exec, *requestTel[i]);
+      const net::NetResponse response =
+          daemon.dispatch(lines[i], printAsm, *requestTel[i]);
       const double wallMs = reqTimer.seconds() * 1e3;
       if (metrics::on())
         metrics::Registry::instance()
             .histogram("avivd.request.us")
             .record(static_cast<int64_t>(wallMs * 1e3));
       std::lock_guard<std::mutex> lock(outMu);
-      if (result.ok) {
-        if (result.quarantined) {
-          // Takes precedence over plain degradation: verification caught a
-          // miscompile, the emitted result is the verified baseline.
+      const char* status = "error";
+      switch (response.type) {
+        case net::FrameType::kQuarantined:
           ++quarantinedCount;
-          quarantinedMisses += static_cast<int64_t>(result.blocks) -
-                               static_cast<int64_t>(result.cachedBlocks);
-          std::printf("req %zu: quarantined %s wall=%.1fms queue=%.1fms\n", i,
-                      result.statusDetail.c_str(), wallMs, queueMs);
-        } else if (result.degraded) {
+          status = "quarantined";
+          break;
+        case net::FrameType::kDegraded:
           ++degradedCount;
-          degradedMisses += static_cast<int64_t>(result.blocks) -
-                            static_cast<int64_t>(result.cachedBlocks);
-          std::printf("req %zu: degraded %s wall=%.1fms queue=%.1fms\n", i,
-                      result.statusDetail.c_str(), wallMs, queueMs);
-        } else {
+          status = "degraded";
+          break;
+        case net::FrameType::kOk:
+          ++coldCount;
+          [[fallthrough]];
+        case net::FrameType::kHit:
           ++okCount;
-          std::printf("req %zu: ok %s wall=%.1fms queue=%.1fms\n", i,
-                      result.statusDetail.c_str(), wallMs, queueMs);
-        }
-        if (printAsm) std::printf("%s", result.asmText.c_str());
-      } else {
-        std::printf("req %zu: error %s wall=%.1fms queue=%.1fms\n", i,
-                    result.error.c_str(), wallMs, queueMs);
+          status = "ok";
+          break;
+        default:
+          break;
       }
+      std::printf("req %zu: %s %s wall=%.1fms queue=%.1fms\n%s", i, status,
+                  response.detail.c_str(), wallMs, queueMs,
+                  response.body.c_str());
       std::fflush(stdout);
     });
 
     std::printf(
         "avivd: pass %d: %zu requests, %zu ok, %zu degraded, "
         "%zu quarantined, %zu failed, %zu skipped\n",
-        pass, requests.size(), okCount, degradedCount, quarantinedCount,
-        requests.size() - okCount - degradedCount - quarantinedCount -
+        pass, lines.size(), okCount, degradedCount, quarantinedCount,
+        lines.size() - okCount - degradedCount - quarantinedCount -
             skippedCount,
         skippedCount);
     if (parseErrors > 0)
       std::printf("avivd: pass %d: %d parse-errors\n", pass, parseErrors);
     if (cache != nullptr) {
       const CacheStats now = cache->stats();
-      std::printf(
-          "avivd: cache: %lld lookups, %lld hits, %lld misses, "
-          "%lld corrupt, %lld write-errors, %lld io-retries, "
-          "%lld evictions\n",
-          static_cast<long long>(now.lookups - before.lookups),
-          static_cast<long long>(now.hits - before.hits),
-          static_cast<long long>(now.misses - before.misses),
-          static_cast<long long>(now.corrupt - before.corrupt),
-          static_cast<long long>(now.writeErrors - before.writeErrors),
-          static_cast<long long>(now.ioRetries - before.ioRetries),
-          static_cast<long long>(now.evictions - before.evictions));
-      finalPassMisses = now.misses - before.misses;
-      finalPassDegradedMisses = degradedMisses;
-      finalPassQuarantinedMisses = quarantinedMisses;
+      printCacheSummary(now, before);
       recordServiceStats(now, root.child("service"));
     }
-    if (daemon.pool != nullptr) {
-      printPoolSummary(*daemon.pool, poolBefore);
-      // The supervisor's cache stats never see worker compiles; cold (kOk)
-      // responses are the pass's misses, and degraded/quarantined are
-      // already excluded by type.
-      finalPassMisses = static_cast<int64_t>(coldOkCount);
-      finalPassDegradedMisses = 0;
-      finalPassQuarantinedMisses = 0;
-    }
-    if (okCount + degradedCount + quarantinedCount != requests.size())
+    if (daemon.pool != nullptr) printPoolSummary(*daemon.pool, poolBefore);
+    finalPassCold = coldCount;
+    if (okCount + degradedCount + quarantinedCount != lines.size())
       allOk = false;
     // Periodic metrics flush: one aggregated dump per pass, so a long
     // --repeat run exposes progress without waiting for exit.
@@ -456,17 +407,12 @@ int runBatch(const CliFlags& flagsIn, const DaemonConfig& daemon,
   dumpMetricsTo(daemon.metricsJson);
   dumpTraceTo(daemon.traceOut);
   if (!allOk) return 1;
-  if (expectAllHits &&
-      (cache == nullptr || finalPassMisses - finalPassDegradedMisses -
-                                   finalPassQuarantinedMisses >
-                               0)) {
+  if (expectAllHits && (cache == nullptr || finalPassCold > 0)) {
     std::fprintf(stderr,
-                 "avivd: --expect-all-hits: final pass had %lld misses "
-                 "(%lld from degraded and %lld from quarantined requests, "
-                 "excluded)\n",
-                 static_cast<long long>(finalPassMisses),
-                 static_cast<long long>(finalPassDegradedMisses),
-                 static_cast<long long>(finalPassQuarantinedMisses));
+                 "avivd: --expect-all-hits: %sfinal pass had %zu cold "
+                 "request%s (degraded and quarantined requests excluded)\n",
+                 cache == nullptr ? "cache disabled; " : "", finalPassCold,
+                 finalPassCold == 1 ? "" : "s");
     return 2;
   }
   return 0;
@@ -495,54 +441,14 @@ int runServer(const DaemonConfig& daemon, const std::string& listenSpec,
   std::mutex telMu;
   ThreadPool pool(daemon.jobs);
 
-  // The handler runs on ThreadPool workers: parse (line 0 — requests are
-  // not lines of a file), execute with per-request isolation, and map the
-  // outcome onto the wire's typed responses.
-  auto handler = [&](const net::NetRequest& netRequest) -> net::NetResponse {
-    net::NetResponse response;
-    if (daemon.pool != nullptr) {
-      // Supervised dispatch: the request runs in a sandboxed worker
-      // process. A worker crash is retried once on a healthy worker, then
-      // typed kError — the connection always gets its response.
-      const proc::WorkerResult wr =
-          daemon.pool->execute(netRequest.line, netRequest.wantAsm);
-      response.type = wr.type;
-      response.detail = wr.detail;
-      response.body = wr.body;
-      response.crashRetries = wr.crashes;
-      return response;
-    }
-    const RequestParse parse =
-        parseRequestLine(netRequest.line, 0, daemon.defaults);
-    if (!parse.ok()) {
-      response.type = net::FrameType::kError;
-      response.detail = parse.diagnostic.message;
-      return response;
-    }
-    RequestExecConfig exec = daemon.exec;
-    exec.wantAsm = netRequest.wantAsm;
+  // The handler runs on ThreadPool workers: one dispatch per request,
+  // then its telemetry joins the server's tree.
+  auto handler = [&](const net::NetRequest& request) {
     TelemetryNode local("req");
-    const RequestOutcome outcome = executeRequest(*parse.request, exec, local);
-    {
-      std::lock_guard<std::mutex> lock(telMu);
-      serverTel.merge(local);
-    }
-    if (!outcome.ok) {
-      response.type = net::FrameType::kError;
-      response.detail = outcome.error;
-      return response;
-    }
-    if (outcome.quarantined) {
-      response.type = net::FrameType::kQuarantined;
-    } else if (outcome.degraded) {
-      response.type = net::FrameType::kDegraded;
-    } else if (outcome.allCached()) {
-      response.type = net::FrameType::kHit;
-    } else {
-      response.type = net::FrameType::kOk;
-    }
-    response.detail = outcome.statusDetail;
-    response.body = outcome.asmText;
+    net::NetResponse response =
+        daemon.dispatch(request.line, request.wantAsm, local);
+    std::lock_guard<std::mutex> lock(telMu);
+    serverTel.merge(local);
     return response;
   };
 
@@ -575,14 +481,7 @@ int runServer(const DaemonConfig& daemon, const std::string& listenSpec,
     printPoolSummary(*daemon.pool, proc::PoolStats{});
   if (daemon.exec.cache != nullptr) {
     const CacheStats cs = daemon.exec.cache->stats();
-    std::printf(
-        "avivd: cache: %lld lookups, %lld hits, %lld misses, %lld corrupt, "
-        "%lld write-errors, %lld io-retries, %lld evictions\n",
-        static_cast<long long>(cs.lookups), static_cast<long long>(cs.hits),
-        static_cast<long long>(cs.misses), static_cast<long long>(cs.corrupt),
-        static_cast<long long>(cs.writeErrors),
-        static_cast<long long>(cs.ioRetries),
-        static_cast<long long>(cs.evictions));
+    printCacheSummary(cs, CacheStats{});
     daemon.exec.cache->flushManifest();
     recordServiceStats(cs, root.child("service"));
   }
@@ -712,8 +611,8 @@ int main(int argc, char** argv) {
     if (!listenSpec.empty())
       return runServer(daemon, listenSpec, queueCap, backendName,
                        drainTimeoutMs);
-    return runBatch(flags, daemon, flags.positional()[0], repeat,
-                    expectAllHits, printAsm);
+    return runBatch(daemon, flags.positional()[0], repeat, expectAllHits,
+                    printAsm);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "avivd: %s\n", e.what());
     return 1;

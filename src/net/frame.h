@@ -47,6 +47,18 @@ enum class FrameType : uint8_t {
   kHeartbeat = 8,
 };
 
+// One typed answer to one request line: what every avivd dispatch path
+// (in-process, isolated worker, crash-loop breaker) produces and the
+// server encodes into a response frame.
+struct NetResponse {
+  FrameType type = FrameType::kError;
+  std::string detail;  // status detail line; the error message for kError
+  std::string body;    // assembly text when requested; else empty
+  // Worker crashes consumed producing this response (src/proc pool);
+  // surfaces in ServerStats::crashRetried.
+  int crashRetries = 0;
+};
+
 [[nodiscard]] const char* frameTypeName(FrameType type);
 [[nodiscard]] bool isResponseType(FrameType type);
 

@@ -5,8 +5,9 @@
 // ThreadPool's workers drain that queue, run the request handler, and hand
 // encoded response frames back to the loop through a completion queue +
 // wakeup pipe. The server knows nothing about compilation — the handler
-// (avivd plugs in service/request.h's parse + execute) maps one request
-// line to a typed response.
+// (avivd plugs in its one dispatch: service/request.h's serveRequestLine,
+// or the src/proc worker pool) maps one request line to a typed
+// NetResponse (net/frame.h).
 //
 // Admission control and backpressure, in order of engagement:
 //   * Bounded queue: a request arriving while `queueCapacity` requests are
@@ -78,15 +79,6 @@ struct NetRequest {
   uint64_t id = 0;
   bool wantAsm = false;
   std::string line;
-};
-
-struct NetResponse {
-  FrameType type = FrameType::kError;
-  std::string detail;
-  std::string body;
-  // Worker crashes consumed producing this response (handler running over
-  // a src/proc pool); surfaces in ServerStats::crashRetried.
-  int crashRetries = 0;
 };
 
 // Runs on a ThreadPool worker; must be thread-safe and must not throw

@@ -14,7 +14,6 @@
 #include "support/error.h"
 #include "support/io.h"
 #include "support/strings.h"
-#include "support/timer.h"
 
 namespace aviv::proc {
 
@@ -272,8 +271,8 @@ WorkerPool::Attempt WorkerPool::runOnWorker(int index, const std::string& line,
   }
 }
 
-std::string WorkerPool::handleCrash(int index, const std::string& line,
-                                    bool wantAsm, Attempt* attempt) {
+void WorkerPool::handleCrash(int index, const std::string& line,
+                             bool wantAsm, Attempt* attempt) {
   Slot& slot = slots_[static_cast<size_t>(index)];
   const pid_t pid = slot.pid;
   const std::string notePath = slot.notePath;
@@ -344,64 +343,52 @@ std::string WorkerPool::handleCrash(int index, const std::string& line,
     if (attempt->killedByHeartbeat) ++stats_.heartbeatKills;
     if (!reproDir.empty()) ++stats_.reproBundles;
   }
-  return reproDir;
 }
 
-WorkerResult WorkerPool::execute(const std::string& line, bool wantAsm) {
+net::NetResponse WorkerPool::execute(const std::string& line, bool wantAsm) {
   {
     std::lock_guard<std::mutex> stats(statsMu_);
     ++stats_.requests;
   }
   if (breakerOpenFor(line)) return serveBreaker(line, wantAsm);
 
-  std::string lastRepro;
-  int crashes = 0;
+  net::NetResponse response;
   int lastStatus = 0;
   for (int attemptNo = 0; attemptNo < 2; ++attemptNo) {
     const int index = acquireSlot();
     if (index < 0) {
-      WorkerResult result;
-      result.type = net::FrameType::kError;
-      result.detail = shutdown_ ? "worker pool shut down"
-                                : "no compile worker available";
-      result.crashes = crashes;
-      result.reproDir = lastRepro;
-      return result;
+      response.detail = shutdown_ ? "worker pool shut down"
+                                  : "no compile worker available";
+      return response;
     }
     Attempt attempt = runOnWorker(index, line, wantAsm,
                                   nextId_.fetch_add(1));
     if (attempt.crashed) {
-      ++crashes;
-      const std::string dir = handleCrash(index, line, wantAsm, &attempt);
-      if (!dir.empty()) lastRepro = dir;
+      ++response.crashRetries;
+      handleCrash(index, line, wantAsm, &attempt);
       lastStatus = attempt.exitStatus;
     } else {
       releaseSlot(index, true);
     }
     if (attempt.gotResponse) {
       breakerRecordSuccess(line);
-      WorkerResult result;
-      result.type = attempt.type;
-      result.detail = attempt.response.detail;
-      result.body = std::move(attempt.response.body);
-      result.wallMicros = attempt.response.wallMicros;
-      result.crashes = crashes;
-      result.reproDir = lastRepro;
-      if (crashes > 0) {
-        result.detail += " crashed=" + std::to_string(crashes);
+      response.type = attempt.type;
+      response.detail = std::move(attempt.response.detail);
+      response.body = std::move(attempt.response.body);
+      if (response.crashRetries > 0) {
+        response.detail += " crashed=" + std::to_string(response.crashRetries);
         std::lock_guard<std::mutex> stats(statsMu_);
         ++stats_.crashRetried;
       }
-      return result;
+      return response;
     }
     // Crashed with no answer. If this line just tripped the breaker,
     // recovery serves it without feeding it another worker.
     if (attemptNo == 0 && breakerOpenFor(line)) {
-      WorkerResult result = serveBreaker(line, wantAsm);
-      result.crashes = crashes;
-      result.reproDir = lastRepro;
-      result.detail += " crashed=" + std::to_string(crashes);
-      return result;
+      net::NetResponse served = serveBreaker(line, wantAsm);
+      served.crashRetries = response.crashRetries;
+      served.detail += " crashed=" + std::to_string(served.crashRetries);
+      return served;
     }
   }
 
@@ -409,13 +396,9 @@ WorkerResult WorkerPool::execute(const std::string& line, bool wantAsm) {
     std::lock_guard<std::mutex> stats(statsMu_);
     ++stats_.crashFailed;
   }
-  WorkerResult result;
-  result.type = net::FrameType::kError;
-  result.detail = "worker crashed twice serving this request (last: " +
-                  describeExitStatus(lastStatus) + ") crashed=2";
-  result.crashes = crashes;
-  result.reproDir = lastRepro;
-  return result;
+  response.detail = "worker crashed twice serving this request (last: " +
+                    describeExitStatus(lastStatus) + ") crashed=2";
+  return response;
 }
 
 bool WorkerPool::breakerOpenFor(const std::string& line) {
@@ -463,29 +446,21 @@ void WorkerPool::breakerRecordSuccess(const std::string& line) {
   breaker_.erase(line);
 }
 
-WorkerResult WorkerPool::serveBreaker(const std::string& line, bool wantAsm) {
+net::NetResponse WorkerPool::serveBreaker(const std::string& line,
+                                          bool wantAsm) {
   {
     std::lock_guard<std::mutex> stats(statsMu_);
     ++stats_.breakerServed;
-  }
-  WorkerResult result;
-  result.breakerServed = true;
-  if (!config_.breakerBaseline) {
-    result.type = net::FrameType::kError;
-    result.detail =
-        "crash-loop breaker open: request repeatedly crashed workers";
-    return result;
   }
   // In-process baseline compile: a deliberately different code path from
   // the covering flow that keeps killing workers, and the crash-class fail
   // points only exist on worker code paths, so this cannot take the
   // supervisor down.
-  const WallTimer timer;
   const RequestParse parse = parseRequestLine(line, 0, config_.env.defaults);
   if (!parse.ok()) {
-    result.type = net::FrameType::kError;
-    result.detail = parse.diagnostic.message;
-    return result;
+    net::NetResponse response;
+    response.detail = parse.diagnostic.message;
+    return response;
   }
   ParsedRequest request = *parse.request;
   request.options.engine = Engine::kBaseline;
@@ -493,17 +468,12 @@ WorkerResult WorkerPool::serveBreaker(const std::string& line, bool wantAsm) {
   exec.wantAsm = wantAsm;
   exec.retries = config_.env.transientRetries;
   TelemetryNode tel("breaker");
-  const RequestOutcome outcome = executeRequest(request, exec, tel);
-  result.wallMicros = static_cast<uint64_t>(timer.seconds() * 1e6);
-  if (!outcome.ok) {
-    result.type = net::FrameType::kError;
-    result.detail = outcome.error;
-    return result;
+  net::NetResponse response = toResponse(executeRequest(request, exec, tel));
+  if (response.type != net::FrameType::kError) {
+    response.type = net::FrameType::kDegraded;
+    response.detail += " breaker=baseline";
   }
-  result.type = net::FrameType::kDegraded;
-  result.detail = outcome.statusDetail + " breaker=baseline";
-  result.body = outcome.asmText;
-  return result;
+  return response;
 }
 
 PoolStats WorkerPool::stats() const {

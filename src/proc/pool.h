@@ -24,8 +24,7 @@
 //   * feeds a per-request-line crash-loop breaker: K crashes within the
 //     window blacklists that line — further arrivals are served in-process
 //     by the baseline engine (a deliberately different code path from the
-//     covering flow that keeps killing workers) or, when
-//     `breakerBaseline` is off, answered kError without burning workers.
+//     covering flow that keeps killing workers), never by another worker.
 //
 // Dead workers respawn with exponential backoff (a crash-looping fleet
 // must not fork-bomb); the supervisor itself never dies on any worker
@@ -64,9 +63,6 @@ struct PoolConfig {
   // opens the breaker for that line.
   int crashLoopK = 3;
   double crashLoopWindowSeconds = 60.0;
-  // Open-breaker recovery: true = serve in-process via the baseline engine
-  // (kDegraded); false = typed kError.
-  bool breakerBaseline = true;
   // Respawn backoff: doubles per consecutive crash of a slot, resets on a
   // served response.
   int respawnBackoffMs = 50;
@@ -77,21 +73,6 @@ struct PoolConfig {
   // retry. avivd wires the cache stale-temp sweep here.
   std::function<void()> onCrash;
   WorkerEnv env;
-};
-
-// One typed answer per execute(); the pool-level mirror of a response
-// frame, plus crash provenance.
-struct WorkerResult {
-  net::FrameType type = net::FrameType::kError;
-  std::string detail;
-  std::string body;
-  uint64_t wallMicros = 0;
-  // Worker deaths consumed serving this request: 0 clean, 1 retried onto a
-  // healthy worker, 2 gave up (type == kError). Nonzero also appends
-  // " crashed=K" to `detail`.
-  int crashes = 0;
-  bool breakerServed = false;  // answered by the breaker recovery path
-  std::string reproDir;        // bundle of this request's last crash ("" none)
 };
 
 struct PoolStats {
@@ -119,8 +100,12 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   // Runs one request line to a typed answer. Never throws; every failure
-  // mode (crash, double crash, breaker) is a typed WorkerResult.
-  [[nodiscard]] WorkerResult execute(const std::string& line, bool wantAsm);
+  // mode (crash, double crash, breaker) is a typed response. crashRetries
+  // counts the worker deaths it consumed: 0 clean, 1 retried onto a healthy
+  // worker, 2 gave up (kError); nonzero also appends " crashed=K" to the
+  // detail.
+  [[nodiscard]] net::NetResponse execute(const std::string& line,
+                                         bool wantAsm);
 
   [[nodiscard]] PoolStats stats() const;
   [[nodiscard]] const PoolConfig& config() const { return config_; }
@@ -169,14 +154,14 @@ class WorkerPool {
   Attempt runOnWorker(int index, const std::string& line, bool wantAsm,
                       uint64_t id);
   // Crash bookkeeping: reap, bundle, hook, breaker. Fills in the attempt's
-  // exit status; returns the bundle dir ("" when capture is off/failed).
-  std::string handleCrash(int index, const std::string& line, bool wantAsm,
-                          Attempt* attempt);
+  // exit status.
+  void handleCrash(int index, const std::string& line, bool wantAsm,
+                   Attempt* attempt);
 
   bool breakerOpenFor(const std::string& line);
   void breakerRecordCrash(const std::string& line);
   void breakerRecordSuccess(const std::string& line);
-  WorkerResult serveBreaker(const std::string& line, bool wantAsm);
+  net::NetResponse serveBreaker(const std::string& line, bool wantAsm);
 
   PoolConfig config_;
   mutable std::mutex mu_;

@@ -206,45 +206,24 @@ void runWorkerProcess(int fd, const WorkerEnv& env) {
     exec.wantAsm = request.wantAsm;
     evalWorkerCrashPoints(env.crashNotePath);
 
+    const WallTimer timer;
+    net::NetResponse answer;
+    try {
+      TelemetryNode local("req");
+      answer = serveRequestLine(request.line, env.defaults, exec, local);
+    } catch (const std::exception& e) {
+      // serveRequestLine never throws; this is a backstop for surprises
+      // (allocation failure). The worker answers and lives on.
+      answer.detail = e.what();
+    }
     net::ResponsePayload response;
     response.id = request.id;
-    const WallTimer timer;
-    net::FrameType type = net::FrameType::kError;
-    try {
-      const RequestParse parse =
-          parseRequestLine(request.line, 0, env.defaults);
-      if (!parse.ok()) {
-        response.detail = parse.diagnostic.message;
-      } else {
-        TelemetryNode local("req");
-        const RequestOutcome outcome =
-            executeRequest(*parse.request, exec, local);
-        if (!outcome.ok) {
-          response.detail = outcome.error;
-        } else {
-          if (outcome.quarantined) {
-            type = net::FrameType::kQuarantined;
-          } else if (outcome.degraded) {
-            type = net::FrameType::kDegraded;
-          } else if (outcome.allCached()) {
-            type = net::FrameType::kHit;
-          } else {
-            type = net::FrameType::kOk;
-          }
-          response.detail = outcome.statusDetail;
-          response.body = outcome.asmText;
-        }
-      }
-    } catch (const std::exception& e) {
-      // executeRequest never throws; this is a backstop for parse-side
-      // surprises. The worker answers and lives on.
-      type = net::FrameType::kError;
-      response.detail = e.what();
-    }
     response.wallMicros = static_cast<uint64_t>(timer.seconds() * 1e6);
+    response.detail = std::move(answer.detail);
+    response.body = std::move(answer.body);
 
     const std::string encoded =
-        net::encodeFrame(type, net::encodeResponsePayload(response));
+        net::encodeFrame(answer.type, net::encodeResponsePayload(response));
     if (FailPoints::instance().shouldFail("worker-torn-write")) {
       // Die mid-frame: the supervisor's decoder must surface a torn,
       // poisoned-not-wedged stream and treat it as a crash. Note the site

@@ -226,4 +226,32 @@ RequestOutcome executeRequest(const ParsedRequest& request,
   }
 }
 
+net::NetResponse toResponse(const RequestOutcome& outcome) {
+  net::NetResponse response;
+  if (!outcome.ok) {
+    response.detail = outcome.error;
+    return response;
+  }
+  response.type = outcome.quarantined   ? net::FrameType::kQuarantined
+                  : outcome.degraded    ? net::FrameType::kDegraded
+                  : outcome.allCached() ? net::FrameType::kHit
+                                        : net::FrameType::kOk;
+  response.detail = outcome.statusDetail;
+  response.body = outcome.asmText;
+  return response;
+}
+
+net::NetResponse serveRequestLine(std::string_view line,
+                                  const RequestDefaults& defaults,
+                                  const RequestExecConfig& exec,
+                                  TelemetryNode& tel) {
+  const RequestParse parse = parseRequestLine(line, 0, defaults);
+  if (!parse.ok()) {
+    net::NetResponse response;
+    response.detail = parse.diagnostic.message;
+    return response;
+  }
+  return toResponse(executeRequest(*parse.request, exec, tel));
+}
+
 }  // namespace aviv

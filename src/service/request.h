@@ -17,6 +17,9 @@
 // per-request isolation: every failure mode — resolve, compile, injected
 // fault — lands in RequestOutcome::error; nothing escapes to kill a warm
 // daemon. Transient faults are retried with exponential backoff.
+// toResponse maps an outcome onto the wire's typed answer, and
+// serveRequestLine chains all three — the one dispatch every avivd path
+// (batch, server, isolated worker) runs.
 #pragma once
 
 #include <memory>
@@ -24,6 +27,7 @@
 #include <string_view>
 
 #include "driver/codegen.h"
+#include "net/frame.h"
 #include "support/error.h"
 #include "support/telemetry.h"
 
@@ -98,5 +102,17 @@ struct RequestExecConfig {
 [[nodiscard]] RequestOutcome executeRequest(const ParsedRequest& request,
                                             const RequestExecConfig& config,
                                             TelemetryNode& tel);
+
+// The one outcome -> frame-type mapping: kError (detail = the error), else
+// kQuarantined (beats degraded), kDegraded, kHit (every block cached),
+// kOk (at least one block compiled cold). body = the assembly text.
+[[nodiscard]] net::NetResponse toResponse(const RequestOutcome& outcome);
+
+// parseRequestLine (line 0: not a line of a file) -> executeRequest ->
+// toResponse. A malformed line answers kError carrying the parse
+// diagnostic's message. Never throws.
+[[nodiscard]] net::NetResponse serveRequestLine(
+    std::string_view line, const RequestDefaults& defaults,
+    const RequestExecConfig& exec, TelemetryNode& tel);
 
 }  // namespace aviv

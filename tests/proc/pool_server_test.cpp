@@ -47,17 +47,11 @@ net::Endpoint uniqueUnixEndpoint() {
   return endpoint;
 }
 
-// The avivd handler shape: one request line through the pool, crash
-// provenance onto the response.
+// The avivd handler shape: one request line through the pool, whose typed
+// answer (crash provenance included) is the server's response as is.
 net::RequestHandler poolHandler(std::shared_ptr<WorkerPool> pool) {
   return [pool](const net::NetRequest& request) {
-    const WorkerResult result = pool->execute(request.line, request.wantAsm);
-    net::NetResponse response;
-    response.type = result.type;
-    response.detail = result.detail;
-    response.body = result.body;
-    response.crashRetries = result.crashes;
-    return response;
+    return pool->execute(request.line, request.wantAsm);
   };
 }
 

@@ -1,7 +1,8 @@
 // Unit tests for the shared avivd request grammar (service/request.h):
 // token semantics, defaults and overrides, and located diagnostics — every
 // malformed line must report the 1-based line number it came from and the
-// 1-based column of the token that failed.
+// 1-based column of the token that failed — plus the one outcome -> typed
+// response mapping (toResponse) and the serveRequestLine dispatch.
 #include "service/request.h"
 
 #include <gtest/gtest.h>
@@ -184,6 +185,76 @@ TEST(Request, ExecuteIsolatesFailuresIntoOutcome) {
       executeRequest(*parse.request, config, tel);
   EXPECT_FALSE(outcome.ok);
   EXPECT_FALSE(outcome.error.empty());
+}
+
+// A successful outcome over `blocks` blocks, `cached` of them from cache.
+RequestOutcome compiled(size_t blocks, size_t cached) {
+  RequestOutcome outcome;
+  outcome.ok = true;
+  outcome.blocks = blocks;
+  outcome.cachedBlocks = cached;
+  outcome.statusDetail = "block=ex1 machine=arch1";
+  outcome.asmText = "  nop\n";
+  return outcome;
+}
+
+TEST(Request, ToResponseErrorCarriesTheMessage) {
+  RequestOutcome outcome;
+  outcome.error = "no such machine";
+  outcome.asmText = "stale";
+  const net::NetResponse response = toResponse(outcome);
+  EXPECT_EQ(response.type, net::FrameType::kError);
+  EXPECT_EQ(response.detail, "no such machine");
+  EXPECT_TRUE(response.body.empty());
+  EXPECT_EQ(response.crashRetries, 0);
+}
+
+TEST(Request, ToResponseQuarantineBeatsDegraded) {
+  RequestOutcome outcome = compiled(1, 0);
+  outcome.degraded = true;
+  outcome.quarantined = true;
+  EXPECT_EQ(toResponse(outcome).type, net::FrameType::kQuarantined);
+}
+
+TEST(Request, ToResponseDegraded) {
+  RequestOutcome outcome = compiled(1, 1);  // degraded beats cached
+  outcome.degraded = true;
+  EXPECT_EQ(toResponse(outcome).type, net::FrameType::kDegraded);
+}
+
+TEST(Request, ToResponseAllBlocksCachedIsHit) {
+  EXPECT_EQ(toResponse(compiled(3, 3)).type, net::FrameType::kHit);
+}
+
+TEST(Request, ToResponseAnyColdBlockIsOkAndCarriesTheAssembly) {
+  const RequestOutcome outcome = compiled(1, 0);
+  const net::NetResponse response = toResponse(outcome);
+  EXPECT_EQ(response.type, net::FrameType::kOk);
+  EXPECT_EQ(response.detail, outcome.statusDetail);
+  EXPECT_EQ(response.body, outcome.asmText);
+  EXPECT_EQ(toResponse(compiled(3, 2)).type, net::FrameType::kOk);
+}
+
+TEST(Request, ServeRequestLineAnswersMalformedLineWithTheDiagnostic) {
+  RequestExecConfig config;
+  TelemetryNode tel("test");
+  const net::NetResponse response = serveRequestLine(
+      "machine=arch1 block=ex1 bogus=1", defaults(), config, tel);
+  EXPECT_EQ(response.type, net::FrameType::kError);
+  EXPECT_NE(response.detail.find("unknown request token 'bogus=1'"),
+            std::string::npos)
+      << response.detail;
+}
+
+TEST(Request, ServeRequestLineCompilesColdWithoutACache) {
+  RequestExecConfig config;
+  config.wantAsm = true;
+  TelemetryNode tel("test");
+  const net::NetResponse response =
+      serveRequestLine("machine=arch1 block=ex1", defaults(), config, tel);
+  EXPECT_EQ(response.type, net::FrameType::kOk) << response.detail;
+  EXPECT_NE(response.detail.find("cache=off"), std::string::npos);
+  EXPECT_FALSE(response.body.empty());
 }
 
 }  // namespace

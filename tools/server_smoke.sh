@@ -9,8 +9,10 @@
 #      burst completes with zero errors/transport failures and a nonzero
 #      cache hit rate, and the client's response count matches the
 #      server's own summary.
-#   2. Byte-identical assembly: the asm served over the socket equals the
-#      asm the batch-file path prints for the same requests.
+#   2. Byte-identical assembly: the asm served over the socket, and the asm
+#      a batch run under --isolate-workers prints, equal the asm the
+#      in-process batch path prints for the same requests (the isolated
+#      batch's status lines match too, once wall=/queue= are removed).
 #   3. Admission control: with --queue-cap 1 an oversized burst sheds
 #      (RETRY_AFTER) instead of erroring, and nothing is lost.
 #   4. Graceful drain: SIGTERM mid-load loses zero responses.
@@ -82,6 +84,23 @@ echo "== 2. byte-identical assembly vs batch path =="
 # Batch path: deterministic order with --jobs 1, strip status/summary lines.
 "$AVIVD" "$BATCH" --jobs 1 --no-cache --print-asm > "$WORK/batch_out.txt" 2>&1
 grep -v '^req ' "$WORK/batch_out.txt" | grep -v '^avivd:' > "$WORK/batch_asm.txt"
+# Same batch through isolated worker processes: the other dispatch path.
+"$AVIVD" "$BATCH" --jobs 1 --no-cache --print-asm --isolate-workers 2 \
+  > "$WORK/iso_out.txt" 2>&1
+grep -v '^req ' "$WORK/iso_out.txt" | grep -v '^avivd:' > "$WORK/iso_asm.txt"
+cmp "$WORK/batch_asm.txt" "$WORK/iso_asm.txt" || {
+  echo "FAIL: isolated-worker batch assembly differs from in-process batch"
+  diff "$WORK/batch_asm.txt" "$WORK/iso_asm.txt" | head -n 20
+  exit 1
+}
+strip_timing() { grep '^req ' "$1" | sed 's/ wall=[0-9.]*ms queue=[0-9.]*ms$//'; }
+strip_timing "$WORK/batch_out.txt" > "$WORK/batch_status.txt"
+strip_timing "$WORK/iso_out.txt" > "$WORK/iso_status.txt"
+cmp "$WORK/batch_status.txt" "$WORK/iso_status.txt" || {
+  echo "FAIL: isolated-worker batch status lines differ from in-process batch"
+  diff "$WORK/batch_status.txt" "$WORK/iso_status.txt" | head -n 20
+  exit 1
+}
 # Server path: one connection, pipeline 1 => responses arrive in order.
 "$AVIVD" --listen "unix:$SOCK" --jobs 1 --no-cache > "$WORK/server2.log" 2>&1 &
 SERVER_PID=$!
@@ -95,7 +114,7 @@ cmp "$WORK/batch_asm.txt" "$WORK/net_asm.txt" || {
   diff "$WORK/batch_asm.txt" "$WORK/net_asm.txt" | head -n 20
   exit 1
 }
-echo "ok: assembly byte-identical across both front ends"
+echo "ok: assembly byte-identical across both front ends and both dispatch paths"
 
 echo "== 3. queue-cap 1: sheds, no errors, nothing lost =="
 "$AVIVD" --listen "unix:$SOCK" --jobs 2 --cache-dir "$CACHE" --queue-cap 1 \
