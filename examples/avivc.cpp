@@ -38,7 +38,7 @@
 //                        quarantines a repro artifact and degrades to the
 //                        (re-verified) sequential baseline
 //   --verify-vectors <n> input vectors per verified block (default 4)
-//   --quarantine-dir <d> where verification failures write repro artifacts
+//   --quarantine-dir <d> where verification failures write repro bundles
 //   --max-snd-nodes <n>  split-node DAG node ceiling (0 = unlimited); past
 //                        it the compile degrades to the baseline generator
 //   --max-snd-bytes <n>  split-node DAG arena-byte ceiling (0 = unlimited)

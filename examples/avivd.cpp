@@ -65,7 +65,7 @@
 //   --verify <m>         default differential-verification mode for requests
 //                        without their own verify= token: off (default),
 //                        sampled, or all (src/verify, DESIGN.md §6.5)
-//   --quarantine-dir <d> where verification failures write repro artifacts
+//   --quarantine-dir <d> where verification failures write repro bundles
 //   --failpoints <spec>  activate fault-injection points, same grammar as
 //                        the AVIV_FAILPOINTS env var: name[:prob[:count]],
 //                        comma-separated (see src/support/failpoint.h)

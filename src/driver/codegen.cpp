@@ -20,20 +20,19 @@ namespace aviv {
 namespace {
 
 // Flight-recorder dump for the failure paths: writes the retained tail of
-// the trace next to the quarantine artifacts so the events leading up to an
-// InternalError or verification failure survive the degradation. Best
-// effort, like quarantine itself — returns silently when tracing is off,
-// no directory is configured, or the write fails.
-void dumpFlightRecord(const std::string& dir, const std::string& tag) {
+// the trace to dir/file so the events leading up to an InternalError or
+// verification failure survive the degradation. Best effort, like
+// quarantine itself — returns silently when tracing is off, no directory
+// is configured, or the write fails.
+void dumpFlightRecord(const std::string& dir, std::string file) {
   if (dir.empty() || !trace::on()) return;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return;
-  std::string name = tag;
-  for (char& c : name)
+  for (char& c : file)
     if (c == '/' || c == '\\' || c == ':') c = '_';
   (void)trace::Tracer::instance().writeFlightRecord(
-      (std::filesystem::path(dir) / (name + ".flight.json")).string());
+      (std::filesystem::path(dir) / file).string());
 }
 
 // The sequential baseline with the driver's outputs-to-memory retry: the
@@ -160,9 +159,12 @@ CompiledBlock CodeGenerator::compileBlockWith(
         options_.verify, report);
     // The flight record lands inside the artifact bundle when one was
     // written, next to the configured quarantine dir otherwise.
-    dumpFlightRecord(
-        artifactDir.empty() ? options_.verify.quarantineDir : artifactDir,
-        "verify-" + ctx_.machine().name() + "-" + ir.name());
+    if (artifactDir.empty())
+      dumpFlightRecord(options_.verify.quarantineDir,
+                       "verify-" + ctx_.machine().name() + "-" + ir.name() +
+                           ".flight.json");
+    else
+      dumpFlightRecord(artifactDir, kBundleFlightFile);
   };
 
   Hash128 cacheKey;
@@ -277,7 +279,8 @@ CompiledBlock CodeGenerator::compileBlockWith(
       // The flight recorder exists for exactly this moment: dump the event
       // tail before the baseline fallback overwrites it with its own work.
       dumpFlightRecord(options_.verify.quarantineDir,
-                       "internal-" + ctx_.machine().name() + "-" + ir.name());
+                       "internal-" + ctx_.machine().name() + "-" + ir.name() +
+                           ".flight.json");
       noteDegraded("internal-error");
       return baselineCore(ir, coreOptions, tel, e.what());
     } catch (const ResourceLimitExceeded& e) {

@@ -142,16 +142,14 @@ DiffResult runDifferential(const Machine& machine, const BlockDag& dag,
         sideTag(heur.outcome.verifyFailed, base.outcome.verifyFailed);
     result.detail = heur.outcome.verifyFailed ? heur.outcome.detail
                                               : base.outcome.detail;
-    if (!options.quarantineDir.empty()) {
-      // Quarantine through the standard verify artifact protocol so the
-      // existing replay tooling handles fuzz hits unchanged.
-      const bool heurFailed = heur.outcome.verifyFailed;
-      result.quarantinePath = writeQuarantineArtifact(
-          options.quarantineDir, machine, dag,
-          heurFailed ? heur.image : base.image,
-          heurFailed ? heur.symbolNames : base.symbolNames, vopts,
-          heurFailed ? heurReport : baseReport);
-    }
+    // The failing image as a kind=miscompile bundle ("" when
+    // quarantineDir is empty), replayable by `fuzz_gen --replay`.
+    const bool heurFailed = heur.outcome.verifyFailed;
+    result.quarantinePath = writeQuarantineArtifact(
+        options.quarantineDir, machine, dag,
+        heurFailed ? heur.image : base.image,
+        heurFailed ? heur.symbolNames : base.symbolNames, vopts,
+        heurFailed ? heurReport : baseReport);
   } else if (heur.outcome.rejected || base.outcome.rejected) {
     result.verdict = DiffVerdict::kReject;
     result.signature = std::string("reject:") +

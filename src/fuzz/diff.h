@@ -66,7 +66,7 @@ struct DiffOptions {
   uint64_t vectorSeed = 0x56455249;  // "VERI", the verifier default
   // Wall-clock budget per engine compile; expiry is a clean rejection.
   double timeLimitSeconds = 5.0;
-  // Where kMiscompile failures write their src/verify quarantine artifact;
+  // Where kMiscompile failures write their kind=miscompile repro bundle;
   // empty disables artifact writing (the verdict is unaffected).
   std::string quarantineDir;
 };

@@ -1,97 +1,55 @@
 #include "fuzz/repro.h"
 
-#include <filesystem>
-#include <sstream>
-
 #include "ir/emit.h"
 #include "ir/parser.h"
 #include "isdl/emit.h"
 #include "isdl/parser.h"
-#include "support/error.h"
 #include "support/failpoint.h"
-#include "support/io.h"
-#include "support/strings.h"
 
 namespace aviv {
-
-namespace fs = std::filesystem;
-
-namespace {
-
-// meta values are one line each; fold multi-line error text (e.g. a
-// ParseError diagnostic list) onto one.
-std::string oneLine(std::string s) {
-  for (char& c : s)
-    if (c == '\n' || c == '\r') c = ' ';
-  return s;
-}
-
-}  // namespace
 
 std::string writeFuzzRepro(const std::string& outDir, const Machine& machine,
                            const BlockDag& dag, const FuzzCase& info,
                            const DiffOptions& options,
                            const DiffResult& result) {
-  const std::string dir = outDir + "/" + machine.name() + "-" + dag.name();
-  fs::create_directories(dir);
-  writeFile(dir + "/machine.isdl", emitMachineText(machine));
-  writeFile(dir + "/block.blk", emitBlockText(dag));
-
-  std::ostringstream meta;
-  meta << "machine=" << machine.name() << "\n";
-  meta << "block=" << dag.name() << "\n";
-  meta << "family=" << familyName(info.family) << "\n";
-  meta << "machineSeed=" << info.machineSeed << "\n";
-  meta << "blockSeed=" << info.blockSeed << "\n";
-  meta << "iteration=" << info.iteration << "\n";
-  meta << "vectors=" << options.vectors << "\n";
-  meta << "vectorSeed=" << options.vectorSeed << "\n";
-  meta << "timeLimitSeconds=" << options.timeLimitSeconds << "\n";
-  meta << "failpoints=" << info.failpoints << "\n";
-  meta << "verdict=" << verdictName(result.verdict) << "\n";
-  meta << "signature=" << result.signature << "\n";
-  meta << "detail=" << oneLine(result.detail) << "\n";
+  BundleEntries meta = {
+      {"machine", machine.name()}, {"block", dag.name()},
+      {"family", familyName(info.family)},
+      {"machineSeed", std::to_string(info.machineSeed)},
+      {"blockSeed", std::to_string(info.blockSeed)},
+      {"iteration", std::to_string(info.iteration)},
+      {"vectors", std::to_string(options.vectors)},
+      {"vectorSeed", std::to_string(options.vectorSeed)},
+      {"timeLimitSeconds", std::to_string(options.timeLimitSeconds)},
+      {"failpoints", info.failpoints}, {"verdict", verdictName(result.verdict)},
+      {"signature", result.signature}, {"detail", result.detail}};
   if (!result.quarantinePath.empty())
-    meta << "quarantine=" << result.quarantinePath << "\n";
-  meta << "replay=fuzz_gen --replay " << dir << "\n";
-  writeFile(dir + "/meta.txt", meta.str());
-  return dir;
+    meta.emplace_back("quarantine", result.quarantinePath);
+  return writeBundle(BundleKind::kFuzz,
+                     outDir + "/" + machine.name() + "-" + dag.name(),
+                     {{kBundleMachineFile, emitMachineText(machine)},
+                      {kBundleBlockFile, emitBlockText(dag)}},
+                     meta);
 }
 
-FuzzRepro loadFuzzRepro(const std::string& dir) {
+FuzzRepro loadFuzzRepro(const ReproBundle& bundle) {
   FuzzRepro repro;
-  repro.machine = parseMachine(readFile(dir + "/machine.isdl"), "machine.isdl");
-  repro.dag = parseBlock(readFile(dir + "/block.blk"));
-  for (const std::string& line : split(readFile(dir + "/meta.txt"), '\n')) {
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    try {
-      if (key == "family") repro.info.family = familyFromName(value);
-      if (key == "machineSeed") repro.info.machineSeed = std::stoull(value);
-      if (key == "blockSeed") repro.info.blockSeed = std::stoull(value);
-      if (key == "iteration") repro.info.iteration = std::stoi(value);
-      if (key == "vectors") repro.options.vectors = std::stoi(value);
-      if (key == "vectorSeed") repro.options.vectorSeed = std::stoull(value);
-      if (key == "timeLimitSeconds")
-        repro.options.timeLimitSeconds = std::stod(value);
-      if (key == "failpoints") repro.info.failpoints = value;
-      if (key == "signature") repro.signature = value;
-      if (key == "detail") repro.detail = value;
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      throw Error("fuzz repro meta.txt: bad value for '" + key + "'");
-    }
-  }
-  if (repro.signature.empty())
-    throw Error("fuzz repro meta.txt: missing signature");
+  repro.info.family = familyFromName(bundle.text("family"));
+  repro.info.machineSeed = bundle.number<uint64_t>("machineSeed");
+  repro.info.blockSeed = bundle.number<uint64_t>("blockSeed");
+  repro.info.iteration = bundle.number<int>("iteration");
+  repro.info.failpoints = bundle.text("failpoints");
+  repro.options.vectors = bundle.number<int>("vectors");
+  repro.options.vectorSeed = bundle.number<uint64_t>("vectorSeed");
+  repro.options.timeLimitSeconds = bundle.number<double>("timeLimitSeconds");
+  repro.signature = bundle.text("signature");
+  repro.machine =
+      parseMachine(bundle.read(kBundleMachineFile), kBundleMachineFile);
+  repro.dag = parseBlock(bundle.read(kBundleBlockFile));
   return repro;
 }
 
-FuzzReplayResult replayFuzzRepro(const std::string& dir) {
-  const FuzzRepro repro = loadFuzzRepro(dir);
+FuzzReplayResult replayFuzzRepro(const FuzzRepro& repro) {
   FuzzReplayResult replay;
   if (!repro.info.failpoints.empty())
     FailPoints::instance().configure(repro.info.failpoints);
@@ -103,6 +61,9 @@ FuzzReplayResult replayFuzzRepro(const std::string& dir) {
   }
   if (!repro.info.failpoints.empty()) FailPoints::instance().clear();
   replay.reproduced = replay.result.signature == repro.signature;
+  replay.detail = "signature " + replay.result.signature;
+  if (!replay.result.detail.empty())
+    replay.detail += " (" + replay.result.detail + ")";
   return replay;
 }
 

@@ -1,15 +1,9 @@
-// Fuzz repro bundles — self-contained directories describing one failing
-// fuzz iteration, one level above the src/verify quarantine artifact (which
-// only exists for miscompiles; crashes and taxonomy escapes have no image
-// to quarantine, but still need a standalone repro):
-//
-//   <outDir>/<machine>-<block>/
-//     machine.isdl   re-parsable ISDL of the generated machine
-//     block.blk      re-parsable source of the generated block
-//     meta.txt       key=value: generator family/seeds, diff options,
-//                    failpoint spec, recorded verdict signature
-//     minimized/     (after `fuzz_gen --minimize`) the shrunken pair in
-//                    the same bundle format
+// Fuzz repro bundles: the `kind=fuzz` bundle (docs/fuzzing.md "Reproducing
+// a failure") of one failing fuzz iteration — generated machine and block,
+// generator seeds, diff options, failpoint spec and failure signature.
+// Crashes and taxonomy escapes have no image to quarantine, so this is
+// their only repro; a miscompile also gets a kind=miscompile bundle.
+// `fuzz_gen --minimize` writes the shrunken pair as minimized/<name>/.
 //
 // Replaying re-parses machine and block, re-applies the recorded failpoint
 // spec, re-runs the differential harness, and succeeds iff the recorded
@@ -24,6 +18,7 @@
 #include "fuzz/genmachine.h"
 #include "ir/dag.h"
 #include "isdl/machine.h"
+#include "support/repro_bundle.h"
 
 namespace aviv {
 
@@ -56,19 +51,18 @@ struct FuzzRepro {
   FuzzCase info;
   DiffOptions options;
   std::string signature;  // recorded failure signature
-  std::string detail;
 };
 
-// Throws aviv::Error when the bundle is missing or malformed.
-[[nodiscard]] FuzzRepro loadFuzzRepro(const std::string& dir);
+// Throws aviv::Error on a malformed kind=fuzz bundle.
+[[nodiscard]] FuzzRepro loadFuzzRepro(const ReproBundle& bundle);
 
-struct FuzzReplayResult {
-  bool reproduced = false;  // replay signature == recorded signature
+// reproduced: the replay signature equals the recorded one.
+struct FuzzReplayResult : BundleReplay {
   DiffResult result;
 };
 
 // Re-applies the bundle's failpoint spec (clearing the registry
 // afterwards), re-runs the differential harness, and compares signatures.
-[[nodiscard]] FuzzReplayResult replayFuzzRepro(const std::string& dir);
+[[nodiscard]] FuzzReplayResult replayFuzzRepro(const FuzzRepro& repro);
 
 }  // namespace aviv

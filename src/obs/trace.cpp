@@ -12,10 +12,10 @@ std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
 void Event::setName(std::string_view a, std::string_view b) {
-  size_t n = std::min(a.size(), kNameCapacity - 1);
-  std::memcpy(name, a.data(), n);
-  const size_t m = std::min(b.size(), kNameCapacity - 1 - n);
-  std::memcpy(name + n, b.data(), m);
+  // string_view::copy, unlike memcpy, is defined for an empty view whose
+  // data() is null.
+  const size_t n = a.copy(name, kNameCapacity - 1);
+  const size_t m = b.copy(name + n, kNameCapacity - 1 - n);
   name[n + m] = '\0';
 }
 

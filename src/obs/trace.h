@@ -11,7 +11,7 @@
 //      when it fills, the oldest events are overwritten (and counted), so a
 //      long run retains the recent past instead of growing without bound.
 //      On an InternalError or verification failure the driver dumps the
-//      retained tail next to the quarantine artifact (writeFlightRecord).
+//      retained tail into the repro bundle (writeFlightRecord).
 //   3. Contention-free emission. Threads never share a ring, so emitters
 //      never contend with each other. A per-ring mutex orders the rare
 //      drain (export, flight-record dump) against its owner thread; for the

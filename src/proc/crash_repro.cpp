@@ -10,13 +10,11 @@
 #include <filesystem>
 #include <sstream>
 #include <thread>
-#include <vector>
 
 #include "isdl/emit.h"
 #include "isdl/parser.h"
 #include "proc/worker.h"
 #include "service/request.h"
-#include "support/error.h"
 #include "support/failpoint.h"
 #include "support/io.h"
 #include "support/strings.h"
@@ -27,12 +25,6 @@ namespace aviv::proc {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string oneLine(std::string s) {
-  for (char& c : s)
-    if (c == '\n' || c == '\r') c = ' ';
-  return s;
-}
 
 // Directory-name-safe cause tag ("worker-segv", "sig9", "exit3").
 std::string sanitize(std::string s) {
@@ -53,37 +45,23 @@ std::string resolveMachineText(const std::string& spec) {
 // format (a .c block must replay through the Mini-C front end).
 std::pair<std::string, std::string> resolveBlockText(const std::string& spec) {
   if (endsWith(spec, ".c")) return {readFile(spec), "block.c"};
-  if (endsWith(spec, ".blk")) return {readFile(spec), "block.blk"};
-  const std::string path = blockPath(spec);
-  return {readFile(path), "block.blk"};
+  if (endsWith(spec, ".blk")) return {readFile(spec), kBundleBlockFile};
+  return {readFile(blockPath(spec)), kBundleBlockFile};
 }
 
 // Rewrites machine=/block= values in a request line (whitespace-separated
 // tokens) so the bundle replays against its own copies wherever it lives.
 std::string rewriteLine(const std::string& line, const std::string& dir,
                         const std::string& blockFile) {
-  std::vector<std::string> tokens;
-  for (size_t i = 0; i < line.size();) {
-    if (std::isspace(static_cast<unsigned char>(line[i])) != 0) {
-      ++i;
-      continue;
-    }
-    const size_t start = i;
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])) == 0)
-      ++i;
-    tokens.push_back(line.substr(start, i - start));
-  }
+  std::istringstream tokens(line);
   std::string out;
-  for (const std::string& token : tokens) {
-    if (!out.empty()) out += ' ';
+  for (std::string token; tokens >> token;) {
     if (startsWith(token, "machine=")) {
-      out += "machine=" + dir + "/machine.isdl";
+      token = "machine=" + dir + "/" + kBundleMachineFile;
     } else if (startsWith(token, "block=")) {
-      out += "block=" + dir + "/" + blockFile;
-    } else {
-      out += token;
+      token = "block=" + dir + "/" + blockFile;
     }
+    out += (out.empty() ? "" : " ") + token;
   }
   return out;
 }
@@ -133,147 +111,90 @@ std::string writeCrashRepro(const CrashCapture& capture) {
     } else {
       cause = "exit" + std::to_string(WEXITSTATUS(capture.exitStatus));
     }
-    const std::string dir = capture.crashDir + "/crash-" +
-                            std::to_string(capture.sequence) + "-" +
-                            sanitize(cause);
-    fs::create_directories(dir);
-    writeFile(dir + "/request.txt", capture.requestLine + "\n");
-
     // Best-effort source copies: a line too mangled to parse still gets a
     // bundle (request + meta), just not a standalone one.
+    BundleEntries files = {{kBundleRequestFile, capture.requestLine + "\n"}};
     std::string blockFile;
     const RequestParse parse = parseRequestLine(capture.requestLine, 0, {});
     if (parse.ok()) {
       try {
-        writeFile(dir + "/machine.isdl",
-                  resolveMachineText(parse.request->machineSpec));
-        auto block = resolveBlockText(parse.request->blockSpec);
-        blockFile = block.second;
-        writeFile(dir + "/" + blockFile, block.first);
+        std::string machine = resolveMachineText(parse.request->machineSpec);
+        auto [block, file] = resolveBlockText(parse.request->blockSpec);
+        files.emplace_back(kBundleMachineFile, std::move(machine));
+        files.emplace_back(file, std::move(block));
+        blockFile = file;
       } catch (const std::exception&) {
-        blockFile.clear();  // sources unavailable; bundle stays partial
+        // sources unavailable; bundle stays partial
       }
     }
 
-    if (!capture.flightRecordPath.empty() &&
-        fs::exists(capture.flightRecordPath)) {
-      std::error_code ec;
-      fs::rename(capture.flightRecordPath, dir + "/flight.json", ec);
-    }
-
-    std::ostringstream meta;
-    meta << "kind=" << (capture.killedByDeadline ? "kill" : "crash") << "\n";
-    meta << "exit=" << describeExitStatus(capture.exitStatus) << "\n";
-    meta << "wantAsm=" << (capture.wantAsm ? 1 : 0) << "\n";
-    meta << "blockFile=" << blockFile << "\n";
-    meta << "failpoints=" << capture.failpointSite << "\n";
-    meta << "rssLimitBytes=" << capture.rssLimitBytes << "\n";
-    meta << "cpuLimitSeconds=" << capture.cpuLimitSeconds << "\n";
-    meta << "deadlineMs=" << capture.deadlineMs << "\n";
-    meta << "line=" << oneLine(capture.requestLine) << "\n";
-    meta << "replay=fuzz_gen --replay " << dir << "\n";
-    writeFile(dir + "/meta.txt", meta.str());
+    const std::string dir = writeBundle(
+        capture.killedByDeadline ? BundleKind::kKill : BundleKind::kCrash,
+        capture.crashDir + "/crash-" + std::to_string(capture.sequence) +
+            "-" + sanitize(cause),
+        files,
+        {{"exit", describeExitStatus(capture.exitStatus)},
+         {"wantAsm", capture.wantAsm ? "1" : "0"}, {"blockFile", blockFile},
+         {"failpoints", capture.failpointSite},
+         {"rssLimitBytes", std::to_string(capture.rssLimitBytes)},
+         {"cpuLimitSeconds", std::to_string(capture.cpuLimitSeconds)},
+         {"deadlineMs", std::to_string(capture.deadlineMs)}});
+    std::error_code ec;  // no flight record is not an error
+    fs::rename(capture.flightRecordPath, dir + "/" + kBundleFlightFile, ec);
     return dir;
   } catch (const std::exception&) {
     return "";  // capture is best-effort; the response still flows
   }
 }
 
-CrashRepro loadCrashRepro(const std::string& dir) {
+CrashRepro loadCrashRepro(const ReproBundle& bundle) {
   CrashRepro repro;
-  repro.dir = dir;
-  std::string blockFile;
-  for (const std::string& line : split(readFile(dir + "/meta.txt"), '\n')) {
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    try {
-      if (key == "kind") repro.kind = value;
-      if (key == "exit") repro.exitDesc = value;
-      if (key == "wantAsm") repro.wantAsm = value == "1";
-      if (key == "blockFile") blockFile = value;
-      if (key == "failpoints") repro.failpointSite = value;
-      if (key == "rssLimitBytes") repro.rssLimitBytes = std::stoull(value);
-      if (key == "cpuLimitSeconds") repro.cpuLimitSeconds = std::stoull(value);
-      if (key == "deadlineMs") repro.deadlineMs = std::stoi(value);
-    } catch (const std::exception&) {
-      throw Error("crash repro meta.txt: bad value for '" + key + "'");
-    }
-  }
-  if (repro.kind != "crash" && repro.kind != "kill")
-    throw Error("crash repro meta.txt: missing kind=crash|kill");
+  repro.kind = bundle.kind();
+  repro.wantAsm = bundle.number<int>("wantAsm") != 0;
+  repro.failpointSite = bundle.text("failpoints");
+  repro.rssLimitBytes = bundle.number<uint64_t>("rssLimitBytes");
+  repro.cpuLimitSeconds = bundle.number<uint64_t>("cpuLimitSeconds");
+  repro.deadlineMs = bundle.number<int>("deadlineMs");
+  const std::string& blockFile = bundle.text("blockFile");
   const std::string original =
-      std::string(trim(readFile(dir + "/request.txt")));
-  if (blockFile.empty()) {
-    // Partial bundle (sources were unresolvable at capture): replay the
-    // original line as-is and hope its specs still resolve here.
-    repro.requestLine = original;
-  } else {
-    repro.requestLine = rewriteLine(original, dir, blockFile);
-  }
+      std::string(trim(bundle.read(kBundleRequestFile)));
+  // A partial bundle (sources unresolvable at capture) replays the original
+  // line as-is and hopes its specs still resolve here.
+  repro.requestLine = blockFile.empty()
+                          ? original
+                          : rewriteLine(original, bundle.dir(), blockFile);
   return repro;
 }
 
-bool isCrashRepro(const std::string& dir) {
-  try {
-    const std::string meta = readFile(dir + "/meta.txt");
-    for (const std::string& line : split(meta, '\n'))
-      if (line == "kind=crash" || line == "kind=kill") return true;
-  } catch (const std::exception&) {
-  }
-  return false;
-}
-
-CrashReplayResult replayCrashRepro(const CrashRepro& repro) {
-  CrashReplayResult result;
+BundleReplay replayCrashRepro(const CrashRepro& repro) {
   const pid_t pid = ::fork();
-  if (pid < 0) {
-    result.detail = "fork failed";
-    return result;
-  }
+  if (pid < 0) return {false, "fork failed"};
   if (pid == 0) runReplayChild(repro);
 
   // kill bundles reproduce by OUTLIVING the recorded deadline; crash
   // bundles by dying before a generous cap.
+  const bool isKill = repro.kind == BundleKind::kKill;
   const int deadlineMs = repro.deadlineMs > 0 ? repro.deadlineMs : 2000;
-  const int capMs =
-      repro.kind == "kill" ? deadlineMs + 250 : deadlineMs + 30000;
+  const int capMs = isKill ? deadlineMs + 250 : deadlineMs + 30000;
   int status = 0;
-  int waitedMs = 0;
-  for (;;) {
+  for (int waitedMs = 0;; waitedMs += 10) {
     const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) {
-      if (repro.kind == "kill") {
-        result.reproduced = false;
-        result.detail = "child finished before the recorded deadline (" +
-                        describeExitStatus(status) + ")";
-      } else {
-        const bool abnormal =
-            WIFSIGNALED(status) || (WIFEXITED(status) && WEXITSTATUS(status) != 0);
-        result.reproduced = abnormal;
-        result.detail = "child " + describeExitStatus(status);
-      }
-      return result;
-    }
-    if (r < 0) {
-      result.detail = "waitpid failed";
-      return result;
-    }
+    if (r < 0) return {false, "waitpid failed"};
+    if (r == pid && isKill)
+      return {false, "child finished before the recorded deadline (" +
+                         describeExitStatus(status) + ")"};
+    if (r == pid)
+      return {WIFSIGNALED(status) ||
+                  (WIFEXITED(status) && WEXITSTATUS(status) != 0),
+              "child " + describeExitStatus(status)};
     if (waitedMs >= capMs) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    waitedMs += 10;
   }
   ::kill(pid, SIGKILL);
   (void)::waitpid(pid, &status, 0);
-  if (repro.kind == "kill") {
-    result.reproduced = true;
-    result.detail = "child still running at the recorded deadline; killed";
-  } else {
-    result.reproduced = false;
-    result.detail = "replay child hung; killed";
-  }
-  return result;
+  if (isKill)
+    return {true, "child still running at the recorded deadline; killed"};
+  return {false, "replay child hung; killed"};
 }
 
 }  // namespace aviv::proc

@@ -1,28 +1,17 @@
-// Crash repro bundles (DESIGN.md §6.9) — the worker-crash counterpart of
-// the fuzz bundles (src/fuzz/repro.h), sharing their on-disk shape so one
-// replay entry point (`fuzz_gen --replay DIR`) handles both:
-//
-//   <crash-dir>/crash-<seq>-<cause>/
-//     machine.isdl   resolved machine text, copied verbatim (or re-emitted
-//                    for built-in machines) — standalone, like the fuzz zoo
-//     block.blk|.c   resolved block source, copied verbatim
-//     request.txt    the original request line, unmodified
-//     meta.txt       key=value: kind=crash|kill, exit status, failpoint
-//                    site, rlimits, deadline — everything replay re-applies
-//     flight.json    worker flight-recorder tail (when the crash handler
-//                    got to dump one)
-//
-// `kind=crash` records an abnormal death (SIGSEGV/SIGABRT/torn-write exit);
-// replay reproduces iff a sandboxed child running the same request under
-// the same failpoint spec and rlimits dies abnormally too. `kind=kill`
-// records a supervisor SIGKILL (hung or heartbeat-silent worker); replay
-// reproduces iff the child is still running when the recorded hard
-// deadline expires. Bundles are relocatable: loadCrashRepro rewrites the
-// request's machine=/block= specs to the bundle-local copies.
+// Crash repro bundles (DESIGN.md §6.9): the supervisor writes a worker's
+// abnormal death (SIGSEGV, SIGABRT, torn-write exit) as a `kind=crash`
+// bundle and its SIGKILL of a hung or heartbeat-silent worker as `kind=kill`,
+// in <crash-dir>/crash-<seq>-<cause>/ (files and keys: docs/fuzzing.md
+// "Reproducing a failure"). Replay re-runs the request in a sandboxed child
+// under the recorded failpoint spec and rlimits: a crash reproduces iff the
+// child dies abnormally, a kill iff it outlives the recorded deadline.
+// loadCrashRepro points machine=/block= at the bundle's own copies.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "support/repro_bundle.h"
 
 namespace aviv::proc {
 
@@ -53,33 +42,22 @@ struct CrashCapture {
 [[nodiscard]] std::string writeCrashRepro(const CrashCapture& capture);
 
 struct CrashRepro {
-  std::string dir;
-  std::string kind;         // "crash" | "kill"
+  BundleKind kind = BundleKind::kCrash;  // kCrash | kKill
   std::string requestLine;  // rewritten to bundle-local machine/block paths
   bool wantAsm = false;
-  std::string exitDesc;     // describeExitStatus at capture
   std::string failpointSite;
   uint64_t rssLimitBytes = 0;
   uint64_t cpuLimitSeconds = 0;
   int deadlineMs = 0;
 };
 
-// Throws aviv::Error on a missing or malformed bundle.
-[[nodiscard]] CrashRepro loadCrashRepro(const std::string& dir);
-
-// True when `dir` holds a crash bundle (meta.txt with kind=crash|kill) —
-// how `fuzz_gen --replay` tells the two bundle kinds apart.
-[[nodiscard]] bool isCrashRepro(const std::string& dir);
-
-struct CrashReplayResult {
-  bool reproduced = false;
-  std::string detail;  // what the replay child actually did
-};
+// Throws aviv::Error on a malformed kind=crash|kill bundle.
+[[nodiscard]] CrashRepro loadCrashRepro(const ReproBundle& bundle);
 
 // Forks a sandboxed child that re-applies the recorded failpoint spec and
 // rlimits, then runs the recorded request exactly as a worker would.
 // Never throws; a replay harness failure reports reproduced=false with the
 // reason in `detail`.
-[[nodiscard]] CrashReplayResult replayCrashRepro(const CrashRepro& repro);
+[[nodiscard]] BundleReplay replayCrashRepro(const CrashRepro& repro);
 
 }  // namespace aviv::proc

@@ -1,34 +1,14 @@
 #include "verify/quarantine.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <sstream>
-
 #include "ir/emit.h"
 #include "ir/parser.h"
 #include "isdl/emit.h"
 #include "isdl/parser.h"
 #include "service/cache.h"
-#include "support/error.h"
 #include "support/failpoint.h"
 #include "support/hash.h"
-#include "support/io.h"
-#include "support/strings.h"
 
 namespace aviv {
-
-namespace fs = std::filesystem;
-
-namespace {
-
-std::string hexOf(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
 
 std::string writeQuarantineArtifact(const std::string& quarantineDir,
                                     const Machine& machine,
@@ -54,24 +34,18 @@ std::string writeQuarantineArtifact(const std::string& quarantineDir,
     // same bundle; distinct images never collide.
     Hasher h;
     h.str(payload);
-    const std::string dir = quarantineDir + "/" + machine.name() + "-" +
-                            dag.name() + "-" + hexOf(h.digest().lo);
-    fs::create_directories(dir);
-
-    writeFile(dir + "/machine.isdl", emitMachineText(machine));
-    writeFile(dir + "/block.blk", emitBlockText(dag));
-    writeFile(dir + "/entry.bin", payload);
-    writeFile(dir + "/asm.txt", image.asmText(machine));
-
-    std::ostringstream meta;
-    meta << "machine=" << machine.name() << "\n";
-    meta << "block=" << dag.name() << "\n";
-    meta << "seed=" << options.seed << "\n";
-    meta << "vectors=" << options.vectors << "\n";
-    meta << "verifierVersion=" << options.verifierVersion << "\n";
-    meta << "detail=" << report.detail() << "\n";
-    writeFile(dir + "/meta.txt", meta.str());
-    return dir;
+    return writeBundle(
+        BundleKind::kMiscompile,
+        quarantineDir + "/" + machine.name() + "-" + dag.name() + "-" +
+            h.digest().hex(),
+        {{kBundleMachineFile, emitMachineText(machine)},
+         {kBundleBlockFile, emitBlockText(dag)}, {kBundleEntryFile, payload},
+         {kBundleAsmFile, image.asmText(machine)}},
+        {{"machine", machine.name()}, {"block", dag.name()},
+         {"seed", std::to_string(options.seed)},
+         {"vectors", std::to_string(options.vectors)},
+         {"verifierVersion", std::to_string(options.verifierVersion)},
+         {"detail", report.detail()}});
   } catch (...) {
     // Best-effort: a failed quarantine write must not mask the original
     // verification failure the caller is handling.
@@ -79,33 +53,23 @@ std::string writeQuarantineArtifact(const std::string& quarantineDir,
   }
 }
 
-ReplayResult replayQuarantineArtifact(const std::string& dir) {
-  const Machine machine =
-      parseMachine(readFile(dir + "/machine.isdl"), "machine.isdl");
-  const BlockDag dag = parseBlock(readFile(dir + "/block.blk"));
-  const CacheEntry entry = deserializeCacheEntry(readFile(dir + "/entry.bin"));
-
+ReplayResult replayQuarantineArtifact(const ReproBundle& bundle) {
   VerifyOptions options;
   options.level = VerifyLevel::kAll;
-  for (const std::string& line : split(readFile(dir + "/meta.txt"), '\n')) {
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    try {
-      if (key == "seed") options.seed = std::stoull(value);
-      if (key == "vectors") options.vectors = std::stoi(value);
-      if (key == "verifierVersion")
-        options.verifierVersion = static_cast<uint32_t>(std::stoul(value));
-    } catch (const std::exception&) {
-      throw Error("quarantine meta.txt: bad value for '" + key + "'");
-    }
-  }
+  options.seed = bundle.number<uint64_t>("seed");
+  options.vectors = bundle.number<int>("vectors");
+  options.verifierVersion = bundle.number<uint32_t>("verifierVersion");
+  const Machine machine =
+      parseMachine(bundle.read(kBundleMachineFile), kBundleMachineFile);
+  const BlockDag dag = parseBlock(bundle.read(kBundleBlockFile));
+  const CacheEntry entry =
+      deserializeCacheEntry(bundle.read(kBundleEntryFile));
 
   ReplayResult result;
   result.report = verifyCompiledBlock(machine, dag, entry.image,
                                       entry.symbolNames, options);
   result.reproduced = result.report.checked && !result.report.passed;
+  result.detail = result.report.detail();
   return result;
 }
 

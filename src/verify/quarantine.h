@@ -1,19 +1,11 @@
-// Quarantine artifacts — self-contained repro bundles for verification
-// failures. When a compiled block disagrees with the reference interpreter
-// the driver writes one directory under the quarantine dir:
-//
-//   <quarantineDir>/<machine>-<block>-<hash>/
-//     machine.isdl   re-parsable ISDL of the target machine
-//     block.blk      re-parsable block source (semantic round-trip)
-//     entry.bin      the failing CodeImage + symbol names (cache codec)
-//     asm.txt        human-readable assembly listing of the failing image
-//     meta.txt       key=value: seed, vectors, verifier version, mismatch
-//
-// The bundle needs nothing from the originating session: replaying it
-// re-parses machine and block, rehydrates the image, and re-runs the exact
-// seeded verification, reproducing the mismatch deterministically.
-// Artifact writing is best-effort — quarantine I/O failures (including the
-// `quarantine-write` failpoint) never escalate past the caller.
+// Quarantine artifacts: the `kind=miscompile` bundle (docs/fuzzing.md
+// "Reproducing a failure") written when a compiled block disagrees with
+// the reference interpreter, as <quarantineDir>/<machine>-<block>-<hash>/.
+// It holds the failing image, so replay re-verifies exactly what was
+// emitted, with the recorded seed, deterministically and with nothing from
+// the originating session. Writing is best-effort — quarantine I/O
+// failures (including the `quarantine-write` failpoint) never escalate
+// past the caller.
 #pragma once
 
 #include <string>
@@ -22,6 +14,7 @@
 #include "asmgen/code_image.h"
 #include "ir/dag.h"
 #include "isdl/machine.h"
+#include "support/repro_bundle.h"
 #include "verify/verify.h"
 
 namespace aviv {
@@ -37,14 +30,13 @@ std::string writeQuarantineArtifact(const std::string& quarantineDir,
                                     const VerifyOptions& options,
                                     const VerifyReport& report);
 
-struct ReplayResult {
-  bool reproduced = false;  // the replay also failed verification
+// reproduced: the replay also failed verification; detail: its report.
+struct ReplayResult : BundleReplay {
   VerifyReport report;
 };
 
-// Loads an artifact directory written by writeQuarantineArtifact and
-// re-runs the recorded verification. Throws aviv::Error when the bundle
-// is missing or malformed.
-[[nodiscard]] ReplayResult replayQuarantineArtifact(const std::string& dir);
+// Re-runs the recorded verification of a kind=miscompile bundle on the
+// recorded image. Throws aviv::Error when the bundle is malformed.
+[[nodiscard]] ReplayResult replayQuarantineArtifact(const ReproBundle& bundle);
 
 }  // namespace aviv

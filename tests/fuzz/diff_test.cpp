@@ -1,7 +1,7 @@
 // Differential harness tests (src/fuzz/diff + repro): clean pairs pass,
 // verdicts are deterministic, and the planted `fuzz-engine-disagree`
 // failpoint drives the full failure path end to end — miscompile verdict,
-// src/verify quarantine artifact, standalone repro bundle, replay.
+// kind=miscompile quarantine bundle, kind=fuzz repro bundle, replay.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -76,10 +76,11 @@ TEST_F(DiffTest, PlantedFaultYieldsQuarantinedMiscompile) {
   EXPECT_TRUE(result.baseline.verifyFailed);
   EXPECT_FALSE(result.heuristic.verifyFailed);
 
-  // The miscompile quarantined a standard src/verify artifact, and the
-  // existing replay tooling reproduces the mismatch from the files alone.
+  // The miscompile quarantined a kind=miscompile bundle whose replay
+  // reproduces the mismatch from the files alone.
   ASSERT_FALSE(result.quarantinePath.empty());
-  const ReplayResult replay = replayQuarantineArtifact(result.quarantinePath);
+  const ReplayResult replay =
+      replayQuarantineArtifact(ReproBundle::load(result.quarantinePath));
   EXPECT_TRUE(replay.reproduced);
 }
 
@@ -103,7 +104,7 @@ TEST_F(DiffTest, ReproBundleRoundTripsAndReplays) {
       writeFuzzRepro(::testing::TempDir() + "diff_test_repros", machine, dag,
                      info, options, result);
 
-  const FuzzRepro repro = loadFuzzRepro(dir);
+  const FuzzRepro repro = loadFuzzRepro(ReproBundle::load(dir));
   EXPECT_EQ(repro.machine.name(), machine.name());
   EXPECT_EQ(repro.info.family, info.family);
   EXPECT_EQ(repro.info.machineSeed, info.machineSeed);
@@ -114,13 +115,14 @@ TEST_F(DiffTest, ReproBundleRoundTripsAndReplays) {
   EXPECT_EQ(repro.signature, result.signature);
 
   // The bundle is the bug report: replay needs nothing from this process.
-  const FuzzReplayResult replay = replayFuzzRepro(dir);
+  const FuzzReplayResult replay = replayFuzzRepro(repro);
   EXPECT_TRUE(replay.reproduced);
   EXPECT_EQ(replay.result.signature, result.signature);
 }
 
 TEST_F(DiffTest, LoadMissingBundleThrows) {
-  EXPECT_THROW((void)loadFuzzRepro(::testing::TempDir() + "no_such_bundle"),
+  EXPECT_THROW((void)loadFuzzRepro(ReproBundle::load(::testing::TempDir() +
+                                                      "no_such_bundle")),
                Error);
 }
 

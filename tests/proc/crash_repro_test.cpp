@@ -1,8 +1,8 @@
 // Crash repro bundles (src/proc/crash_repro.h): capture -> load -> replay
 // round trips, bundle relocatability (machine=/block= rewritten to
-// bundle-local copies), kind=crash vs kind=kill replay semantics, partial
-// bundles for unparseable request lines, and the discriminator that keeps
-// `fuzz_gen --replay` from mistaking fuzz bundles for crash bundles.
+// bundle-local copies), kind=crash vs kind=kill replay semantics, and
+// partial bundles for unparseable request lines. Malformed-bundle handling
+// shared by every kind lives in tests/support/repro_bundle_test.cpp.
 #include "proc/crash_repro.h"
 
 #include <gtest/gtest.h>
@@ -76,17 +76,17 @@ TEST(CrashRepro, WriteLoadRoundTripsAndRelocates) {
   const std::string dir = writeCrashRepro(abortCapture(tmp.path()));
   ASSERT_FALSE(dir.empty());
   EXPECT_NE(dir.find("crash-7-worker-abort"), std::string::npos);
-  EXPECT_TRUE(isCrashRepro(dir));
   EXPECT_TRUE(fs::exists(dir + "/machine.isdl"));
   EXPECT_TRUE(fs::exists(dir + "/block.blk"));
   EXPECT_TRUE(fs::exists(dir + "/request.txt"));
 
-  const CrashRepro repro = loadCrashRepro(dir);
-  EXPECT_EQ(repro.kind, "crash");
+  const CrashRepro repro = loadCrashRepro(ReproBundle::load(dir));
+  EXPECT_EQ(repro.kind, BundleKind::kCrash);
   EXPECT_TRUE(repro.wantAsm);
   EXPECT_EQ(repro.failpointSite, "worker-abort");
   EXPECT_EQ(repro.deadlineMs, 5000);
-  EXPECT_NE(repro.exitDesc.find("signal 6"), std::string::npos);
+  EXPECT_NE(ReproBundle::load(dir).text("exit").find("signal 6"),
+            std::string::npos);
   // Relocatable: the loaded line points at the bundle's OWN copies, so the
   // bundle replays wherever it is moved — the original specs are gone.
   EXPECT_NE(repro.requestLine.find(dir + "/machine.isdl"), std::string::npos);
@@ -100,7 +100,8 @@ TEST(CrashRepro, AbortBundleReplaysStandalone) {
   TempDir tmp("abort");
   const std::string dir = writeCrashRepro(abortCapture(tmp.path()));
   ASSERT_FALSE(dir.empty());
-  const CrashReplayResult replay = replayCrashRepro(loadCrashRepro(dir));
+  const BundleReplay replay =
+      replayCrashRepro(loadCrashRepro(ReproBundle::load(dir)));
   EXPECT_TRUE(replay.reproduced) << replay.detail;
   EXPECT_NE(replay.detail.find("signal 6"), std::string::npos);
 }
@@ -116,9 +117,9 @@ TEST(CrashRepro, KillBundleReproducesByOutlivingTheDeadline) {
   const std::string dir = writeCrashRepro(capture);
   ASSERT_FALSE(dir.empty());
 
-  const CrashRepro repro = loadCrashRepro(dir);
-  EXPECT_EQ(repro.kind, "kill");
-  const CrashReplayResult replay = replayCrashRepro(repro);
+  const CrashRepro repro = loadCrashRepro(ReproBundle::load(dir));
+  EXPECT_EQ(repro.kind, BundleKind::kKill);
+  const BundleReplay replay = replayCrashRepro(repro);
   EXPECT_TRUE(replay.reproduced) << replay.detail;
   EXPECT_NE(replay.detail.find("still running"), std::string::npos);
 }
@@ -134,7 +135,8 @@ TEST(CrashRepro, CleanRequestDoesNotReproduceACrash) {
   capture.wantAsm = false;
   const std::string dir = writeCrashRepro(capture);
   ASSERT_FALSE(dir.empty());
-  const CrashReplayResult replay = replayCrashRepro(loadCrashRepro(dir));
+  const BundleReplay replay =
+      replayCrashRepro(loadCrashRepro(ReproBundle::load(dir)));
   EXPECT_FALSE(replay.reproduced);
   EXPECT_NE(replay.detail.find("exit code 0"), std::string::npos);
 }
@@ -149,26 +151,36 @@ TEST(CrashRepro, UnparseableLineStillGetsAPartialBundle) {
   ASSERT_FALSE(dir.empty());
   // No sources to resolve, but the evidence survives: request + meta.
   EXPECT_FALSE(fs::exists(dir + "/machine.isdl"));
-  EXPECT_TRUE(isCrashRepro(dir));
-  const CrashRepro repro = loadCrashRepro(dir);
+  const CrashRepro repro = loadCrashRepro(ReproBundle::load(dir));
   EXPECT_EQ(repro.requestLine, "this is not a request line");
 }
 
 TEST(CrashRepro, DiscriminatorRejectsNonCrashBundles) {
   TempDir tmp("notbundle");
-  EXPECT_FALSE(isCrashRepro(tmp.path() + "/missing"));
-  // A fuzz-style bundle has a meta.txt but no kind=crash|kill line.
+  EXPECT_THROW((void)ReproBundle::load(tmp.path() + "/missing"), Error);
+  // A meta.txt with no kind= line is no bundle of any kind.
   writeFile(tmp.path() + "/meta.txt", "signature=miscompile\nseed=1\n");
-  EXPECT_FALSE(isCrashRepro(tmp.path()));
-  EXPECT_THROW((void)loadCrashRepro(tmp.path()), Error);
+  EXPECT_THROW((void)ReproBundle::load(tmp.path()), Error);
+  // A well-formed bundle of another kind loads, but not as a crash.
+  const ReproBundle miscompile = ReproBundle::load(writeBundle(
+      BundleKind::kMiscompile, tmp.path() + "/miscompile", {},
+      {{"seed", "1"}, {"vectors", "4"}, {"verifierVersion", "1"}}));
+  EXPECT_THROW((void)loadCrashRepro(miscompile), Error);
 }
 
 TEST(CrashRepro, MalformedMetaValueThrowsNotCrashes) {
   TempDir tmp("badmeta");
-  writeFile(tmp.path() + "/meta.txt",
-            "kind=crash\nexit=signal 11\nrssLimitBytes=lots\n");
-  writeFile(tmp.path() + "/request.txt", "machine=arch1 block=ex1\n");
-  EXPECT_THROW((void)loadCrashRepro(tmp.path()), Error);
+  const std::string dir = writeBundle(
+      BundleKind::kCrash, tmp.path() + "/crash",
+      {{kBundleRequestFile, "machine=arch1 block=ex1\n"}},
+      {{"exit", "signal 11"},
+       {"wantAsm", "0"},
+       {"blockFile", ""},
+       {"failpoints", ""},
+       {"rssLimitBytes", "lots"},
+       {"cpuLimitSeconds", "0"},
+       {"deadlineMs", "0"}});
+  EXPECT_THROW((void)loadCrashRepro(ReproBundle::load(dir)), Error);
 }
 
 TEST(CrashRepro, CaptureIsBestEffortNeverThrows) {

@@ -208,11 +208,11 @@ TEST(ProcPool, HardDeadlineKillsHungWorkerAndBundleReplaysAsKill) {
   // recorded deadline — the standalone reproduction of "this hung".
   const std::string bundle = onlyBundle(crashDir);
   ASSERT_FALSE(bundle.empty());
-  const CrashRepro repro = loadCrashRepro(bundle);
-  EXPECT_EQ(repro.kind, "kill");
+  const CrashRepro repro = loadCrashRepro(ReproBundle::load(bundle));
+  EXPECT_EQ(repro.kind, BundleKind::kKill);
   EXPECT_EQ(repro.failpointSite, "worker-hang");
   EXPECT_EQ(repro.deadlineMs, 300);
-  const CrashReplayResult replay = replayCrashRepro(repro);
+  const BundleReplay replay = replayCrashRepro(repro);
   EXPECT_TRUE(replay.reproduced) << replay.detail;
   fs::remove_all(crashDir);
 }

@@ -67,15 +67,18 @@ TEST_F(QuarantineTest, ArtifactRoundTripReproducesMismatch) {
   for (const char* file :
        {"machine.isdl", "block.blk", "entry.bin", "asm.txt", "meta.txt"})
     EXPECT_TRUE(fs::exists(fs::path(dirs[0]) / file)) << file;
+  EXPECT_EQ(readFile(dirs[0] + "/meta.txt").rfind("kind=miscompile\n", 0), 0u);
 
-  const ReplayResult replay = replayQuarantineArtifact(dirs[0]);
+  const ReplayResult replay =
+      replayQuarantineArtifact(ReproBundle::load(dirs[0]));
   EXPECT_TRUE(replay.reproduced)
       << "replay must reproduce the mismatch: " << replay.report.detail();
   EXPECT_FALSE(replay.report.passed);
   EXPECT_GE(replay.report.mismatchVector, 0);
 
   // Deterministic: replaying twice yields the identical report.
-  const ReplayResult again = replayQuarantineArtifact(dirs[0]);
+  const ReplayResult again =
+      replayQuarantineArtifact(ReproBundle::load(dirs[0]));
   EXPECT_EQ(again.report.detail(), replay.report.detail());
 }
 
@@ -141,7 +144,8 @@ TEST_F(QuarantineTest, DirectWriteAndReplay) {
   const std::string artifact = writeQuarantineArtifact(
       dir_, machine, dag, image, entry->symbolNames, vopts, report);
   ASSERT_FALSE(artifact.empty());
-  const ReplayResult replay = replayQuarantineArtifact(artifact);
+  const ReplayResult replay =
+      replayQuarantineArtifact(ReproBundle::load(artifact));
   EXPECT_TRUE(replay.reproduced);
   EXPECT_EQ(replay.report.mismatchOutput, report.mismatchOutput);
   EXPECT_EQ(replay.report.expected, report.expected);

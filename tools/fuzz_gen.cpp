@@ -5,9 +5,9 @@
 // engine and the sequential baseline, and both images are differentially
 // verified against the reference interpreter (src/fuzz/diff). Crashes,
 // taxonomy escapes, and miscompiles are failures; each one lands as a
-// standalone repro bundle (src/fuzz/repro), is auto-minimized by delta
-// debugging (src/fuzz/minimize), and — for miscompiles — additionally
-// quarantines a src/verify artifact the existing replay tooling accepts.
+// standalone kind=fuzz repro bundle (src/fuzz/repro), is auto-minimized by
+// delta debugging (src/fuzz/minimize), and — for miscompiles — additionally
+// quarantines a kind=miscompile bundle under <out-dir>/quarantine/.
 //
 // All randomness flows from --seed through one SplitMix64 stream: the same
 // seed re-derives the same machines, blocks, and verdicts, and any repro
@@ -19,12 +19,9 @@
 //            [--time-limit SECS] [--failpoints SPEC] [--auto-minimize]
 //       generate + differential loop; exit 1 when any failure was found
 //   fuzz_gen --replay DIR
-//       re-run a repro bundle; exit 0 iff the recorded signature reproduces.
-//       Also accepts worker-crash bundles captured by avivd
-//       --isolate-workers (src/proc/crash_repro.h): those replay the
-//       recorded request in a sandboxed fork and reproduce iff the child
-//       dies the recorded way (kind=crash) or outlives the recorded hard
-//       deadline (kind=kill)
+//       replay a repro bundle of any kind (miscompile, fuzz, crash, kill);
+//       exit 0 iff the recorded failure reproduces, as docs/fuzzing.md
+//       "Reproducing a failure" defines per kind
 //   fuzz_gen --minimize DIR
 //       shrink a repro bundle; writes DIR/minimized/<machine>-<block>/
 //   fuzz_gen --emit-zoo DIR
@@ -47,8 +44,10 @@
 #include "support/error.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/repro_bundle.h"
 #include "support/rng.h"
 #include "support/strings.h"
+#include "verify/quarantine.h"
 
 namespace {
 
@@ -73,9 +72,10 @@ std::vector<MachineFamily> parseFamilies(const std::string& spec) {
   return families;
 }
 
-// Minimizes one loaded repro and writes the shrunken bundle under
-// <dir>/minimized/. Returns the minimized bundle path.
-std::string minimizeBundle(const std::string& dir, const FuzzRepro& repro) {
+// Minimizes the kind=fuzz bundle at `dir` and writes the shrunken bundle
+// under <dir>/minimized/. Returns the minimized bundle path.
+std::string minimizeBundle(const std::string& dir) {
+  const FuzzRepro repro = loadFuzzRepro(ReproBundle::load(dir));
   if (!repro.info.failpoints.empty())
     FailPoints::instance().configure(repro.info.failpoints);
   const MinimizeResult min = minimizeFuzzCase(
@@ -97,23 +97,24 @@ std::string minimizeBundle(const std::string& dir, const FuzzRepro& repro) {
 }
 
 int runReplay(const std::string& dir) {
-  // Worker-crash bundles (src/proc/crash_repro.h, kind=crash|kill in
-  // meta.txt) replay in a sandboxed fork; fuzz bundles replay in-process.
-  if (proc::isCrashRepro(dir)) {
-    const proc::CrashRepro repro = proc::loadCrashRepro(dir);
-    const proc::CrashReplayResult replay = proc::replayCrashRepro(repro);
-    std::printf("fuzz_gen: replay %s: %s (recorded: %s, kind=%s) — %s\n",
-                dir.c_str(), replay.detail.c_str(), repro.exitDesc.c_str(),
-                repro.kind.c_str(),
-                replay.reproduced ? "reproduced" : "DID NOT REPRODUCE");
-    return replay.reproduced ? 0 : 1;
+  const ReproBundle bundle = ReproBundle::load(dir);
+  BundleReplay replay;
+  switch (bundle.kind()) {
+    case BundleKind::kMiscompile:
+      replay = replayQuarantineArtifact(bundle);
+      break;
+    case BundleKind::kFuzz:
+      replay = replayFuzzRepro(loadFuzzRepro(bundle));
+      break;
+    case BundleKind::kCrash:
+    case BundleKind::kKill:
+      replay = proc::replayCrashRepro(proc::loadCrashRepro(bundle));
+      replay.detail += " (recorded: " + bundle.text("exit") + ")";
+      break;
   }
-  const FuzzReplayResult replay = replayFuzzRepro(dir);
-  std::printf("fuzz_gen: replay %s: signature %s — %s\n", dir.c_str(),
-              replay.result.signature.c_str(),
+  std::printf("fuzz_gen: replay %s (kind=%s): %s — %s\n", dir.c_str(),
+              bundleKindName(bundle.kind()), replay.detail.c_str(),
               replay.reproduced ? "reproduced" : "DID NOT REPRODUCE");
-  if (!replay.result.detail.empty())
-    std::printf("  detail: %s\n", replay.result.detail.c_str());
   return replay.reproduced ? 0 : 1;
 }
 
@@ -183,8 +184,7 @@ int runFuzzLoop(uint64_t seed, int iterations, double timeBudget,
                  i, result.signature.c_str(), result.detail.c_str(),
                  dir.c_str());
     if (autoMinimize) {
-      const FuzzRepro repro = loadFuzzRepro(dir);
-      const std::string minimized = minimizeBundle(dir, repro);
+      const std::string minimized = minimizeBundle(dir);
       std::fprintf(stderr, "  minimized: %s\n", minimized.c_str());
       // minimizeBundle may have swapped in the repro's always-fire spec;
       // restore this run's schedule for the remaining iterations.
@@ -226,8 +226,7 @@ int main(int argc, char** argv) {
 
     if (!replayDir.empty()) return runReplay(replayDir);
     if (!minimizeDir.empty()) {
-      const FuzzRepro repro = loadFuzzRepro(minimizeDir);
-      minimizeBundle(minimizeDir, repro);
+      minimizeBundle(minimizeDir);
       return 0;
     }
     if (!zooDir.empty()) return runEmitZoo(zooDir);

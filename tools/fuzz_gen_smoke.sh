@@ -2,8 +2,9 @@
 # fuzz_gen smoke (ctest: fuzzgen_smoke). Three checks:
 #   1. a clean bounded run at a pinned seed finds zero failures (exit 0)
 #   2. the same seed twice prints byte-identical verdict summaries
-#   3. a planted `fuzz-engine-disagree` run exits 1, writes a repro bundle,
-#      auto-minimizes it, and BOTH bundles replay standalone (exit 0)
+#   3. a planted `fuzz-engine-disagree` run exits 1, writes a kind=fuzz
+#      repro bundle, auto-minimizes it, quarantines a kind=miscompile
+#      bundle, and all three bundles replay standalone (exit 0)
 # Usage: fuzz_gen_smoke.sh <fuzz_gen-binary> <scratch-dir>
 set -eu
 
@@ -40,7 +41,14 @@ if [ -z "$minimized" ]; then
 fi
 original=$(dirname "$(dirname "$(dirname "$minimized")")")
 
+quarantined=$(find "$OUT/planted/quarantine" -name meta.txt | head -n 1)
+if [ -z "$quarantined" ]; then
+  echo "fuzz_gen_smoke: planted run quarantined no miscompile bundle" >&2
+  exit 1
+fi
+
 "$FUZZ_GEN" --replay "$original"
 "$FUZZ_GEN" --replay "$(dirname "$minimized")"
+"$FUZZ_GEN" --replay "$(dirname "$quarantined")"
 
 echo "fuzz_gen_smoke: OK"
