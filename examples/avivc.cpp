@@ -65,6 +65,7 @@
 #include "support/cli.h"
 #include "support/io.h"
 #include "support/rng.h"
+#include "support/stat_fields.h"
 #include "support/strings.h"
 
 namespace {
@@ -172,20 +173,20 @@ int main(int argc, char** argv) {
     }();
     CodeGenerator generator(machine, options);
     auto dumpStats = [&] {
+      if (options.cache != nullptr)
+        publishStats(options.cache->stats(),
+                     generator.context().telemetry().child("service"),
+                     "cache");
       if (!statsJson.empty())
         writeFile(statsJson, generator.telemetry().toJson() + "\n");
       if (!traceOut.empty())
         writeFile(traceOut, trace::Tracer::instance().exportJson());
       if (!metricsJson.empty())
         writeFile(metricsJson, metrics::Registry::instance().toJson());
-      if (options.cache != nullptr) {
-        // To stderr so cached and cold runs produce byte-identical stdout.
-        const CacheStats cs = options.cache->stats();
-        std::fprintf(stderr, "; cache: %lld hits, %lld misses, %lld corrupt\n",
-                     static_cast<long long>(cs.hits),
-                     static_cast<long long>(cs.misses),
-                     static_cast<long long>(cs.corrupt));
-      }
+      // To stderr so cached and cold runs produce byte-identical stdout.
+      if (options.cache != nullptr)
+        std::fprintf(stderr, "; cache: %s\n",
+                     statsLine(options.cache->stats()).c_str());
     };
     const bool multiBlock = program.numBlocks() > 1;
 

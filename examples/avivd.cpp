@@ -60,8 +60,6 @@
 //                        results are deliberately never cached)
 //   --default-timeout <sec>  covering budget for requests without their own
 //                        timeout= token (0 = unlimited)
-//   --retries <n>        retry a request hit by a transient fault up to n
-//                        times with exponential backoff (default 2)
 //   --verify <m>         default differential-verification mode for requests
 //                        without their own verify= token: off (default),
 //                        sampled, or all (src/verify, DESIGN.md §6.5)
@@ -87,13 +85,16 @@
 //                        baseline compile (default 3)
 //   --print-asm          batch: print each result's assembly after its
 //                        status line
-//   --stats-json <file>  write the daemon's phase-telemetry tree as JSON
+//   --stats-json <file>  write the daemon's telemetry tree as JSON: batch
+//                        mode keeps every request's tree (pass:N/req:I);
+//                        both modes carry the component counters as the
+//                        `service` (cache), `workers` and `server` children
 //   --trace-out <file>   flight-recorder tracing: write the retained events
 //                        as Chrome trace-event JSON at exit (and on the
 //                        SIGINT drain)
 //   --metrics-json <file> metrics registry: write aggregated
-//                        counters/histograms after every pass and on the
-//                        SIGINT drain
+//                        counters/gauges/histograms after every pass and on
+//                        the SIGINT drain
 //   --listen <spec>      server: accept framed requests on unix:/path or
 //                        host:port (port 0 = kernel-assigned, printed)
 //   --queue-cap <n>      server: admitted-but-unstarted request bound before
@@ -117,10 +118,14 @@
 // result is the verified baseline, a repro artifact was quarantined, and —
 // like degraded requests — nothing was cached, so --expect-all-hits
 // excludes it.
-// Summary lines (per pass):
+// Summary lines (batch: per pass, counters since the pass began; server:
+// totals at exit), one field per counter of the component's stats struct
+// in its field-list order (support/stat_fields.h):
 //   avivd: pass 1: 10 requests, 9 ok, 1 degraded, 0 quarantined, 0 failed,
 //   0 skipped
-//   avivd: cache: 10 lookups, 0 hits, 10 misses, 0 corrupt, 0 evictions
+//   avivd: cache: 10 lookups, 0 hits, 10 misses, 0 memory-hits, ...
+//   avivd: workers: 0 crashes, 0 deadline-kills, ...  (--isolate-workers)
+//   avivd: server: 3 accepted, 0 accept-errors, ...   (--listen)
 #include <unistd.h>
 
 #include <csignal>
@@ -142,6 +147,7 @@
 #include "support/error.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/stat_fields.h"
 #include "support/strings.h"
 #include "support/thread_pool.h"
 #include "support/timer.h"
@@ -165,6 +171,10 @@ extern "C" void handleShutdownSignal(int) {
   }
 }
 
+void dumpMetricsTo(const std::string& path) {
+  if (!path.empty()) writeFile(path, metrics::Registry::instance().toJson());
+}
+
 struct DaemonConfig {
   RequestDefaults defaults;
   RequestExecConfig exec;
@@ -176,8 +186,8 @@ struct DaemonConfig {
   // (src/proc) instead of in-process; null = classic in-process dispatch.
   std::shared_ptr<proc::WorkerPool> pool;
 
-  // The one request dispatch both front ends share. In-process telemetry
-  // merges into `tel`; isolated workers keep theirs.
+  // The one request dispatch both front ends share. An in-process compile
+  // records its telemetry into `tel`; isolated workers keep theirs.
   net::NetResponse dispatch(const std::string& line, bool wantAsm,
                             TelemetryNode& tel) const {
     if (pool != nullptr) return pool->execute(line, wantAsm);
@@ -185,57 +195,29 @@ struct DaemonConfig {
     config.wantAsm = wantAsm;
     return serveRequestLine(line, defaults, config, tel);
   }
+
+  // Publishes every component's counters through its field list: the
+  // `server`/`workers`/`service` children of `root` (--stats-json) and the
+  // server.*/pool.*/cache.* gauges (--metrics-json). Run before each dump.
+  void publish(TelemetryNode& root, const net::CompileServer* server) const {
+    if (server != nullptr)
+      publishStats(server->stats(), root.child("server"), "server");
+    if (pool != nullptr)
+      publishStats(pool->stats(), root.child("workers"), "pool");
+    if (exec.cache != nullptr)
+      publishStats(exec.cache->stats(), root.child("service"), "cache");
+  }
+
+  // Publishes, then writes --stats-json, --metrics-json and --trace-out.
+  void writeOutputs(TelemetryNode& root,
+                    const net::CompileServer* server) const {
+    publish(root, server);
+    if (!statsJson.empty()) writeFile(statsJson, root.toJson() + "\n");
+    dumpMetricsTo(metricsJson);
+    if (!traceOut.empty())
+      writeFile(traceOut, trace::Tracer::instance().exportJson());
+  }
 };
-
-// Per-pass delta of the pool's supervision counters, printed like the
-// cache summary line.
-void printPoolSummary(const proc::WorkerPool& pool,
-                      const proc::PoolStats& before) {
-  const proc::PoolStats now = pool.stats();
-  std::printf(
-      "avivd: workers: %llu crashes, %llu deadline-kills, "
-      "%llu heartbeat-kills, %llu respawns, %llu crash-retried, "
-      "%llu crash-failed, %llu breaker-opens, %llu breaker-served, "
-      "%llu repro-bundles\n",
-      static_cast<unsigned long long>(now.crashes - before.crashes),
-      static_cast<unsigned long long>(now.deadlineKills -
-                                      before.deadlineKills),
-      static_cast<unsigned long long>(now.heartbeatKills -
-                                      before.heartbeatKills),
-      static_cast<unsigned long long>(now.respawns - before.respawns),
-      static_cast<unsigned long long>(now.crashRetried -
-                                      before.crashRetried),
-      static_cast<unsigned long long>(now.crashFailed - before.crashFailed),
-      static_cast<unsigned long long>(now.breakerOpens -
-                                      before.breakerOpens),
-      static_cast<unsigned long long>(now.breakerServed -
-                                      before.breakerServed),
-      static_cast<unsigned long long>(now.reproBundles -
-                                      before.reproBundles));
-}
-
-// Cache counters accumulated since `before`, one summary line.
-void printCacheSummary(const CacheStats& now, const CacheStats& before) {
-  std::printf(
-      "avivd: cache: %lld lookups, %lld hits, %lld misses, %lld corrupt, "
-      "%lld write-errors, %lld io-retries, %lld evictions\n",
-      static_cast<long long>(now.lookups - before.lookups),
-      static_cast<long long>(now.hits - before.hits),
-      static_cast<long long>(now.misses - before.misses),
-      static_cast<long long>(now.corrupt - before.corrupt),
-      static_cast<long long>(now.writeErrors - before.writeErrors),
-      static_cast<long long>(now.ioRetries - before.ioRetries),
-      static_cast<long long>(now.evictions - before.evictions));
-}
-
-void dumpMetricsTo(const std::string& path) {
-  if (!path.empty()) writeFile(path, metrics::Registry::instance().toJson());
-}
-
-void dumpTraceTo(const std::string& path) {
-  if (!path.empty())
-    writeFile(path, trace::Tracer::instance().exportJson());
-}
 
 // --- batch mode -----------------------------------------------------------
 
@@ -376,17 +358,18 @@ int runBatch(const DaemonConfig& daemon, const std::string& batchPath,
         skippedCount);
     if (parseErrors > 0)
       std::printf("avivd: pass %d: %d parse-errors\n", pass, parseErrors);
-    if (cache != nullptr) {
-      const CacheStats now = cache->stats();
-      printCacheSummary(now, before);
-      recordServiceStats(now, root.child("service"));
-    }
-    if (daemon.pool != nullptr) printPoolSummary(*daemon.pool, poolBefore);
+    if (cache != nullptr)
+      std::printf("avivd: cache: %s\n",
+                  statsLine(cache->stats(), before).c_str());
+    if (daemon.pool != nullptr)
+      std::printf("avivd: workers: %s\n",
+                  statsLine(daemon.pool->stats(), poolBefore).c_str());
     finalPassCold = coldCount;
     if (okCount + degradedCount + quarantinedCount != lines.size())
       allOk = false;
     // Periodic metrics flush: one aggregated dump per pass, so a long
     // --repeat run exposes progress without waiting for exit.
+    daemon.publish(root, nullptr);
     dumpMetricsTo(daemon.metricsJson);
     if (g_shutdownRequested != 0) shutdown = true;
   }
@@ -395,17 +378,11 @@ int runBatch(const DaemonConfig& daemon, const std::string& batchPath,
     // Graceful shutdown: in-flight work has drained; persist what we can
     // and exit with the conventional interrupted status.
     if (cache != nullptr) cache->flushManifest();
-    if (!daemon.statsJson.empty())
-      writeFile(daemon.statsJson, root.toJson() + "\n");
-    dumpMetricsTo(daemon.metricsJson);
-    dumpTraceTo(daemon.traceOut);
+    daemon.writeOutputs(root, nullptr);
     std::printf("avivd: shutdown requested, exiting\n");
     return 130;
   }
-  if (!daemon.statsJson.empty())
-    writeFile(daemon.statsJson, root.toJson() + "\n");
-  dumpMetricsTo(daemon.metricsJson);
-  dumpTraceTo(daemon.traceOut);
+  daemon.writeOutputs(root, nullptr);
   if (!allOk) return 1;
   if (expectAllHits && (cache == nullptr || finalPassCold > 0)) {
     std::fprintf(stderr,
@@ -436,20 +413,14 @@ int runServer(const DaemonConfig& daemon, const std::string& listenSpec,
                 "'");
   }
 
-  TelemetryNode root("avivd");
-  TelemetryNode& serverTel = root.child("server");
-  std::mutex telMu;
   ThreadPool pool(daemon.jobs);
 
-  // The handler runs on ThreadPool workers: one dispatch per request,
-  // then its telemetry joins the server's tree.
+  // The handler runs on ThreadPool workers: one dispatch per request. The
+  // request's telemetry tree lives and dies with it — cross-request
+  // numbers are the metrics registry's and the components' stats structs'.
   auto handler = [&](const net::NetRequest& request) {
-    TelemetryNode local("req");
-    net::NetResponse response =
-        daemon.dispatch(request.line, request.wantAsm, local);
-    std::lock_guard<std::mutex> lock(telMu);
-    serverTel.merge(local);
-    return response;
+    TelemetryNode tel("req");
+    return daemon.dispatch(request.line, request.wantAsm, tel);
   };
 
   net::CompileServer server(config, pool, handler);
@@ -462,33 +433,17 @@ int runServer(const DaemonConfig& daemon, const std::string& listenSpec,
   server.serve(&g_shutdownRequested);
   g_serverWakeFd = -1;
 
-  const net::ServerStats stats = server.stats();
-  std::printf(
-      "avivd: server: %lld conns, %lld requests, %lld ok, %lld hits, "
-      "%lld degraded, %lld quarantined, %lld errors, %lld shed, "
-      "%lld responses, %lld dropped, %lld crash-retried\n",
-      static_cast<long long>(stats.accepted),
-      static_cast<long long>(stats.requests),
-      static_cast<long long>(stats.ok), static_cast<long long>(stats.hits),
-      static_cast<long long>(stats.degraded),
-      static_cast<long long>(stats.quarantined),
-      static_cast<long long>(stats.errors),
-      static_cast<long long>(stats.shed),
-      static_cast<long long>(stats.responses),
-      static_cast<long long>(stats.droppedResponses),
-      static_cast<long long>(stats.crashRetried));
+  std::printf("avivd: server: %s\n", statsLine(server.stats()).c_str());
   if (daemon.pool != nullptr)
-    printPoolSummary(*daemon.pool, proc::PoolStats{});
+    std::printf("avivd: workers: %s\n",
+                statsLine(daemon.pool->stats()).c_str());
   if (daemon.exec.cache != nullptr) {
-    const CacheStats cs = daemon.exec.cache->stats();
-    printCacheSummary(cs, CacheStats{});
+    std::printf("avivd: cache: %s\n",
+                statsLine(daemon.exec.cache->stats()).c_str());
     daemon.exec.cache->flushManifest();
-    recordServiceStats(cs, root.child("service"));
   }
-  if (!daemon.statsJson.empty())
-    writeFile(daemon.statsJson, root.toJson() + "\n");
-  dumpMetricsTo(daemon.metricsJson);
-  dumpTraceTo(daemon.traceOut);
+  TelemetryNode root("avivd");
+  daemon.writeOutputs(root, &server);
   std::printf("avivd: drained, exiting\n");
   return 0;
 }
@@ -504,7 +459,7 @@ int main(int argc, char** argv) {
       throw Error(
           "usage: avivd <requests.txt|-> [--cache-dir DIR] [--no-cache] "
           "[--mem-entries N] [--jobs N] [--repeat N] [--expect-all-hits] "
-          "[--default-timeout SEC] [--retries N] [--failpoints SPEC] "
+          "[--default-timeout SEC] [--failpoints SPEC] "
           "[--failpoint-seed N] "
           "[--verify off|sampled|all] [--quarantine-dir DIR] "
           "[--print-asm] [--stats-json out.json] [--trace-out out.json] "
@@ -525,7 +480,6 @@ int main(int argc, char** argv) {
     const int repeat = static_cast<int>(flags.getInt("repeat", 1));
     const bool expectAllHits = flags.getBool("expect-all-hits", false);
     daemon.defaults.timeoutSeconds = flags.getDouble("default-timeout", 0.0);
-    daemon.exec.retries = static_cast<int>(flags.getInt("retries", 2));
     const std::string verifyMode = flags.getString("verify", "off");
     if (verifyMode == "sampled") {
       daemon.defaults.verify.level = VerifyLevel::kSampled;
@@ -588,7 +542,6 @@ int main(int argc, char** argv) {
       poolConfig.env.cacheDir = cacheDir;
       poolConfig.env.cacheEnabled = !noCache;
       poolConfig.env.memEntries = memEntries;
-      poolConfig.env.transientRetries = daemon.exec.retries;
       poolConfig.env.rssLimitBytes = workerRssMb << 20;
       poolConfig.env.cpuLimitSeconds = workerCpuS;
       if (daemon.exec.cache != nullptr) {

@@ -397,20 +397,8 @@ CompiledBlock CodeGenerator::compileBlock(const BlockDag& ir,
   // starts now, not at generator construction.
   ctx_.deadline().arm(options_.core.timeLimitSeconds);
   SymbolScope scope(symbols);
-  CompiledBlock block =
-      compileBlockWith(ir, scope, options_.core,
-                       ctx_.telemetry().child("block:" + ir.name()));
-  recordServiceTelemetry();
-  return block;
-}
-
-// Publishes the shared cache's counter totals as the session's "service"
-// phase. Totals, not deltas: safe to re-record after every compile, and
-// meaningful even when several generators share one cache (avivd).
-void CodeGenerator::recordServiceTelemetry() {
-  if (options_.cache == nullptr) return;
-  recordServiceStats(options_.cache->stats(),
-                     ctx_.telemetry().child("service"));
+  return compileBlockWith(ir, scope, options_.core,
+                          ctx_.telemetry().child("block:" + ir.name()));
 }
 
 CompiledProgram CodeGenerator::compileProgram(const Program& program) {
@@ -484,7 +472,6 @@ CompiledProgram CodeGenerator::compileProgram(const Program& program) {
     }
     compiled.control.push_back(ci);
   }
-  recordServiceTelemetry();
   return compiled;
 }
 

@@ -64,8 +64,9 @@ struct DriverOptions {
   // Compile-result cache (src/service). When set, every block compile is
   // looked up by canonical fingerprint before any covering work runs, and
   // stored after a miss. The cache may be shared across generators (the
-  // avivd daemon shares one); its counters surface as the session's
-  // "service" telemetry phase. Null disables caching.
+  // avivd daemon shares one). Each block's telemetry counts its own
+  // cacheHits/cacheMisses; the cache's totals are the cache's to publish
+  // (CacheStats, support/stat_fields.h). Null disables caching.
   std::shared_ptr<ResultCache> cache;
   // Differential output verification (src/verify, DESIGN.md §6.5): replay
   // compiled blocks on the simulator against the reference interpreter
@@ -180,7 +181,6 @@ class CodeGenerator {
   CoreResult baselineCore(const BlockDag& ir,
                           const CodegenOptions& coreOptions,
                           TelemetryNode& tel, const std::string& why);
-  void recordServiceTelemetry();
 
   DriverOptions options_;
   CodegenContext ctx_;

@@ -4,8 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
@@ -54,11 +52,6 @@ void CompileServer::requestStop() {
   loop_.wakeup();
 }
 
-ServerStats CompileServer::stats() const {
-  std::lock_guard<std::mutex> lock(statsMu_);
-  return stats_;
-}
-
 int CompileServer::queueDepth() const {
   std::lock_guard<std::mutex> lock(queueMu_);
   return static_cast<int>(queue_.size());
@@ -75,11 +68,6 @@ void CompileServer::serve(const volatile std::sig_atomic_t* stopFlag) {
   drain();
 }
 
-void CompileServer::bumpStat(int64_t ServerStats::*field, int64_t delta) {
-  std::lock_guard<std::mutex> lock(statsMu_);
-  stats_.*field += delta;
-}
-
 // --- accept path ----------------------------------------------------------
 
 void CompileServer::onAcceptable() {
@@ -89,20 +77,20 @@ void CompileServer::onAcceptable() {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       // EMFILE, ECONNABORTED, ...: count and keep serving — an accept
       // failure must never take down the loop.
-      bumpStat(&ServerStats::acceptErrors);
+      stats_.add(&ServerStats::acceptErrors);
       return;
     }
     Fd accepted(fd);
     if (FailPoints::instance().shouldFail("net-accept")) {
       // Injected accept failure: the connection is dropped before any
       // frame is read; the client sees a clean close and reconnects.
-      bumpStat(&ServerStats::acceptErrors);
+      stats_.add(&ServerStats::acceptErrors);
       continue;
     }
     try {
       setNonBlocking(accepted.get());
     } catch (const Error&) {
-      bumpStat(&ServerStats::acceptErrors);
+      stats_.add(&ServerStats::acceptErrors);
       continue;
     }
     const uint64_t connId = nextConnId_++;
@@ -114,9 +102,7 @@ void CompileServer::onAcceptable() {
     loop_.add(connFd, EventLoop::kRead, [this, connId](uint32_t ready) {
       onConnectionEvent(connId, ready);
     });
-    if (metrics::on())
-      metrics::Registry::instance().counter("net.accepted").add(1);
-    bumpStat(&ServerStats::accepted);
+    stats_.add(&ServerStats::accepted);
   }
 }
 
@@ -146,14 +132,14 @@ void CompileServer::readFromConnection(uint64_t connId) {
     if (FailPoints::instance().shouldFail("net-read")) {
       // Injected read failure — same recovery as a hard socket error: the
       // connection is dropped, the server keeps serving everyone else.
-      bumpStat(&ServerStats::readErrors);
+      stats_.add(&ServerStats::readErrors);
       closeConnection(connId);
       return;
     }
     const IoResult io = readSome(conn.fd.get(), buf, sizeof(buf));
     if (io.wouldBlock) return;
     if (io.error != 0) {
-      bumpStat(&ServerStats::readErrors);
+      stats_.add(&ServerStats::readErrors);
       closeConnection(connId);
       return;
     }
@@ -161,7 +147,7 @@ void CompileServer::readFromConnection(uint64_t connId) {
       if (conn.decoder.midFrame()) {
         // Torn mid-frame close: the buffered request prefix can never
         // complete, and the peer is gone — drop it.
-        bumpStat(&ServerStats::tornConnections);
+        stats_.add(&ServerStats::tornConnections);
         closeConnection(connId);
         return;
       }
@@ -185,7 +171,7 @@ void CompileServer::readFromConnection(uint64_t connId) {
         // Protocol violation: answer with a final error frame (id 0 — the
         // stream is unparseable, so no request id exists) and close once
         // it flushes.
-        bumpStat(&ServerStats::frameErrors);
+        stats_.add(&ServerStats::frameErrors);
         ResponsePayload payload;
         payload.detail = conn.decoder.error();
         enqueueResponse(conn, FrameType::kError, payload);
@@ -208,7 +194,7 @@ void CompileServer::readFromConnection(uint64_t connId) {
 
 void CompileServer::handleFrame(Connection& conn, Frame frame) {
   if (frame.type != FrameType::kRequest) {
-    bumpStat(&ServerStats::frameErrors);
+    stats_.add(&ServerStats::frameErrors);
     conn.closing = true;
     return;
   }
@@ -216,7 +202,7 @@ void CompileServer::handleFrame(Connection& conn, Frame frame) {
   try {
     request = decodeRequestPayload(frame.payload);
   } catch (const Error& e) {
-    bumpStat(&ServerStats::frameErrors);
+    stats_.add(&ServerStats::frameErrors);
     ResponsePayload payload;
     payload.detail = e.what();
     enqueueResponse(conn, FrameType::kError, payload);
@@ -224,9 +210,7 @@ void CompileServer::handleFrame(Connection& conn, Frame frame) {
     return;
   }
 
-  bumpStat(&ServerStats::requests);
-  if (metrics::on())
-    metrics::Registry::instance().counter("net.requests").add(1);
+  stats_.add(&ServerStats::requests);
 
   Job job;
   job.connId = conn.id;
@@ -236,9 +220,7 @@ void CompileServer::handleFrame(Connection& conn, Frame frame) {
   job.enqueueSeconds = clock_.seconds();
   if (!admit(std::move(job))) {
     // Load shed: answer immediately instead of queueing without bound.
-    bumpStat(&ServerStats::shed);
-    if (metrics::on())
-      metrics::Registry::instance().counter("net.shed").add(1);
+    stats_.add(&ServerStats::shed);
     trace::instant("net", "net.shed");
     ResponsePayload payload;
     payload.id = request.id;
@@ -257,9 +239,8 @@ bool CompileServer::admit(Job job) {
       return false;
     queue_.push_back(std::move(job));
     inFlightJobs_.fetch_add(1, std::memory_order_relaxed);
-    const auto depth = static_cast<int64_t>(queue_.size());
-    std::lock_guard<std::mutex> statsLock(statsMu_);
-    stats_.maxQueueDepth = std::max(stats_.maxQueueDepth, depth);
+    stats_.raise(&ServerStats::maxQueueDepth,
+                 static_cast<int64_t>(queue_.size()));
   }
   queueCv_.notify_one();
   return true;
@@ -297,7 +278,7 @@ void CompileServer::workerLoop() {
       }
       wallSeconds = timer.seconds();
     }
-    if (response.crashRetries > 0) bumpStat(&ServerStats::crashRetried);
+    if (response.crashRetries > 0) stats_.add(&ServerStats::crashRetried);
     if (metrics::on()) {
       auto& registry = metrics::Registry::instance();
       registry.histogram("net.request.wall.us")
@@ -336,36 +317,37 @@ void CompileServer::drainCompletions() {
   }
   std::vector<uint64_t> touched;
   for (Completion& completion : batch) {
-    switch (completion.type) {
-      case FrameType::kOk: bumpStat(&ServerStats::ok); break;
-      case FrameType::kHit: bumpStat(&ServerStats::hits); break;
-      case FrameType::kDegraded: bumpStat(&ServerStats::degraded); break;
-      case FrameType::kQuarantined:
-        bumpStat(&ServerStats::quarantined);
-        break;
-      case FrameType::kError: bumpStat(&ServerStats::errors); break;
-      default: break;
-    }
     auto it = connections_.find(completion.connId);
     if (it == connections_.end()) {
       // The client vanished before its answer was ready.
-      bumpStat(&ServerStats::droppedResponses);
+      stats_.add(&ServerStats::droppedResponses);
       continue;
     }
     Connection& conn = *it->second;
     AVIV_CHECK(conn.inFlight > 0);
     --conn.inFlight;
     conn.outbuf.append(completion.frame);
-    bumpStat(&ServerStats::responses);
+    countResponse(completion.type);
     touched.push_back(completion.connId);
   }
   for (const uint64_t connId : touched) flushConnection(connId);
 }
 
+void CompileServer::countResponse(FrameType type) {
+  stats_.add(&ServerStats::responses);
+  switch (type) {
+    case FrameType::kOk: stats_.add(&ServerStats::ok); break;
+    case FrameType::kHit: stats_.add(&ServerStats::hits); break;
+    case FrameType::kDegraded: stats_.add(&ServerStats::degraded); break;
+    case FrameType::kQuarantined: stats_.add(&ServerStats::quarantined); break;
+    case FrameType::kError: stats_.add(&ServerStats::errors); break;
+    default: break;
+  }
+}
+
 void CompileServer::enqueueResponse(Connection& conn, FrameType type,
                                     const ResponsePayload& payload) {
-  bumpStat(&ServerStats::responses);
-  if (type == FrameType::kError) bumpStat(&ServerStats::errors);
+  countResponse(type);
   conn.outbuf.append(encodeFrame(type, encodeResponsePayload(payload)));
   updateBackpressure(conn);
 }
@@ -378,14 +360,14 @@ bool CompileServer::flushConnection(uint64_t connId) {
     if (FailPoints::instance().shouldFail("net-write")) {
       // Injected transient write failure: leave the buffer in place; the
       // write interest below retries on the next writable event.
-      bumpStat(&ServerStats::writeErrors);
+      stats_.add(&ServerStats::writeErrors);
       break;
     }
     const IoResult io = writeSome(
         conn.fd.get(), conn.outbuf.data() + conn.outPos, conn.pendingOut());
     if (io.wouldBlock) break;
     if (io.error != 0) {
-      bumpStat(&ServerStats::writeErrors);
+      stats_.add(&ServerStats::writeErrors);
       closeConnection(connId);
       return false;
     }
@@ -411,7 +393,7 @@ void CompileServer::updateBackpressure(Connection& conn) {
   const size_t pending = conn.pendingOut();
   if (!conn.readPaused && !conn.closing && pending > config_.writeHighWater) {
     conn.readPaused = true;
-    bumpStat(&ServerStats::readPauses);
+    stats_.add(&ServerStats::readPauses);
   } else if (conn.readPaused && pending < config_.writeLowWater) {
     conn.readPaused = false;
   }
@@ -427,7 +409,7 @@ void CompileServer::closeConnection(uint64_t connId) {
   if (it == connections_.end()) return;
   loop_.remove(it->second->fd.get());
   connections_.erase(it);
-  bumpStat(&ServerStats::connectionsClosed);
+  stats_.add(&ServerStats::connectionsClosed);
 }
 
 // --- graceful drain -------------------------------------------------------
@@ -465,8 +447,8 @@ void CompileServer::drain() {
       std::lock_guard<std::mutex> lock(queueMu_);
       inFlightJobs_.fetch_sub(static_cast<int>(queue_.size()),
                               std::memory_order_relaxed);
-      bumpStat(&ServerStats::droppedResponses,
-               static_cast<int64_t>(queue_.size()));
+      stats_.add(&ServerStats::droppedResponses,
+                 static_cast<int64_t>(queue_.size()));
       queue_.clear();
       break;
     }

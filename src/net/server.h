@@ -50,6 +50,7 @@
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "support/stat_fields.h"
 #include "support/thread_pool.h"
 #include "support/timer.h"
 
@@ -91,12 +92,14 @@ struct ServerStats {
   int64_t connectionsClosed = 0;
   int64_t requests = 0;        // request frames admitted or shed
   int64_t shed = 0;            // answered RETRY_AFTER by admission control
-  int64_t responses = 0;       // response frames fully handed to a socket
+  // Response frames handed to a live connection, then split by type (a
+  // shed's RETRY_AFTER counts only here and in `shed`).
+  int64_t responses = 0;
   int64_t ok = 0;
   int64_t hits = 0;
   int64_t degraded = 0;
   int64_t quarantined = 0;
-  int64_t errors = 0;          // kError responses produced
+  int64_t errors = 0;
   // Responses that consumed at least one compile-worker crash (retried on
   // a healthy worker or answered by the crash-loop breaker) — only nonzero
   // under --isolate-workers.
@@ -108,7 +111,29 @@ struct ServerStats {
   int64_t droppedResponses = 0;  // completion for an already-gone connection
   int64_t maxQueueDepth = 0;
   int64_t readPauses = 0;      // backpressure engagements
+
+  // The one field list every sink walks (support/stat_fields.h).
+  static constexpr auto fields() {
+    using S = ServerStats;
+    return std::to_array<StatField<S>>({
+        {"accepted", &S::accepted},
+        {"acceptErrors", &S::acceptErrors},
+        {"connectionsClosed", &S::connectionsClosed},
+        {"requests", &S::requests},       {"shed", &S::shed},
+        {"responses", &S::responses},     {"ok", &S::ok},
+        {"hits", &S::hits},               {"degraded", &S::degraded},
+        {"quarantined", &S::quarantined}, {"errors", &S::errors},
+        {"crashRetried", &S::crashRetried},
+        {"readErrors", &S::readErrors},   {"writeErrors", &S::writeErrors},
+        {"frameErrors", &S::frameErrors},
+        {"tornConnections", &S::tornConnections},
+        {"droppedResponses", &S::droppedResponses},
+        {"maxQueueDepth", &S::maxQueueDepth},
+        {"readPauses", &S::readPauses},
+    });
+  }
 };
+static_assert(coversEveryMember<ServerStats>());
 
 class CompileServer {
  public:
@@ -135,7 +160,7 @@ class CompileServer {
   // handler after setting the stop flag.
   [[nodiscard]] int wakeupFd() const { return loop_.wakeupFd(); }
 
-  [[nodiscard]] ServerStats stats() const;
+  [[nodiscard]] ServerStats stats() const { return stats_.snapshot(); }
   [[nodiscard]] int queueDepth() const;
   [[nodiscard]] size_t openConnections() const { return connections_.size(); }
 
@@ -182,7 +207,8 @@ class CompileServer {
   void enqueueResponse(Connection& conn, FrameType type,
                        const ResponsePayload& payload);
   void drain();
-  void bumpStat(int64_t ServerStats::*field, int64_t delta = 1);
+  // Counts one response frame handed to a connection, by type.
+  void countResponse(FrameType type);
 
   // Worker side.
   void workerLoop();
@@ -213,8 +239,7 @@ class CompileServer {
   std::vector<Completion> completions_;
   std::atomic<int> inFlightJobs_{0};  // admitted, response not yet queued
 
-  mutable std::mutex statsMu_;
-  ServerStats stats_;
+  AtomicStats<ServerStats> stats_;
 };
 
 }  // namespace aviv::net

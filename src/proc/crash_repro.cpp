@@ -85,7 +85,6 @@ std::string rewriteLine(const std::string& line, const std::string& dir,
     if (!parse.ok()) ::_exit(0);  // request invalid: nothing crashed
     RequestExecConfig exec;
     exec.wantAsm = repro.wantAsm;
-    exec.retries = 0;
     TelemetryNode tel("replay");
     (void)executeRequest(*parse.request, exec, tel);
   } catch (...) {

@@ -109,10 +109,7 @@ bool WorkerPool::spawnSlot(int index) {
   slot.pid = pid;
   slot.fd = net::Fd(sv[0]);
   slot.dead = false;
-  {
-    std::lock_guard<std::mutex> stats(statsMu_);
-    ++stats_.respawns;
-  }
+  stats_.add(&PoolStats::respawns);
   return true;
 }
 
@@ -336,20 +333,14 @@ void WorkerPool::handleCrash(int index, const std::string& line,
   }
   cv_.notify_all();
 
-  {
-    std::lock_guard<std::mutex> stats(statsMu_);
-    ++stats_.crashes;
-    if (attempt->killedByDeadline) ++stats_.deadlineKills;
-    if (attempt->killedByHeartbeat) ++stats_.heartbeatKills;
-    if (!reproDir.empty()) ++stats_.reproBundles;
-  }
+  stats_.add(&PoolStats::crashes);
+  if (attempt->killedByDeadline) stats_.add(&PoolStats::deadlineKills);
+  if (attempt->killedByHeartbeat) stats_.add(&PoolStats::heartbeatKills);
+  if (!reproDir.empty()) stats_.add(&PoolStats::reproBundles);
 }
 
 net::NetResponse WorkerPool::execute(const std::string& line, bool wantAsm) {
-  {
-    std::lock_guard<std::mutex> stats(statsMu_);
-    ++stats_.requests;
-  }
+  stats_.add(&PoolStats::requests);
   if (breakerOpenFor(line)) return serveBreaker(line, wantAsm);
 
   net::NetResponse response;
@@ -377,8 +368,7 @@ net::NetResponse WorkerPool::execute(const std::string& line, bool wantAsm) {
       response.body = std::move(attempt.response.body);
       if (response.crashRetries > 0) {
         response.detail += " crashed=" + std::to_string(response.crashRetries);
-        std::lock_guard<std::mutex> stats(statsMu_);
-        ++stats_.crashRetried;
+        stats_.add(&PoolStats::crashRetried);
       }
       return response;
     }
@@ -392,10 +382,7 @@ net::NetResponse WorkerPool::execute(const std::string& line, bool wantAsm) {
     }
   }
 
-  {
-    std::lock_guard<std::mutex> stats(statsMu_);
-    ++stats_.crashFailed;
-  }
+  stats_.add(&PoolStats::crashFailed);
   response.detail = "worker crashed twice serving this request (last: " +
                     describeExitStatus(lastStatus) + ") crashed=2";
   return response;
@@ -435,10 +422,7 @@ void WorkerPool::breakerRecordCrash(const std::string& line) {
       opened = true;
     }
   }
-  if (opened) {
-    std::lock_guard<std::mutex> stats(statsMu_);
-    ++stats_.breakerOpens;
-  }
+  if (opened) stats_.add(&PoolStats::breakerOpens);
 }
 
 void WorkerPool::breakerRecordSuccess(const std::string& line) {
@@ -448,10 +432,7 @@ void WorkerPool::breakerRecordSuccess(const std::string& line) {
 
 net::NetResponse WorkerPool::serveBreaker(const std::string& line,
                                           bool wantAsm) {
-  {
-    std::lock_guard<std::mutex> stats(statsMu_);
-    ++stats_.breakerServed;
-  }
+  stats_.add(&PoolStats::breakerServed);
   // In-process baseline compile: a deliberately different code path from
   // the covering flow that keeps killing workers, and the crash-class fail
   // points only exist on worker code paths, so this cannot take the
@@ -466,7 +447,6 @@ net::NetResponse WorkerPool::serveBreaker(const std::string& line,
   request.options.engine = Engine::kBaseline;
   RequestExecConfig exec;
   exec.wantAsm = wantAsm;
-  exec.retries = config_.env.transientRetries;
   TelemetryNode tel("breaker");
   net::NetResponse response = toResponse(executeRequest(request, exec, tel));
   if (response.type != net::FrameType::kError) {
@@ -476,10 +456,7 @@ net::NetResponse WorkerPool::serveBreaker(const std::string& line,
   return response;
 }
 
-PoolStats WorkerPool::stats() const {
-  std::lock_guard<std::mutex> lock(statsMu_);
-  return stats_;
-}
+PoolStats WorkerPool::stats() const { return stats_.snapshot(); }
 
 int WorkerPool::aliveWorkers() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -48,6 +48,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "proc/worker.h"
+#include "support/stat_fields.h"
 
 namespace aviv::proc {
 
@@ -76,17 +77,36 @@ struct PoolConfig {
 };
 
 struct PoolStats {
-  uint64_t requests = 0;
-  uint64_t crashes = 0;         // worker deaths observed mid-request
-  uint64_t deadlineKills = 0;   // hard-deadline SIGKILLs (subset of crashes)
-  uint64_t heartbeatKills = 0;  // silent-worker SIGKILLs (subset of crashes)
-  uint64_t respawns = 0;
-  uint64_t crashRetried = 0;    // requests that survived via the one retry
-  uint64_t crashFailed = 0;     // requests that crashed twice -> kError
-  uint64_t breakerOpens = 0;
-  uint64_t breakerServed = 0;
-  uint64_t reproBundles = 0;
+  int64_t crashes = 0;         // worker deaths observed mid-request
+  int64_t deadlineKills = 0;   // hard-deadline SIGKILLs (subset of crashes)
+  int64_t heartbeatKills = 0;  // silent-worker SIGKILLs (subset of crashes)
+  int64_t respawns = 0;        // every spawn, the initial fleet included
+  int64_t crashRetried = 0;    // requests that survived via the one retry
+  int64_t crashFailed = 0;     // requests that crashed twice -> kError
+  int64_t breakerOpens = 0;
+  int64_t breakerServed = 0;
+  int64_t reproBundles = 0;
+  int64_t requests = 0;
+
+  // The one field list every sink walks (support/stat_fields.h). crashes
+  // prints first: the crash soak parses "avivd: workers: N crashes".
+  static constexpr auto fields() {
+    using S = PoolStats;
+    return std::to_array<StatField<S>>({
+        {"crashes", &S::crashes},
+        {"deadlineKills", &S::deadlineKills},
+        {"heartbeatKills", &S::heartbeatKills},
+        {"respawns", &S::respawns},
+        {"crashRetried", &S::crashRetried},
+        {"crashFailed", &S::crashFailed},
+        {"breakerOpens", &S::breakerOpens},
+        {"breakerServed", &S::breakerServed},
+        {"reproBundles", &S::reproBundles},
+        {"requests", &S::requests},
+    });
+  }
 };
+static_assert(coversEveryMember<PoolStats>());
 
 class WorkerPool {
  public:
@@ -174,8 +194,7 @@ class WorkerPool {
   std::mutex breakerMu_;
   std::map<std::string, Breach> breaker_;
 
-  mutable std::mutex statsMu_;
-  PoolStats stats_;
+  AtomicStats<PoolStats> stats_;
 };
 
 }  // namespace aviv::proc

@@ -159,7 +159,6 @@ void runWorkerProcess(int fd, const WorkerEnv& env) {
   }
   RequestExecConfig exec;
   exec.cache = cache;
-  exec.retries = env.transientRetries;
 
   std::mutex writeMu;
   std::atomic<bool> busy{false};

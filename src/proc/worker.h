@@ -43,7 +43,6 @@ struct WorkerEnv {
   std::string cacheDir;
   bool cacheEnabled = true;
   size_t memEntries = 1024;
-  int transientRetries = 2;
   // setrlimit caps; 0 = inherit (unlimited).
   uint64_t rssLimitBytes = 0;
   uint64_t cpuLimitSeconds = 0;

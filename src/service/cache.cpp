@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,6 +10,7 @@
 #include "support/error.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/retry.h"
 #include "support/serial.h"
 #include "support/timer.h"
 
@@ -220,7 +220,7 @@ void ResultCache::sweepTempFiles(double minAgeSeconds) {
       }
       if (oldEnough) {
         fs::remove(it->path(), fileEc);
-        if (!fileEc) tmpSwept_.fetch_add(1, std::memory_order_relaxed);
+        if (!fileEc) stats_.add(&CacheStats::tmpSwept);
       }
     }
     it.increment(ec);
@@ -232,20 +232,8 @@ void ResultCache::sweepStaleTemps(double minAgeSeconds) {
   sweepTempFiles(minAgeSeconds);
 }
 
-void ResultCache::retryTransient(const std::function<void()>& fn) const {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      fn();
-      return;
-    } catch (const TransientError&) {
-      if (attempt >= config_.ioRetries) throw;
-      ioRetries_.fetch_add(1, std::memory_order_relaxed);
-      const double ms = config_.retryBackoffMs * static_cast<double>(1 << attempt);
-      if (ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(ms));
-    }
-  }
+void ResultCache::retryIo(const std::function<void()>& fn) const {
+  retryTransient(fn, [this] { stats_.add(&CacheStats::ioRetries); });
 }
 
 void ResultCache::writeManifest() const {
@@ -267,14 +255,14 @@ void ResultCache::writeManifest() const {
     }
   }
   try {
-    retryTransient([&] {
+    retryIo([&] {
       FailPoints::instance().maybeThrow("cache-manifest");
       writeFile(path.string(), manifest);
     });
   } catch (const Error&) {
     // The manifest is advisory (entries self-heal through their own
     // framing); a store that cannot write it keeps serving.
-    writeErrors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&CacheStats::writeErrors);
   }
 }
 
@@ -314,7 +302,7 @@ void ResultCache::memoryInsert(const Hash128& key,
   while (shard.lru.size() > perShardCapacity_) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&CacheStats::evictions);
   }
 }
 
@@ -334,7 +322,7 @@ std::shared_ptr<const CacheEntry> ResultCache::diskLookup(
   if (!fs::exists(path, ec)) return nullptr;
   std::string framed;
   try {
-    retryTransient([&] {
+    retryIo([&] {
       FailPoints::instance().maybeThrow("cache-read");
       framed = readFile(path);
     });
@@ -370,7 +358,7 @@ std::shared_ptr<const CacheEntry> ResultCache::diskLookup(
   } catch (const Error&) {
     // Truncated, bit-flipped, or stale-format file: drop it so the caller
     // recompiles and rewrites a valid entry.
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&CacheStats::corrupt);
     fs::remove(path, ec);
     return nullptr;
   }
@@ -382,7 +370,7 @@ void ResultCache::diskStore(const Hash128& key, const CacheEntry& entry) {
   if (fp.shouldFail("cache-serialize")) {
     // Simulated serialization failure: the entry stays uncached, nothing
     // reaches the disk.
-    writeErrors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&CacheStats::writeErrors);
     return;
   }
   const std::string payload = serializeCacheEntry(entry);
@@ -409,7 +397,7 @@ void ResultCache::diskStore(const Hash128& key, const CacheEntry& entry) {
       (path.filename().string() + ".tmp" +
        std::to_string(tempCounter_.fetch_add(1, std::memory_order_relaxed)));
   try {
-    retryTransient([&] {
+    retryIo([&] {
       fp.maybeThrow("cache-write");
       if (fp.shouldFail("cache-torn-write")) {
         // Simulated power loss mid-write: only a prefix of the entry makes
@@ -429,26 +417,26 @@ void ResultCache::diskStore(const Hash128& key, const CacheEntry& entry) {
     // A cache that cannot write (full disk, permissions, injected faults)
     // must not fail the compile; the result simply stays uncached, the
     // temp file is cleaned up, and the event is counted.
-    writeErrors_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&CacheStats::writeErrors);
     fs::remove(temp, ec);
   }
 }
 
 std::shared_ptr<const CacheEntry> ResultCache::lookup(const Hash128& key) {
   const WallTimer timer;
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&CacheStats::lookups);
   std::shared_ptr<const CacheEntry> entry = memoryLookup(key);
   if (entry != nullptr) {
-    memoryHits_.fetch_add(1, std::memory_order_relaxed);
+    stats_.add(&CacheStats::memoryHits);
   } else {
     entry = diskLookup(key);
     if (entry != nullptr)
-      diskHits_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&CacheStats::diskHits);
     else
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      stats_.add(&CacheStats::misses);
   }
   const auto nanos = static_cast<int64_t>(timer.seconds() * 1e9);
-  lookupNanos_.fetch_add(nanos, std::memory_order_relaxed);
+  stats_.add(&CacheStats::lookupNanos, nanos);
   if (metrics::on())
     metrics::Registry::instance()
         .histogram("cache.lookup.us")
@@ -461,39 +449,13 @@ void ResultCache::store(const Hash128& key, CacheEntry entry) {
   auto shared = std::make_shared<const CacheEntry>(std::move(entry));
   diskStore(key, *shared);
   memoryInsert(key, std::move(shared));
-  stores_.fetch_add(1, std::memory_order_relaxed);
+  stats_.add(&CacheStats::stores);
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats s;
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.memoryHits = memoryHits_.load(std::memory_order_relaxed);
-  s.diskHits = diskHits_.load(std::memory_order_relaxed);
+  CacheStats s = stats_.snapshot();
   s.hits = s.memoryHits + s.diskHits;
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.stores = stores_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.corrupt = corrupt_.load(std::memory_order_relaxed);
-  s.writeErrors = writeErrors_.load(std::memory_order_relaxed);
-  s.ioRetries = ioRetries_.load(std::memory_order_relaxed);
-  s.tmpSwept = tmpSwept_.load(std::memory_order_relaxed);
-  s.lookupNanos = lookupNanos_.load(std::memory_order_relaxed);
   return s;
-}
-
-void recordServiceStats(const CacheStats& stats, TelemetryNode& node) {
-  node.setCounter("lookups", stats.lookups);
-  node.setCounter("hits", stats.hits);
-  node.setCounter("misses", stats.misses);
-  node.setCounter("memoryHits", stats.memoryHits);
-  node.setCounter("diskHits", stats.diskHits);
-  node.setCounter("stores", stats.stores);
-  node.setCounter("evictions", stats.evictions);
-  node.setCounter("corrupt", stats.corrupt);
-  node.setCounter("writeErrors", stats.writeErrors);
-  node.setCounter("ioRetries", stats.ioRetries);
-  node.setCounter("tmpSwept", stats.tmpSwept);
-  node.setCounter("lookupNanos", stats.lookupNanos);
 }
 
 }  // namespace aviv

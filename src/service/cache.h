@@ -38,7 +38,7 @@
 
 #include "asmgen/code_image.h"
 #include "support/hash.h"
-#include "support/telemetry.h"
+#include "support/stat_fields.h"
 
 namespace aviv {
 
@@ -77,10 +77,24 @@ struct CacheStats {
   int64_t evictions = 0;   // memory-tier LRU evictions
   int64_t corrupt = 0;     // disk entries rejected (and removed)
   int64_t writeErrors = 0; // disk stores abandoned (entry stays uncached)
-  int64_t ioRetries = 0;   // transient I/O failures retried with backoff
+  int64_t ioRetries = 0;   // transient I/O failures retried (support/retry.h)
   int64_t tmpSwept = 0;    // stale temp files removed by the startup sweep
   int64_t lookupNanos = 0; // total wall time spent inside lookup()
+
+  // The one field list every sink walks (support/stat_fields.h).
+  static constexpr auto fields() {
+    using S = CacheStats;
+    return std::to_array<StatField<S>>({
+        {"lookups", &S::lookups},         {"hits", &S::hits},
+        {"misses", &S::misses},           {"memoryHits", &S::memoryHits},
+        {"diskHits", &S::diskHits},       {"stores", &S::stores},
+        {"evictions", &S::evictions},     {"corrupt", &S::corrupt},
+        {"writeErrors", &S::writeErrors}, {"ioRetries", &S::ioRetries},
+        {"tmpSwept", &S::tmpSwept},       {"lookupNanos", &S::lookupNanos},
+    });
+  }
 };
+static_assert(coversEveryMember<CacheStats>());
 
 struct CacheConfig {
   // On-disk store directory; empty = memory-only cache.
@@ -89,18 +103,12 @@ struct CacheConfig {
   size_t memoryEntries = 1024;
   // Lock shards for the memory tier.
   int shards = 8;
-  // Transient disk I/O failures (TransientError, e.g. fault-injected via
-  // AVIV_FAILPOINTS) are retried up to this many times with exponential
-  // backoff before the operation is abandoned. 0 disables retries.
-  int ioRetries = 2;
   // Minimum age for the constructor's torn-write sweep. The default (0)
   // sweeps everything — right for a daemon opening its store first. A
   // respawned compile worker (src/proc) opening the SAME store while
   // siblings are writing sets this so the startup sweep cannot remove a
   // live sibling's in-progress temp.
   double sweepMinAgeSeconds = 0.0;
-  // Backoff before the first retry, doubling per attempt.
-  double retryBackoffMs = 1.0;
 };
 
 class ResultCache {
@@ -167,31 +175,15 @@ class ResultCache {
   // Removes temp files a crashed/killed writer left under objects/, aged
   // at least `minAgeSeconds`.
   void sweepTempFiles(double minAgeSeconds = 0.0);
-  // Runs `fn`, retrying TransientError up to config_.ioRetries times with
-  // exponential backoff; the final failure propagates to the caller.
-  void retryTransient(const std::function<void()>& fn) const;
+  // Runs `fn` under the transient-retry policy (support/retry.h), counting
+  // each retry into ioRetries; the final failure propagates.
+  void retryIo(const std::function<void()>& fn) const;
 
   CacheConfig config_;
   size_t perShardCapacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> tempCounter_{0};
-
-  mutable std::atomic<int64_t> lookups_{0};
-  mutable std::atomic<int64_t> memoryHits_{0};
-  mutable std::atomic<int64_t> diskHits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  mutable std::atomic<int64_t> stores_{0};
-  mutable std::atomic<int64_t> evictions_{0};
-  mutable std::atomic<int64_t> corrupt_{0};
-  mutable std::atomic<int64_t> writeErrors_{0};
-  mutable std::atomic<int64_t> ioRetries_{0};
-  mutable std::atomic<int64_t> tmpSwept_{0};
-  mutable std::atomic<int64_t> lookupNanos_{0};
+  mutable AtomicStats<CacheStats> stats_;
 };
-
-// Publishes a stats snapshot into `node` (the session's "service" phase):
-// absolute totals via setCounter, so re-recording after every compile is
-// idempotent. Surfaces through --stats-json.
-void recordServiceStats(const CacheStats& stats, TelemetryNode& node);
 
 }  // namespace aviv

@@ -1,8 +1,6 @@
 #include "service/request.h"
 
 #include <cctype>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "frontend/minic.h"
@@ -11,6 +9,7 @@
 #include "service/cache.h"
 #include "support/failpoint.h"
 #include "support/io.h"
+#include "support/retry.h"
 #include "support/strings.h"
 
 namespace aviv {
@@ -201,28 +200,21 @@ RequestParse parseRequestLine(std::string_view text, int line,
 RequestOutcome executeRequest(const ParsedRequest& request,
                               const RequestExecConfig& config,
                               TelemetryNode& tel) {
-  RequestOutcome result;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      RequestOutcome outcome = runOnce(request, config, tel);
-      outcome.retries = attempt;
-      if (attempt > 0)
-        outcome.statusDetail += " retries=" + std::to_string(attempt);
-      return outcome;
-    } catch (const TransientError& e) {
-      if (attempt >= config.retries) {
-        result.error = e.what();
-        result.retries = attempt;
-        return result;
-      }
-      tel.addCounter("dispatchRetries", 1);
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          1.0 * static_cast<double>(1 << attempt)));
-    } catch (const std::exception& e) {
-      result.error = e.what();
-      result.retries = attempt;
-      return result;
-    }
+  int retries = 0;
+  try {
+    RequestOutcome outcome = retryTransient(
+        [&] { return runOnce(request, config, tel); },
+        [&] {
+          ++retries;
+          tel.addCounter("dispatchRetries", 1);
+        });
+    if (retries > 0)
+      outcome.statusDetail += " retries=" + std::to_string(retries);
+    return outcome;
+  } catch (const std::exception& e) {
+    RequestOutcome failed;
+    failed.error = e.what();
+    return failed;
   }
 }
 

@@ -16,7 +16,10 @@
 // token). executeRequest runs one parsed request to completion with
 // per-request isolation: every failure mode — resolve, compile, injected
 // fault — lands in RequestOutcome::error; nothing escapes to kill a warm
-// daemon. Transient faults are retried with exponential backoff.
+// daemon. Transient faults re-run the whole request under the one retry
+// policy (support/retry.h); a retried success appends " retries=N" to its
+// status detail (crash-retried requests additionally carry " crashed=K",
+// appended by the src/proc supervisor).
 // toResponse maps an outcome onto the wire's typed answer, and
 // serveRequestLine chains all three — the one dispatch every avivd path
 // (batch, server, isolated worker) runs.
@@ -75,12 +78,6 @@ struct RequestOutcome {
   std::string asmText;       // filled when RequestExecConfig::wantAsm
   size_t blocks = 0;
   size_t cachedBlocks = 0;
-  // Transient-fault retries this outcome consumed (0 = clean first try).
-  // Nonzero retries also append a " retries=N" token to statusDetail so
-  // batch status lines and the smoke scripts can tell a retried success
-  // from a clean one (crash-retried requests additionally carry
-  // " crashed=K", appended by the src/proc supervisor).
-  int retries = 0;
 
   // True when every compiled block was served from the result cache.
   [[nodiscard]] bool allCached() const {
@@ -91,9 +88,6 @@ struct RequestOutcome {
 struct RequestExecConfig {
   std::shared_ptr<ResultCache> cache;  // null disables caching
   bool wantAsm = false;
-  // Transient faults (failpoints, I/O hiccups) re-run the whole request up
-  // to this many times with exponential backoff.
-  int retries = 2;
 };
 
 // Runs one request start to finish; never throws. Telemetry from the

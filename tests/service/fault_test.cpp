@@ -1,8 +1,10 @@
 // Fault-injection tests for the result cache's disk tier: torn writes,
-// rename failures, transient read/write errors with retry, stale temp-file
-// sweeping, and manifest recovery. Faults come from the FailPoints registry
-// (support/failpoint.h); every scenario must end with the cache healthy and
-// the process alive — the cache never fails a compile.
+// rename failures, transient read/write errors with retry (the fixed
+// policy of support/retry.h: two retries, so an operation fails only after
+// three fires), stale temp-file sweeping, and manifest recovery. Faults
+// come from the FailPoints registry (support/failpoint.h); every scenario
+// must end with the cache healthy and the process alive — the cache never
+// fails a compile.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -40,7 +42,6 @@ class CacheFaultTest : public ::testing::Test {
     CacheConfig config;
     config.dir = dir_;
     config.memoryEntries = 0;  // force every lookup to the disk tier
-    config.retryBackoffMs = 0.0;  // keep the tests fast
     return config;
   }
 
@@ -77,27 +78,26 @@ TEST_F(CacheFaultTest, TornWriteSelfHealsOnNextLookup) {
 }
 
 TEST_F(CacheFaultTest, RenameFailureCleansUpTempAndCounts) {
-  CacheConfig config = diskOnlyConfig();
-  config.ioRetries = 0;  // no retries: the injected failure must stick
-  ResultCache cache(config);
-  FailPoints::instance().configure("cache-rename:1:1");
+  ResultCache cache(diskOnlyConfig());
+  // Unbounded: every retry fails too, so the write error sticks.
+  FailPoints::instance().configure("cache-rename");
   cache.store(makeKey(2), makeEntry(2));
 
   EXPECT_EQ(cache.stats().writeErrors, 1);
+  EXPECT_EQ(cache.stats().ioRetries, 2);
   EXPECT_FALSE(fs::exists(cache.entryPath(makeKey(2))));
   for (const auto& entry :
        fs::recursive_directory_iterator(fs::path(dir_) / "objects"))
     EXPECT_FALSE(entry.is_regular_file()) << "temp file left behind: "
                                           << entry.path();
   // The entry is simply uncached; a later store succeeds.
+  FailPoints::instance().clear();
   cache.store(makeKey(2), makeEntry(2));
   EXPECT_NE(cache.lookup(makeKey(2)), nullptr);
 }
 
 TEST_F(CacheFaultTest, TransientWriteFailureIsRetriedToSuccess) {
-  CacheConfig config = diskOnlyConfig();
-  config.ioRetries = 2;
-  ResultCache cache(config);
+  ResultCache cache(diskOnlyConfig());
   // Two injected failures, two retries: the third attempt lands the entry.
   FailPoints::instance().configure("cache-write:1:2");
   cache.store(makeKey(3), makeEntry(3));
@@ -109,24 +109,21 @@ TEST_F(CacheFaultTest, TransientWriteFailureIsRetriedToSuccess) {
 }
 
 TEST_F(CacheFaultTest, ExhaustedWriteRetriesCountAsWriteError) {
-  CacheConfig config = diskOnlyConfig();
-  config.ioRetries = 1;
-  ResultCache cache(config);
+  ResultCache cache(diskOnlyConfig());
   FailPoints::instance().configure("cache-write");  // always fails
   cache.store(makeKey(4), makeEntry(4));
 
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.ioRetries, 1);
+  EXPECT_EQ(stats.ioRetries, 2);
   EXPECT_EQ(stats.writeErrors, 1);
   EXPECT_EQ(cache.lookup(makeKey(4)), nullptr);
 }
 
 TEST_F(CacheFaultTest, TransientReadFailureIsMissNotCorrupt) {
-  CacheConfig config = diskOnlyConfig();
-  config.ioRetries = 0;
-  ResultCache cache(config);
+  ResultCache cache(diskOnlyConfig());
   cache.store(makeKey(5), makeEntry(5));
-  FailPoints::instance().configure("cache-read:1:1");
+  // Three fires exhaust the read and both of its retries.
+  FailPoints::instance().configure("cache-read:1:3");
 
   // The read failed, the entry's health is unknown: miss, keep the file.
   EXPECT_EQ(cache.lookup(makeKey(5)), nullptr);
@@ -137,9 +134,7 @@ TEST_F(CacheFaultTest, TransientReadFailureIsMissNotCorrupt) {
 }
 
 TEST_F(CacheFaultTest, TransientReadFailureIsRetriedWithinOneLookup) {
-  CacheConfig config = diskOnlyConfig();
-  config.ioRetries = 2;
-  ResultCache cache(config);
+  ResultCache cache(diskOnlyConfig());
   cache.store(makeKey(6), makeEntry(6));
   FailPoints::instance().configure("cache-read:1:2");
 
@@ -197,9 +192,7 @@ TEST_F(CacheFaultTest, FlushManifestRestoresDeletedManifest) {
 
 TEST_F(CacheFaultTest, ManifestWriteFaultDoesNotFailConstruction) {
   FailPoints::instance().configure("cache-manifest");
-  CacheConfig config = diskOnlyConfig();
-  config.ioRetries = 0;
-  ResultCache cache(config);  // must not throw
+  ResultCache cache(diskOnlyConfig());  // must not throw
   EXPECT_GE(cache.stats().writeErrors, 1);
   // The store still works without its manifest.
   FailPoints::instance().clear();

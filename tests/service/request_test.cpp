@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "support/failpoint.h"
 #include "support/telemetry.h"
 
 namespace aviv {
@@ -185,6 +186,34 @@ TEST(Request, ExecuteIsolatesFailuresIntoOutcome) {
       executeRequest(*parse.request, config, tel);
   EXPECT_FALSE(outcome.ok);
   EXPECT_FALSE(outcome.error.empty());
+}
+
+// The whole-request dispatch runs under the shared transient-retry policy
+// (support/retry.h): two injected dispatch faults are retried to success
+// and reported; a third consecutive fault is the request's error.
+TEST(Request, TransientDispatchFaultsAreRetriedThenReported) {
+  const RequestParse parse =
+      parseRequestLine("machine=arch1 block=ex1", 1, defaults());
+  ASSERT_TRUE(parse.ok());
+  RequestExecConfig config;
+
+  FailPoints::instance().configure("avivd-dispatch:1:2");
+  TelemetryNode retried("test");
+  const RequestOutcome ok = executeRequest(*parse.request, config, retried);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_NE(ok.statusDetail.find(" retries=2"), std::string::npos)
+      << ok.statusDetail;
+  EXPECT_EQ(retried.counter("dispatchRetries"), 2);
+
+  FailPoints::instance().configure("avivd-dispatch:1:3");
+  TelemetryNode exhausted("test");
+  const RequestOutcome failed =
+      executeRequest(*parse.request, config, exhausted);
+  FailPoints::instance().clear();
+  EXPECT_FALSE(failed.ok);
+  EXPECT_NE(failed.error.find("avivd-dispatch"), std::string::npos)
+      << failed.error;
+  EXPECT_EQ(exhausted.counter("dispatchRetries"), 2);
 }
 
 // A successful outcome over `blocks` blocks, `cached` of them from cache.

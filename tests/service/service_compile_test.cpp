@@ -18,14 +18,17 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver/codegen.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
+#include "obs/metrics.h"
 #include "service/cache.h"
 #include "support/io.h"
+#include "support/stat_fields.h"
 
 namespace aviv {
 namespace {
@@ -207,9 +210,11 @@ TEST(CacheReplay, ProgramReplaysFromCache) {
         << "n = " << n;
 }
 
-// Per-generator session telemetry surfaces the shared cache's counters as
-// the "service" phase (what --stats-json exposes).
-TEST(CacheReplay, ServicePhaseSurfacesCounters) {
+// CacheStats reaches its three sinks only through its field list
+// (support/stat_fields.h): after real compiles against a cache, the
+// --stats-json node, the --metrics-json gauges and the summary line carry
+// the same count for every field.
+TEST(CacheReplay, StatsSinksCarryIdenticalCounts) {
   const BlockDag dag = loadBlock("ex1");
   const Machine machine = loadMachine("arch1");
   auto cache = std::make_shared<ResultCache>(CacheConfig{});
@@ -221,14 +226,40 @@ TEST(CacheReplay, ServicePhaseSurfacesCounters) {
   SymbolTable s1, s2;
   (void)generator.compileBlock(dag, s1);
   (void)generator.compileBlock(dag, s2);
+  EXPECT_EQ(generator.telemetry().findChild("service"), nullptr)
+      << "a compile's tree carries its own cacheHits/cacheMisses only";
 
-  const TelemetryNode* service = generator.telemetry().findChild("service");
-  ASSERT_NE(service, nullptr);
-  EXPECT_EQ(service->counter("lookups"), 2);
-  EXPECT_EQ(service->counter("misses"), 1);
-  EXPECT_EQ(service->counter("hits"), 1);
-  EXPECT_EQ(service->counter("memoryHits"), 1);
-  EXPECT_EQ(service->counter("stores"), 1);
+  const CacheStats stats = cache->stats();
+  EXPECT_EQ(stats.lookups, 2);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.memoryHits, 1);
+  EXPECT_EQ(stats.stores, 1);
+
+  metrics::Registry& registry = metrics::Registry::instance();
+  registry.enable();
+  TelemetryNode node("service");
+  publishStats(stats, node, "cache");
+  publishStats(stats, node, "cache");  // absolute values: idempotent
+  registry.disable();
+  const std::string line = statsLine(stats);
+  EXPECT_NE(line.find("2 lookups, 1 hits, 1 misses, 1 memory-hits"),
+            std::string::npos)
+      << line;
+
+  std::istringstream tokens(line);
+  for (const StatField<CacheStats>& field : CacheStats::fields()) {
+    const int64_t want = stats.*field.member;
+    EXPECT_EQ(node.counter(field.name), want) << field.name;
+    EXPECT_EQ(registry.gauge(std::string("cache.") + field.name).value(),
+              want)
+        << field.name;
+    int64_t printed = -1;
+    std::string name;
+    tokens >> printed >> name;
+    EXPECT_EQ(printed, want) << field.name << " in: " << line;
+  }
+  EXPECT_EQ(node.counters().size(), CacheStats::fields().size());
 }
 
 // Driver-level corruption robustness: a flipped byte in the on-disk entry

@@ -8,7 +8,9 @@
 #   1. Warm burst: after a priming pass, a multi-connection closed-loop
 #      burst completes with zero errors/transport failures and a nonzero
 #      cache hit rate, and the client's response count matches the
-#      server's own summary.
+#      server's own summary — and its --stats-json (no per-request trees,
+#      one service node, server responses) and --metrics-json
+#      (server.responses gauge).
 #   2. Byte-identical assembly: the asm served over the socket, and the asm
 #      a batch run under --isolate-workers prints, equal the asm the
 #      in-process batch path prints for the same requests (the isolated
@@ -54,7 +56,8 @@ json_int() {  # json_int FILE KEY -> integer value
 
 echo "== 1. warm burst: zero errors, nonzero hit rate =="
 "$AVIVD" --listen "unix:$SOCK" --jobs 4 --cache-dir "$CACHE" \
-  --trace-out "$WORK/server_trace.json" > "$WORK/server1.log" 2>&1 &
+  --trace-out "$WORK/server_trace.json" --stats-json "$WORK/stats1.json" \
+  --metrics-json "$WORK/metrics1.json" > "$WORK/server1.log" 2>&1 &
 SERVER_PID=$!
 wait_listening "$WORK/server1.log"
 # Priming pass: every distinct request compiles once, cold.
@@ -78,6 +81,15 @@ SERVER_PID=""
 grep -q "0 dropped" "$WORK/server1.log" || { echo "FAIL: server dropped responses"; cat "$WORK/server1.log"; exit 1; }
 SERVER_RESPONSES=$(sed -n 's/.* \([0-9][0-9]*\) responses.*/\1/p' "$WORK/server1.log" | head -n 1)
 [ "$SERVER_RESPONSES" -eq 540 ] || { echo "FAIL: server saw $SERVER_RESPONSES responses, expected 540"; exit 1; }
+# One stats surface: per-request telemetry is not kept across requests,
+# and each component counter is published once.
+if grep -q '"name": "block:' "$WORK/stats1.json"; then echo "FAIL: server --stats-json carries per-request block trees"; exit 1; fi
+SERVICE_NODES=$(grep -c '"name": "service"' "$WORK/stats1.json")
+[ "$SERVICE_NODES" -eq 1 ] || { echo "FAIL: server --stats-json has $SERVICE_NODES service nodes, expected 1"; exit 1; }
+STATS_RESPONSES=$(json_int "$WORK/stats1.json" responses)
+[ "$STATS_RESPONSES" -eq 540 ] || { echo "FAIL: --stats-json server responses $STATS_RESPONSES, expected 540"; exit 1; }
+GAUGE_RESPONSES=$(json_int "$WORK/metrics1.json" server.responses)
+[ "$GAUGE_RESPONSES" -eq 540 ] || { echo "FAIL: --metrics-json server.responses $GAUGE_RESPONSES, expected 540"; exit 1; }
 echo "ok: 500 warm responses, $WARM_HITS hits, 0 errors, 0 shed"
 
 echo "== 2. byte-identical assembly vs batch path =="
