@@ -1,11 +1,17 @@
 #include "fuzz/diff.h"
 
+#include <exception>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
 #include "driver/codegen.h"
+#include "frontend/minic.h"
+#include "ir/parser.h"
+#include "isdl/parser.h"
 #include "support/error.h"
 #include "support/failpoint.h"
+#include "support/repro_bundle.h"
 #include "verify/quarantine.h"
 #include "verify/verify.h"
 
@@ -13,17 +19,36 @@ namespace aviv {
 
 namespace {
 
-// One engine's compile, reduced to its scope-independent image. The
-// CodeGenerator (and the CompiledBlock referencing its session) dies here;
-// only copies survive.
+// One stage's verdict: its worst side's, with that side's detail. The
+// signature names the side, or `both` when two sides share the verdict.
+DiffResult verdictOf(
+    std::initializer_list<std::pair<const char*, const SideOutcome*>> sides) {
+  DiffResult result;
+  for (const auto& [side, outcome] : sides) {
+    if (outcome->verdict < result.verdict) continue;
+    const bool tie = outcome->verdict == result.verdict;
+    if (!tie) result.detail = outcome->detail;
+    result.verdict = outcome->verdict;
+    result.signature =
+        std::string(verdictName(result.verdict)) + ":" + (tie ? "both" : side);
+  }
+  if (result.verdict == DiffVerdict::kPass) result.signature = "pass";
+  return result;
+}
+
+// One engine's compile, reduced to scope-independent images (one per
+// program block). The CodeGenerator (and the CompiledBlocks referencing
+// its session) dies here; only copies survive.
 struct SideImage {
-  EngineOutcome outcome;
-  CodeImage image;
-  std::vector<std::string> symbolNames;
+  SideOutcome outcome;
+  std::vector<CodeImage> images;
+  std::vector<std::vector<std::string>> symbolNames;
+  int failedBlock = -1;  // first block the verifier rejected
+  VerifyReport report;   // that block's report
 };
 
-SideImage compileOn(Engine engine, const Machine& machine, const BlockDag& dag,
-                    const DiffOptions& options) {
+SideImage compileOn(Engine engine, const Machine& machine,
+                    const Program& program, const DiffOptions& options) {
   SideImage side;
   DriverOptions dopts;
   dopts.engine = engine;
@@ -39,33 +64,35 @@ SideImage compileOn(Engine engine, const Machine& machine, const BlockDag& dag,
   dopts.core.maxSndNodes = 200'000;
   dopts.core.maxSndBytes = 64ull << 20;
   dopts.core.maxTotalCliques = 500'000;
-  try {
+  side.outcome = guarded([&] {
     CodeGenerator gen(machine, dopts);
-    CompiledBlock block = gen.compileBlock(dag);
-    side.outcome.compiled = true;
-    side.image = std::move(block.portableImage);
-    side.symbolNames = std::move(block.symbolNames);
-  } catch (const InternalError& e) {
-    side.outcome.crashed = true;
-    side.outcome.detail = e.what();
-  } catch (const Error& e) {
-    // ResourceLimitExceeded, DeadlineExceeded (surfaced as Error),
-    // unsatisfiable-input errors: the clean rejection taxonomy.
-    side.outcome.rejected = true;
-    side.outcome.detail = e.what();
-  } catch (const std::exception& e) {
-    side.outcome.escaped = true;
-    side.outcome.detail = e.what();
-  } catch (...) {
-    side.outcome.escaped = true;
-    side.outcome.detail = "non-standard exception";
-  }
+    std::vector<CompiledBlock> blocks;
+    if (program.numBlocks() == 1)
+      blocks.push_back(gen.compileBlock(program.block(0)));
+    else
+      blocks = gen.compileProgram(program).blocks;
+    for (CompiledBlock& block : blocks) {
+      side.images.push_back(std::move(block.portableImage));
+      side.symbolNames.push_back(std::move(block.symbolNames));
+    }
+  });
   return side;
 }
 
-std::string sideTag(bool heuristic, bool baseline) {
-  if (heuristic && baseline) return "both";
-  return heuristic ? "heuristic" : "baseline";
+// Verifies a compiled side block by block; the first mismatch makes it a
+// kMiscompile.
+void verifySide(const Machine& machine, const Program& program,
+                const VerifyOptions& vopts, SideImage& side) {
+  if (side.outcome.verdict != DiffVerdict::kPass) return;
+  for (size_t i = 0; i < side.images.size(); ++i) {
+    side.report = verifyCompiledBlock(machine, program.block(i),
+                                      side.images[i], side.symbolNames[i],
+                                      vopts);
+    if (side.report.passed) continue;
+    side.failedBlock = static_cast<int>(i);
+    side.outcome = {DiffVerdict::kMiscompile, side.report.detail()};
+    return;
+  }
 }
 
 }  // namespace
@@ -82,83 +109,87 @@ const char* verdictName(DiffVerdict verdict) {
 }
 
 bool isFailureVerdict(DiffVerdict verdict) {
-  return verdict == DiffVerdict::kCrash || verdict == DiffVerdict::kEscape ||
-         verdict == DiffVerdict::kMiscompile;
+  return verdict >= DiffVerdict::kMiscompile;
 }
 
-DiffResult runDifferential(const Machine& machine, const BlockDag& dag,
+Program singleBlockProgram(BlockDag dag) {
+  Program program(dag.name());
+  program.addBlock(std::move(dag), Terminator{});
+  return program;
+}
+
+SideOutcome guarded(const std::function<void()>& body) {
+  try {
+    body();
+    return {};
+  } catch (const InternalError& e) {
+    return {DiffVerdict::kCrash, e.what()};
+  } catch (const Error& e) {
+    // ParseError, ResourceLimitExceeded, DeadlineExceeded (surfaced as
+    // Error), unsatisfiable-input errors: the clean rejection taxonomy.
+    return {DiffVerdict::kReject, e.what()};
+  } catch (const std::exception& e) {
+    return {DiffVerdict::kEscape, e.what()};
+  } catch (...) {
+    return {DiffVerdict::kEscape, "non-standard exception"};
+  }
+}
+
+ParsedInput parseInput(const FuzzInput& input) {
+  ParsedInput parsed;
+  parsed.machine = parseMachine(input.machineText, kBundleMachineFile);
+  if (input.blockFile == kBundleMiniCFile)
+    parsed.program = parseMiniC(input.blockText, input.blockFile).program;
+  else if (!input.blockFile.empty())
+    parsed.program = parseProgram(input.blockText, input.blockFile);
+  return parsed;
+}
+
+DiffResult runDifferential(const FuzzInput& input,
                            const DiffOptions& options) {
-  DiffResult result;
-  SideImage heur = compileOn(Engine::kHeuristic, machine, dag, options);
-  SideImage base = compileOn(Engine::kBaseline, machine, dag, options);
+  const FailPoints::State before = FailPoints::instance().save();
+  ParsedInput parsed;
+  const SideOutcome parse = guarded([&] {
+    // Planted fault: a parser invariant tripping, on demand.
+    if (FailPoints::instance().shouldFail("fuzz-parse-internal"))
+      throw InternalError("fail point 'fuzz-parse-internal' fired");
+    parsed = parseInput(input);
+  });
+  DiffResult result = verdictOf({{"parse", &parse}});
+  if (parse.verdict == DiffVerdict::kPass && !input.blockFile.empty())
+    result = runDifferential(parsed.machine, parsed.program, options);
+  result.failpoints = FailPoints::instance().firedSince(before);
+  return result;
+}
+
+DiffResult runDifferential(const Machine& machine, const Program& program,
+                           const DiffOptions& options) {
+  SideImage heur = compileOn(Engine::kHeuristic, machine, program, options);
+  SideImage base = compileOn(Engine::kBaseline, machine, program, options);
 
   // Planted fault: corrupt the baseline image between compile and verify,
   // manufacturing an engine disagreement the pipeline must catch.
-  if (base.outcome.compiled &&
-      FailPoints::instance().shouldFail("fuzz-engine-disagree")) {
-    corruptImageForTesting(base.image);
-    result.plantedFault = true;
-  }
+  if (base.outcome.verdict == DiffVerdict::kPass &&
+      FailPoints::instance().shouldFail("fuzz-engine-disagree"))
+    corruptImageForTesting(base.images.front());
 
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kAll;
   vopts.vectors = options.vectors;
   vopts.seed = options.vectorSeed;
-  VerifyReport heurReport, baseReport;
-  if (heur.outcome.compiled) {
-    heurReport =
-        verifyCompiledBlock(machine, dag, heur.image, heur.symbolNames, vopts);
-    heur.outcome.verifyFailed = !heurReport.passed;
-    if (heur.outcome.verifyFailed) heur.outcome.detail = heurReport.detail();
-  }
-  if (base.outcome.compiled) {
-    baseReport =
-        verifyCompiledBlock(machine, dag, base.image, base.symbolNames, vopts);
-    base.outcome.verifyFailed = !baseReport.passed;
-    if (base.outcome.verifyFailed) base.outcome.detail = baseReport.detail();
-  }
+  verifySide(machine, program, vopts, heur);
+  verifySide(machine, program, vopts, base);
 
-  result.heuristic = heur.outcome;
-  result.baseline = base.outcome;
-
-  // Failure priority: escape > crash > miscompile — an escape IS more
-  // alarming than the invariant that fired on the same input.
-  if (heur.outcome.escaped || base.outcome.escaped) {
-    result.verdict = DiffVerdict::kEscape;
-    result.signature = std::string("escape:") +
-                       sideTag(heur.outcome.escaped, base.outcome.escaped);
-    result.detail = heur.outcome.escaped ? heur.outcome.detail
-                                         : base.outcome.detail;
-  } else if (heur.outcome.crashed || base.outcome.crashed) {
-    result.verdict = DiffVerdict::kCrash;
-    result.signature = std::string("crash:") +
-                       sideTag(heur.outcome.crashed, base.outcome.crashed);
-    result.detail =
-        heur.outcome.crashed ? heur.outcome.detail : base.outcome.detail;
-  } else if (heur.outcome.verifyFailed || base.outcome.verifyFailed) {
-    result.verdict = DiffVerdict::kMiscompile;
-    result.signature =
-        std::string("miscompile:") +
-        sideTag(heur.outcome.verifyFailed, base.outcome.verifyFailed);
-    result.detail = heur.outcome.verifyFailed ? heur.outcome.detail
-                                              : base.outcome.detail;
+  DiffResult result = verdictOf(
+      {{"heuristic", &heur.outcome}, {"baseline", &base.outcome}});
+  if (result.verdict == DiffVerdict::kMiscompile) {
     // The failing image as a kind=miscompile bundle ("" when
     // quarantineDir is empty), replayable by `fuzz_gen --replay`.
-    const bool heurFailed = heur.outcome.verifyFailed;
+    const SideImage& bad = heur.failedBlock >= 0 ? heur : base;
+    const auto block = static_cast<size_t>(bad.failedBlock);
     result.quarantinePath = writeQuarantineArtifact(
-        options.quarantineDir, machine, dag,
-        heurFailed ? heur.image : base.image,
-        heurFailed ? heur.symbolNames : base.symbolNames, vopts,
-        heurFailed ? heurReport : baseReport);
-  } else if (heur.outcome.rejected || base.outcome.rejected) {
-    result.verdict = DiffVerdict::kReject;
-    result.signature = std::string("reject:") +
-                       sideTag(heur.outcome.rejected, base.outcome.rejected);
-    result.detail = heur.outcome.rejected ? heur.outcome.detail
-                                          : base.outcome.detail;
-  } else {
-    result.verdict = DiffVerdict::kPass;
-    result.signature = "pass";
+        options.quarantineDir, machine, program.block(block),
+        bad.images[block], bad.symbolNames[block], vopts, bad.report);
   }
   return result;
 }

@@ -245,20 +245,21 @@ std::vector<Machine> machineCandidates(const Machine& machine) {
 
 }  // namespace
 
-int structuralSize(const Machine& machine, const BlockDag& dag) {
-  int size = static_cast<int>(dag.numOpNodes()) +
-             static_cast<int>(dag.outputs().size()) +
-             static_cast<int>(machine.units().size()) +
+int structuralSize(const Machine& machine, const Program& program) {
+  int size = static_cast<int>(machine.units().size()) +
              static_cast<int>(machine.transfers().size()) +
              static_cast<int>(machine.constraints().size()) +
              static_cast<int>(machine.regFiles().size());
+  for (size_t b = 0; b < program.numBlocks(); ++b)
+    size += static_cast<int>(program.block(b).numOpNodes()) +
+            static_cast<int>(program.block(b).outputs().size());
   for (const FunctionalUnit& u : machine.units())
     size += static_cast<int>(u.ops.size());
   for (const RegFile& rf : machine.regFiles()) size += rf.numRegs;
   return size;
 }
 
-MinimizeResult minimizeFuzzCase(const Machine& machine, const BlockDag& dag,
+MinimizeResult minimizeFuzzCase(const Machine& machine, const Program& program,
                                 const DiffOptions& diffOptions,
                                 const std::string& signature,
                                 const MinimizeOptions& options) {
@@ -267,44 +268,45 @@ MinimizeResult minimizeFuzzCase(const Machine& machine, const BlockDag& dag,
 
   MinimizeResult result;
   result.machine = machine;
-  result.dag = dag;
-  result.signature = signature;
-  result.stats.sizeTrajectory.push_back(structuralSize(machine, dag));
+  result.program = program;
+  result.stats.sizeTrajectory.push_back(structuralSize(machine, program));
+
+  // Accepts a candidate that keeps the signature and is strictly smaller.
+  auto accept = [&](Machine candidateMachine, Program candidateProgram) {
+    ++result.stats.attempts;
+    const DiffResult run =
+        runDifferential(candidateMachine, candidateProgram, quiet);
+    if (run.signature != signature) return false;
+    const int size = structuralSize(candidateMachine, candidateProgram);
+    if (size >= result.stats.sizeTrajectory.back()) return false;
+    result.machine = std::move(candidateMachine);
+    result.program = std::move(candidateProgram);
+    result.stats.sizeTrajectory.push_back(size);
+    return true;
+  };
 
   bool improved = true;
   while (improved && result.stats.attempts < options.maxAttempts) {
     improved = false;
 
     // Block reductions first: shrinking the DAG usually collapses the
-    // machine-side search space too.
-    for (BlockDag& candidate : blockCandidates(result.dag)) {
-      if (result.stats.attempts >= options.maxAttempts) break;
-      ++result.stats.attempts;
-      const DiffResult run =
-          runDifferential(result.machine, candidate, quiet);
-      if (run.signature != signature) continue;
-      const int size = structuralSize(result.machine, candidate);
-      if (size >= result.stats.sizeTrajectory.back()) continue;
-      result.dag = std::move(candidate);
-      result.stats.sizeTrajectory.push_back(size);
-      ++result.stats.accepted;
-      improved = true;
-      break;  // regenerate candidates against the smaller pair
+    // machine-side search space too. Only a single-block program shrinks;
+    // a multi-block one keeps its blocks (and its source text).
+    if (result.program.numBlocks() == 1) {
+      for (BlockDag& candidate : blockCandidates(result.program.block(0))) {
+        if (result.stats.attempts >= options.maxAttempts) break;
+        // Regenerate candidates against the smaller pair.
+        improved = accept(result.machine,
+                          singleBlockProgram(std::move(candidate)));
+        if (improved) break;
+      }
     }
     if (improved) continue;
 
     for (Machine& candidate : machineCandidates(result.machine)) {
       if (result.stats.attempts >= options.maxAttempts) break;
-      ++result.stats.attempts;
-      const DiffResult run = runDifferential(candidate, result.dag, quiet);
-      if (run.signature != signature) continue;
-      const int size = structuralSize(candidate, result.dag);
-      if (size >= result.stats.sizeTrajectory.back()) continue;
-      result.machine = std::move(candidate);
-      result.stats.sizeTrajectory.push_back(size);
-      ++result.stats.accepted;
-      improved = true;
-      break;
+      improved = accept(std::move(candidate), result.program);
+      if (improved) break;
     }
   }
   return result;

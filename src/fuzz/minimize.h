@@ -1,11 +1,12 @@
 // Delta-debugging minimizer for fuzz failures: greedily shrinks a failing
-// machine x block pair while the differential harness keeps returning the
+// machine x program pair while the differential harness keeps returning the
 // same failure signature (diff.h), so a fuzz hit lands as a ~10-line repro
 // instead of a 500-line blob.
 //
 // Reductions tried, largest wins first:
 //   block   drop a live-out (dead subgraph pruned) · replace an op node
-//           with its first operand (subtree pruned)
+//           with its first operand (subtree pruned). Single-block programs
+//           only: a multi-block program keeps its blocks.
 //   machine drop a unit · drop a transfer path · drop a constraint · drop
 //           one op from a unit's repertoire · drop an orphan regfile/bus ·
 //           halve a register file
@@ -21,27 +22,27 @@
 #include <vector>
 
 #include "fuzz/diff.h"
-#include "ir/dag.h"
+#include "ir/program.h"
 #include "isdl/machine.h"
 
 namespace aviv {
 
-// The metric minimization shrinks: op nodes + outputs + units + unit ops +
-// transfers + constraints + register files + total registers.
-[[nodiscard]] int structuralSize(const Machine& machine, const BlockDag& dag);
+// The metric minimization shrinks: op nodes + outputs (over every block) +
+// units + unit ops + transfers + constraints + register files + total
+// registers.
+[[nodiscard]] int structuralSize(const Machine& machine,
+                                 const Program& program);
 
 struct MinimizeStats {
   int attempts = 0;  // candidate re-runs of the differential harness
-  int accepted = 0;  // candidates that kept the signature
-  // structuralSize after each accepted step, starting size first. Strictly
-  // decreasing by construction.
+  // structuralSize after each accepted step (a candidate that kept the
+  // signature), starting size first. Strictly decreasing by construction.
   std::vector<int> sizeTrajectory;
 };
 
 struct MinimizeResult {
   Machine machine{""};
-  BlockDag dag{""};
-  std::string signature;  // preserved failure signature
+  Program program{""};
   MinimizeStats stats;
 };
 
@@ -52,13 +53,14 @@ struct MinimizeOptions {
   int maxAttempts = 2000;
 };
 
-// Shrinks (machine, dag) while runDifferential(..., diffOptions) keeps
-// returning `signature`. The caller owns failpoint configuration: apply the
-// repro's spec first so a planted fault keeps firing on every candidate
-// run. diffOptions.quarantineDir is ignored (candidate runs never write
+// Shrinks (machine, program) while the compile stage
+// runDifferential(..., diffOptions) keeps returning `signature`. The
+// caller owns failpoint configuration: apply the repro's spec first so a
+// planted fault keeps firing on every candidate run.
+// diffOptions.quarantineDir is ignored (candidate runs never write
 // artifacts).
 [[nodiscard]] MinimizeResult minimizeFuzzCase(const Machine& machine,
-                                              const BlockDag& dag,
+                                              const Program& program,
                                               const DiffOptions& diffOptions,
                                               const std::string& signature,
                                               const MinimizeOptions& options = {});

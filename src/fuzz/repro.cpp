@@ -1,69 +1,58 @@
 #include "fuzz/repro.h"
 
-#include "ir/emit.h"
-#include "ir/parser.h"
-#include "isdl/emit.h"
-#include "isdl/parser.h"
+#include "support/error.h"
 #include "support/failpoint.h"
 
 namespace aviv {
 
-std::string writeFuzzRepro(const std::string& outDir, const Machine& machine,
-                           const BlockDag& dag, const FuzzCase& info,
+std::string writeFuzzRepro(const std::string& dir, const FuzzInput& input,
                            const DiffOptions& options,
-                           const DiffResult& result) {
-  BundleEntries meta = {
-      {"machine", machine.name()}, {"block", dag.name()},
-      {"family", familyName(info.family)},
-      {"machineSeed", std::to_string(info.machineSeed)},
-      {"blockSeed", std::to_string(info.blockSeed)},
-      {"iteration", std::to_string(info.iteration)},
-      {"vectors", std::to_string(options.vectors)},
-      {"vectorSeed", std::to_string(options.vectorSeed)},
-      {"timeLimitSeconds", std::to_string(options.timeLimitSeconds)},
-      {"failpoints", info.failpoints}, {"verdict", verdictName(result.verdict)},
-      {"signature", result.signature}, {"detail", result.detail}};
+                           const DiffResult& result,
+                           const BundleEntries& provenance) {
+  BundleEntries meta = provenance;
+  meta.insert(
+      meta.end(),
+      {{"blockFile", input.blockFile},
+       {"vectors", std::to_string(options.vectors)},
+       {"vectorSeed", std::to_string(options.vectorSeed)},
+       {"timeLimitSeconds", std::to_string(options.timeLimitSeconds)},
+       {"failpoints", result.failpoints},
+       {"verdict", verdictName(result.verdict)},
+       {"signature", result.signature},
+       {"detail", result.detail}});
   if (!result.quarantinePath.empty())
     meta.emplace_back("quarantine", result.quarantinePath);
-  return writeBundle(BundleKind::kFuzz,
-                     outDir + "/" + machine.name() + "-" + dag.name(),
-                     {{kBundleMachineFile, emitMachineText(machine)},
-                      {kBundleBlockFile, emitBlockText(dag)}},
-                     meta);
+  BundleEntries files = {{kBundleMachineFile, input.machineText}};
+  if (!input.blockFile.empty())
+    files.emplace_back(input.blockFile, input.blockText);
+  return writeBundle(BundleKind::kFuzz, dir, files, meta);
 }
 
 FuzzRepro loadFuzzRepro(const ReproBundle& bundle) {
   FuzzRepro repro;
-  repro.info.family = familyFromName(bundle.text("family"));
-  repro.info.machineSeed = bundle.number<uint64_t>("machineSeed");
-  repro.info.blockSeed = bundle.number<uint64_t>("blockSeed");
-  repro.info.iteration = bundle.number<int>("iteration");
-  repro.info.failpoints = bundle.text("failpoints");
   repro.options.vectors = bundle.number<int>("vectors");
   repro.options.vectorSeed = bundle.number<uint64_t>("vectorSeed");
   repro.options.timeLimitSeconds = bundle.number<double>("timeLimitSeconds");
+  repro.failpoints = bundle.text("failpoints");
   repro.signature = bundle.text("signature");
-  repro.machine =
-      parseMachine(bundle.read(kBundleMachineFile), kBundleMachineFile);
-  repro.dag = parseBlock(bundle.read(kBundleBlockFile));
+  repro.input.machineText = bundle.read(kBundleMachineFile);
+  const std::string& blockFile = bundle.text("blockFile");
+  if (blockFile != kBundleBlockFile && blockFile != kBundleMiniCFile &&
+      !blockFile.empty())
+    throw Error(bundle.dir() + "/meta.txt: blockFile '" + blockFile +
+                "' is not " + kBundleBlockFile + ", " + kBundleMiniCFile +
+                " or empty");
+  repro.input.blockFile = blockFile;
+  if (!blockFile.empty()) repro.input.blockText = bundle.read(blockFile);
   return repro;
 }
 
-FuzzReplayResult replayFuzzRepro(const FuzzRepro& repro) {
-  FuzzReplayResult replay;
-  if (!repro.info.failpoints.empty())
-    FailPoints::instance().configure(repro.info.failpoints);
-  try {
-    replay.result = runDifferential(repro.machine, repro.dag, repro.options);
-  } catch (...) {
-    if (!repro.info.failpoints.empty()) FailPoints::instance().clear();
-    throw;
-  }
-  if (!repro.info.failpoints.empty()) FailPoints::instance().clear();
-  replay.reproduced = replay.result.signature == repro.signature;
-  replay.detail = "signature " + replay.result.signature;
-  if (!replay.result.detail.empty())
-    replay.detail += " (" + replay.result.detail + ")";
+BundleReplay replayFuzzRepro(const FuzzRepro& repro) {
+  const ScopedFailPoints failpoints(repro.failpoints);
+  const DiffResult result = runDifferential(repro.input, repro.options);
+  BundleReplay replay{result.signature == repro.signature,
+                      "signature " + result.signature};
+  if (!result.detail.empty()) replay.detail += " (" + result.detail + ")";
   return replay;
 }
 

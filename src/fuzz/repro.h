@@ -1,68 +1,48 @@
 // Fuzz repro bundles: the `kind=fuzz` bundle (docs/fuzzing.md "Reproducing
-// a failure") of one failing fuzz iteration — generated machine and block,
-// generator seeds, diff options, failpoint spec and failure signature.
-// Crashes and taxonomy escapes have no image to quarantine, so this is
+// a failure") of one failing fuzz input — its raw text (machine.isdl, plus
+// block.blk or block.c unless the input is a machine alone), the diff
+// options, the failpoint spec and the failure signature. Crashes, taxonomy
+// escapes and parse-stage failures have no image to quarantine, so this is
 // their only repro; a miscompile also gets a kind=miscompile bundle.
 // `fuzz_gen --minimize` writes the shrunken pair as minimized/<name>/.
 //
-// Replaying re-parses machine and block, re-applies the recorded failpoint
-// spec, re-runs the differential harness, and succeeds iff the recorded
-// signature reproduces. Nothing from the originating session is needed:
-// the bundle IS the bug report.
+// Replaying re-runs the oracle on the recorded text under the recorded
+// failpoint spec and succeeds iff the recorded signature reproduces.
+// Nothing from the originating session is needed: the bundle IS the bug
+// report.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "fuzz/diff.h"
-#include "fuzz/genmachine.h"
-#include "ir/dag.h"
-#include "isdl/machine.h"
 #include "support/repro_bundle.h"
 
 namespace aviv {
 
-// Generator provenance of one fuzz iteration (recorded for humans and for
-// `fuzz_gen --seed` re-derivation; replay itself only needs the emitted
-// sources).
-struct FuzzCase {
-  MachineFamily family = MachineFamily::kWideVliw;
-  uint64_t machineSeed = 0;
-  uint64_t blockSeed = 0;
-  int iteration = -1;
-  // Failpoint spec a replay must re-apply to reproduce ("" = none). When
-  // the planted `fuzz-engine-disagree` fault fired, this is its
-  // always-fire spec, independent of the fuzz run's probability schedule.
-  std::string failpoints;
-};
-
-// Writes the bundle; returns its path. Directory name is
-// "<machine>-<block>" — both names encode their generator seeds, so
-// distinct cases never collide and identical cases overwrite in place.
-std::string writeFuzzRepro(const std::string& outDir, const Machine& machine,
-                           const BlockDag& dag, const FuzzCase& info,
-                           const DiffOptions& options,
-                           const DiffResult& result);
-
-// A loaded bundle, ready to re-run or minimize.
+// A kind=fuzz bundle's contents: what replay reads.
 struct FuzzRepro {
-  Machine machine{""};
-  BlockDag dag{""};
-  FuzzCase info;
+  FuzzInput input;
   DiffOptions options;
+  // Failpoint spec a replay re-applies ("" = none): the always-fire spec
+  // of the sites that fired in the failing run (DiffResult::failpoints).
+  std::string failpoints;
   std::string signature;  // recorded failure signature
 };
+
+// Writes the bundle of the failing run `result` of `input` into `dir` and
+// returns `dir`. `provenance` adds meta keys for humans only (generator
+// seeds, corpus file, iteration); replay never reads them.
+std::string writeFuzzRepro(const std::string& dir, const FuzzInput& input,
+                           const DiffOptions& options,
+                           const DiffResult& result,
+                           const BundleEntries& provenance);
 
 // Throws aviv::Error on a malformed kind=fuzz bundle.
 [[nodiscard]] FuzzRepro loadFuzzRepro(const ReproBundle& bundle);
 
-// reproduced: the replay signature equals the recorded one.
-struct FuzzReplayResult : BundleReplay {
-  DiffResult result;
-};
-
-// Re-applies the bundle's failpoint spec (clearing the registry
-// afterwards), re-runs the differential harness, and compares signatures.
-[[nodiscard]] FuzzReplayResult replayFuzzRepro(const FuzzRepro& repro);
+// Re-runs the oracle under the bundle's failpoint spec (ScopedFailPoints:
+// the caller's registry state is restored afterwards); reproduced when the
+// replay's signature equals the recorded one.
+[[nodiscard]] BundleReplay replayFuzzRepro(const FuzzRepro& repro);
 
 }  // namespace aviv

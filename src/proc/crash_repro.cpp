@@ -44,7 +44,7 @@ std::string resolveMachineText(const std::string& spec) {
 // Resolved block source plus the bundle-local file name that keeps its
 // format (a .c block must replay through the Mini-C front end).
 std::pair<std::string, std::string> resolveBlockText(const std::string& spec) {
-  if (endsWith(spec, ".c")) return {readFile(spec), "block.c"};
+  if (endsWith(spec, ".c")) return {readFile(spec), kBundleMiniCFile};
   if (endsWith(spec, ".blk")) return {readFile(spec), kBundleBlockFile};
   return {readFile(blockPath(spec)), kBundleBlockFile};
 }

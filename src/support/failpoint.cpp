@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <utility>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -45,8 +46,7 @@ FailPoints::FailPoints() {
 
 void FailPoints::configure(const std::string& spec, uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
-  points_.clear();
-  seed_ = seed;
+  state_ = {{}, seed};
   for (const std::string& item : split(spec, ',')) {
     const std::string entry{trim(item)};
     if (entry.empty()) continue;
@@ -66,22 +66,21 @@ void FailPoints::configure(const std::string& spec, uint64_t seed) {
     }
     // A bad entry must never crash the process it was meant to test.
     if (!ok) continue;
-    points_[parts[0]] = point;
+    state_.points[parts[0]] = point;
   }
-  active_.store(!points_.empty(), std::memory_order_relaxed);
+  active_.store(!state_.points.empty(), std::memory_order_relaxed);
 }
 
 bool FailPoints::shouldFail(const char* site) {
   if (!active_.load(std::memory_order_relaxed)) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = points_.find(site);
-  if (it == points_.end()) return false;
+  const auto it = state_.points.find(site);
+  if (it == state_.points.end()) return false;
   Point& point = it->second;
   if (point.remaining == 0) return false;
-  const int64_t hit = point.hits++;
+  const auto hit = static_cast<uint64_t>(point.hits++);
   if (point.prob < 1.0) {
-    const uint64_t draw =
-        mix64(seed_ ^ hashSite(it->first) ^ static_cast<uint64_t>(hit));
+    const uint64_t draw = mix64(state_.seed ^ hashSite(it->first) ^ hit);
     const double u =
         static_cast<double>(draw >> 11) * (1.0 / 9007199254740992.0);
     if (u >= point.prob) return false;
@@ -130,8 +129,30 @@ void FailPoints::maybeCrash(const char* site, CrashAction action) {
 
 int64_t FailPoints::fires(const char* site) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = points_.find(site);
-  return it == points_.end() ? 0 : it->second.fires;
+  const auto it = state_.points.find(site);
+  return it == state_.points.end() ? 0 : it->second.fires;
+}
+
+FailPoints::State FailPoints::save() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return state_;
+}
+
+void FailPoints::restore(State state) {
+  std::lock_guard<std::mutex> lock(mu_);
+  state_ = std::move(state);
+  active_.store(!state_.points.empty(), std::memory_order_relaxed);
+}
+
+std::string FailPoints::firedSince(const State& before) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string spec;
+  for (const auto& [site, point] : state_.points) {
+    const auto old = before.points.find(site);
+    if (point.fires > (old == before.points.end() ? 0 : old->second.fires))
+      spec += (spec.empty() ? "" : ",") + site;
+  }
+  return spec;
 }
 
 }  // namespace aviv

@@ -27,6 +27,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 namespace aviv {
 
@@ -65,20 +66,44 @@ class FailPoints {
     return active_.load(std::memory_order_relaxed);
   }
 
- private:
-  FailPoints();
-
   struct Point {
     double prob = 1.0;
     int64_t remaining = -1;  // -1 = unlimited
     int64_t hits = 0;        // draws made (indexes the deterministic hash)
     int64_t fires = 0;
   };
+  // The whole registry: every site's spec and counts, and the draw seed.
+  struct State {
+    std::map<std::string, Point> points;
+    uint64_t seed = 0;
+  };
+  [[nodiscard]] State save() const;
+  void restore(State state);
+  // The sites that fired since `before` was saved, as an always-fire spec
+  // ("a,b"; "" when none fired): the spec that makes a replay fire them.
+  [[nodiscard]] std::string firedSince(const State& before) const;
+
+ private:
+  FailPoints();
 
   std::atomic<bool> active_{false};
   mutable std::mutex mu_;
-  std::map<std::string, Point> points_;
-  uint64_t seed_ = 0;
+  State state_;
+};
+
+// A nested run under its own spec (a bundle replay, a minimization):
+// configures `spec` and, on scope exit, restores the registry exactly as
+// saved, so the enclosing run's schedule and counts carry on untouched.
+class ScopedFailPoints {
+ public:
+  explicit ScopedFailPoints(const std::string& spec)
+      : saved_(FailPoints::instance().save()) {
+    FailPoints::instance().configure(spec);
+  }
+  ~ScopedFailPoints() { FailPoints::instance().restore(std::move(saved_)); }
+
+ private:
+  FailPoints::State saved_;
 };
 
 }  // namespace aviv

@@ -26,8 +26,8 @@ const std::vector<KindSchema>& schemas() {
   static const std::vector<KindSchema> kSchemas = {
       {"miscompile", {"seed", "vectors", "verifierVersion"}},
       {"fuzz",
-       {"family", "machineSeed", "blockSeed", "iteration", "vectors",
-        "vectorSeed", "timeLimitSeconds", "failpoints", "signature"}},
+       {"blockFile", "vectors", "vectorSeed", "timeLimitSeconds",
+        "failpoints", "signature"}},
       {"crash", kCrashKeys},
       {"kill", kCrashKeys},
   };

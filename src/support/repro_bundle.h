@@ -23,6 +23,7 @@ enum class BundleKind { kMiscompile, kFuzz, kCrash, kKill };
 
 inline constexpr char kBundleMachineFile[] = "machine.isdl";
 inline constexpr char kBundleBlockFile[] = "block.blk";
+inline constexpr char kBundleMiniCFile[] = "block.c";
 inline constexpr char kBundleEntryFile[] = "entry.bin";
 inline constexpr char kBundleAsmFile[] = "asm.txt";
 inline constexpr char kBundleRequestFile[] = "request.txt";

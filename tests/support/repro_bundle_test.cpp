@@ -88,15 +88,13 @@ std::string writeMiscompile(const std::string& root) {
 }
 
 std::string writeFuzz(const std::string& root) {
-  const Machine machine = loadMachine("arch1");
-  const BlockDag dag = loadBlock("ex1");
+  const FuzzInput input{readFile(machinePath("arch1")), kBundleBlockFile,
+                        readFile(blockPath("ex1"))};
   FailPoints::instance().configure("fuzz-engine-disagree");
-  const DiffResult result = runDifferential(machine, dag, {});
+  const DiffResult result = runDifferential(input, {});
   FailPoints::instance().clear();
   EXPECT_EQ(result.signature, "miscompile:baseline");
-  FuzzCase info;
-  info.failpoints = "fuzz-engine-disagree";
-  return writeFuzzRepro(root, machine, dag, info, {}, result);
+  return writeFuzzRepro(root + "/arch1-ex1", input, {}, result, {});
 }
 
 proc::CrashCapture capture(const std::string& root) {
