@@ -66,15 +66,13 @@ inline TableRow runTableRow(const std::string& label, const std::string& block,
     const CompiledBlock compiled = generator.compileBlock(dag);
     row.avivSeconds = timer.seconds();
     row.avivInstr = compiled.numInstructions();
-    // Read the per-stage numbers through the session telemetry tree (the
-    // typed view) — same source --stats-json serializes.
-    const TelemetryNode* blockTel =
-        generator.telemetry().findChild("block:" + dag.name());
-    const CoreStats stats = coreStatsView(*blockTel);
+    const CoreStats& stats = compiled.core.stats;
     row.irNodes = stats.irNodes;
     row.sndNodes = stats.sndNodes;
     row.spills = stats.cover.spillsInserted;
-    if (telemetryOut != nullptr) telemetryOut->child(label).merge(*blockTel);
+    if (telemetryOut != nullptr)
+      telemetryOut->child(label).merge(
+          *generator.telemetry().findChild("block:" + dag.name()));
   }
 
   // Heuristics off (exhaustive assignment enumeration, no level window).

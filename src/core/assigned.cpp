@@ -28,12 +28,6 @@ const AgNode& AssignedGraph::node(AgId id) const {
   return nodes_[id];
 }
 
-size_t AssignedGraph::numActiveNodes() const {
-  size_t n = 0;
-  for (const AgNode& node : nodes_) n += node.deleted() ? 0 : 1;
-  return n;
-}
-
 namespace {
 
 // Section IV-B: among several minimal routes pick the one whose buses are

@@ -131,7 +131,6 @@ class AssignedGraph {
 
   [[nodiscard]] size_t size() const { return nodes_.size(); }
   [[nodiscard]] const AgNode& node(AgId id) const;
-  [[nodiscard]] size_t numActiveNodes() const;
 
   // Output bindings: block output name -> AgNode producing its value.
   [[nodiscard]] const std::vector<std::pair<std::string, AgId>>& outputDefs()

@@ -116,10 +116,10 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   const bool parallel = pool != nullptr && options.jobs > 1;
   const int numWorkers = parallel ? pool->parallelism() : 1;
 
-  // Per-worker covering workspaces, leased from the session cache (or a
+  // Per-worker covering workspaces, leased from the caller's cache (or a
   // call-local one) and shared by exploration (worker 0's arena) and both
   // tryAssignments passes. Returned to the cache on every exit path so a
-  // warm session keeps its arena chunks.
+  // caller-supplied cache keeps its arena chunks.
   WorkspaceCache localWsCache;
   WorkspaceCache& wsPool = wsCache != nullptr ? *wsCache : localWsCache;
   struct WorkspaceLease {
@@ -425,20 +425,6 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   return result;
 }
 
-CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                      TelemetryNode* phase) {
-  return coverBlock(ir, ctx, ctx.options(), phase);
-}
-
-CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                      const CodegenOptions& options, TelemetryNode* phase) {
-  TelemetryNode& tel = phase != nullptr
-                           ? *phase
-                           : ctx.telemetry().child("block:" + ir.name());
-  return coverBlock(ir, ctx.machine(), ctx.databases(), options, ctx.pool(),
-                    &tel, &ctx.deadline(), &ctx.workspaces());
-}
-
 void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
   phase.setCounter("irNodes", static_cast<int64_t>(stats.irNodes));
   phase.setCounter("sndNodes", static_cast<int64_t>(stats.sndNodes));
@@ -492,68 +478,6 @@ void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
                     static_cast<int64_t>(stats.search.arenaBytes));
   search.setCounter("arenaHighWater",
                     static_cast<int64_t>(stats.search.arenaHighWater));
-}
-
-CoreStats coreStatsView(const TelemetryNode& phase) {
-  CoreStats stats;
-  stats.irNodes = static_cast<size_t>(phase.counter("irNodes"));
-  stats.sndNodes = static_cast<size_t>(phase.counter("sndNodes"));
-  stats.seconds = phase.seconds();
-  if (const TelemetryNode* explore = phase.findChild("explore")) {
-    stats.explore.completeAssignments =
-        static_cast<size_t>(explore->counter("completeAssignments"));
-    stats.explore.statesExpanded =
-        static_cast<size_t>(explore->counter("statesExpanded"));
-    stats.explore.prunedByBound =
-        static_cast<size_t>(explore->counter("prunedByBound"));
-    stats.explore.beamDropped =
-        static_cast<size_t>(explore->counter("beamDropped"));
-    stats.explore.capped = explore->counter("capped") != 0;
-  }
-  if (const TelemetryNode* cover = phase.findChild("cover")) {
-    stats.assignmentsCovered =
-        static_cast<size_t>(cover->counter("assignmentsCovered"));
-    stats.cover.cliquesGenerated =
-        static_cast<size_t>(cover->counter("cliquesGenerated"));
-    stats.cover.cliqueRounds =
-        static_cast<size_t>(cover->counter("cliqueRounds"));
-    stats.cover.cliqueRecursions =
-        static_cast<size_t>(cover->counter("cliqueRecursions"));
-    stats.cover.candidatesEvaluated =
-        static_cast<size_t>(cover->counter("candidatesEvaluated"));
-    stats.cover.candidatesAbandoned =
-        static_cast<size_t>(cover->counter("candidatesAbandoned"));
-    stats.cover.spillsInserted =
-        static_cast<int>(cover->counter("spillsInserted"));
-    stats.timedOut = cover->counter("timedOut") != 0;
-    for (size_t k = 0;; ++k) {
-      const TelemetryNode* node = cover->findChild("best:" + std::to_string(k));
-      if (node == nullptr) break;
-      stats.trajectory.push_back(
-          {static_cast<size_t>(node->counter("candidate")),
-           static_cast<int>(node->counter("instructions")),
-           static_cast<int>(node->counter("spills")), node->seconds()});
-    }
-  }
-  if (const TelemetryNode* search = phase.findChild("search")) {
-    stats.search.nodesVisited =
-        static_cast<size_t>(search->counter("nodesVisited"));
-    stats.search.prunedByBound =
-        static_cast<size_t>(search->counter("prunedByBound"));
-    stats.search.backtracks =
-        static_cast<size_t>(search->counter("backtracks"));
-    stats.search.candidatesAbandoned =
-        static_cast<size_t>(search->counter("candidatesAbandoned"));
-    stats.search.candidatesCut =
-        static_cast<size_t>(search->counter("candidatesCut"));
-    stats.search.arenaCalls =
-        static_cast<uint64_t>(search->counter("arenaCalls"));
-    stats.search.arenaBytes =
-        static_cast<uint64_t>(search->counter("arenaBytes"));
-    stats.search.arenaHighWater =
-        static_cast<uint64_t>(search->counter("arenaHighWater"));
-  }
-  return stats;
 }
 
 }  // namespace aviv

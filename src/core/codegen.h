@@ -15,10 +15,11 @@
 
 #include "core/assign_explore.h"
 #include "core/assigned.h"
-#include "core/context.h"
 #include "core/cover.h"
 #include "core/options.h"
 #include "core/splitnode.h"
+#include "core/workspace.h"
+#include "support/deadline.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
@@ -60,8 +61,8 @@ struct TrajectoryPoint {
   double seconds = 0.0;
 };
 
-// Typed view over a block's phase-telemetry subtree (the session's single
-// source of stage statistics) — see recordCoreStats / coreStatsView below.
+// What the core stage did for one block. recordCoreStats below writes it
+// into the block's phase-telemetry subtree.
 struct CoreStats {
   size_t irNodes = 0;
   size_t sndNodes = 0;  // Split-Node DAG size (Table I column)
@@ -95,14 +96,15 @@ struct CoreResult {
 // "explore", "cover" — see recordCoreStats for the counter names).
 //
 // Deadline semantics (anytime algorithm): `deadline` defaults to a local
-// budget armed from options.timeLimitSeconds (the context overloads pass
-// the session deadline instead). Once it expires, no further candidate
-// assignments are started and the best complete covering found so far is
-// returned with stats.timedOut set; if it expires before ANY candidate
-// completes — including mid-exploration — DeadlineExceeded is thrown and
-// the driver degrades to the sequential baseline.
-// `wsCache` (optional) supplies per-worker CoverWorkspaces; the context
-// overloads pass the session cache so scratch survives across compiles.
+// budget armed from options.timeLimitSeconds (the driver passes its session
+// deadline instead). Once it expires, no further candidate assignments are
+// started and the best complete covering found so far is returned with
+// stats.timedOut set; if it expires before ANY candidate completes —
+// including mid-exploration — DeadlineExceeded is thrown and the driver
+// degrades to the sequential baseline.
+// `wsCache` (optional) supplies per-worker CoverWorkspaces; without one the
+// call covers from a local cache that dies with it. The driver passes none,
+// so every compile allocates its own covering scratch.
 [[nodiscard]] CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                                     const MachineDatabases& dbs,
                                     const CodegenOptions& options,
@@ -111,18 +113,8 @@ struct CoreResult {
                                     const Deadline* deadline = nullptr,
                                     WorkspaceCache* wsCache = nullptr);
 
-// Session form: machine, databases, pool, and telemetry all come from `ctx`.
-// Stage telemetry lands under ctx.telemetry().child("block:<name>") unless
-// `phase` overrides the destination (the driver passes pre-created per-block
-// subtrees so parallel block compiles never share a node).
-[[nodiscard]] CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                                    TelemetryNode* phase = nullptr);
-[[nodiscard]] CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                                    const CodegenOptions& options,
-                                    TelemetryNode* phase = nullptr);
-
-// Typed view plumbing: the telemetry tree is the session's single source of
-// stage statistics; these convert between it and the stage-level structs.
+// The core stage's one telemetry writer: copies `stats` into the phase
+// tree that --stats-json writes out.
 // Layout under a block's phase node:
 //   counters irNodes, sndNodes
 //   child "explore": completeAssignments, statesExpanded, prunedByBound,
@@ -137,6 +129,5 @@ struct CoreResult {
 //                   candidatesAbandoned, candidatesCut, arenaCalls,
 //                   arenaBytes, arenaHighWater (order-independent totals)
 void recordCoreStats(const CoreStats& stats, TelemetryNode& phase);
-[[nodiscard]] CoreStats coreStatsView(const TelemetryNode& phase);
 
 }  // namespace aviv

@@ -37,7 +37,6 @@ class CodegenContext {
 
   [[nodiscard]] const Machine& machine() const { return machine_; }
   [[nodiscard]] const MachineDatabases& databases() const { return dbs_; }
-  [[nodiscard]] const CodegenOptions& options() const { return options_; }
   [[nodiscard]] uint64_t seed() const { return seed_; }
   [[nodiscard]] int jobs() const { return options_.jobs > 1 ? options_.jobs : 1; }
 
@@ -56,9 +55,10 @@ class CodegenContext {
   [[nodiscard]] TelemetryNode& telemetry() { return telemetry_; }
   [[nodiscard]] const TelemetryNode& telemetry() const { return telemetry_; }
 
-  // Session-lifetime pool of covering workspaces: per-worker scratch
-  // (arenas, bitsets, matrix rows) survives across blocks and compiles, so
-  // a warm daemon session re-covers without re-allocating.
+  // Session-lifetime pool of covering workspaces (arenas, bitsets, matrix
+  // rows). Only perfbench's replay leases from it. The driver's coverBlock
+  // calls pass no cache, so each compile uses its own call-local scratch,
+  // and avivd builds a new CodeGenerator (hence a new session) per request.
   [[nodiscard]] WorkspaceCache& workspaces() { return workspaces_; }
 
   // Memo slot for the service layer's canonical machine fingerprint

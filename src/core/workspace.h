@@ -1,8 +1,8 @@
 // CoverWorkspace — per-worker scratch memory for the covering engine.
 //
-// One workspace is owned by each search worker (and cached on the
-// CodegenContext between compiles, so a warm daemon re-covers blocks
-// without touching malloc). It bundles:
+// One workspace is owned by each search worker for the length of one
+// coverBlock call (see WorkspaceCache below for who keeps it longer). It
+// bundles:
 //   * an Arena for per-candidate scratch (clique recursion buffers,
 //     materialization maps) — rewound via ArenaScope after each candidate,
 //     chunks retained;
@@ -72,9 +72,12 @@ struct CoverWorkspace {
   ParallelismMatrix matrix;
 };
 
-// Thread-safe pool of workspaces, cached on the CodegenContext so a warm
-// daemon reuses the same scratch (arena chunks, bitset words) across
-// compiles instead of re-allocating per request.
+// Thread-safe pool of workspaces: a covering call leases its per-worker
+// scratch (arena chunks, bitset words) here and returns it when done, so
+// whoever owns the pool reuses that scratch across calls. coverBlock makes
+// a call-local pool when given none, which is what every driver compile
+// does; CodegenContext::workspaces() holds a session-lifetime one that only
+// perfbench's replay leases from.
 class WorkspaceCache {
  public:
   [[nodiscard]] std::unique_ptr<CoverWorkspace> acquire() {

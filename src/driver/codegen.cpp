@@ -210,7 +210,6 @@ CompiledBlock CodeGenerator::compileBlockWith(
         rebindSymbols(block.image, entry->symbolNames, symbols);
         checkDataMemoryFits(block.image, symbols, ctx_.machine());
         block.fromCache = true;
-        block.cachedStatsJson = entry->statsJson;
         if (options_.recordSymbolNames) {
           block.symbolNames = entry->symbolNames;
           block.portableImage = entry->image;
@@ -322,8 +321,7 @@ CompiledBlock CodeGenerator::compileBlockWith(
   }
   // Encode against a private deferred scope so the stored/verified image is
   // scope-independent, then replay it into the consumer's scope exactly
-  // as a hit would. The entry's stats are serialized BEFORE the cache
-  // counters land on `tel`, so they match a cache-less compile verbatim.
+  // as a hit would.
   SymbolScope recording;
   auto encodeRecording = [&] {
     SymbolScope fresh;
@@ -371,7 +369,6 @@ CompiledBlock CodeGenerator::compileBlockWith(
     entry.blockName = ir.name();
     entry.machineName = ctx_.machine().name();
     entry.symbolNames = recording.recorded();
-    entry.statsJson = tel.toJson();
     entry.verified = verifyThis;
     entry.verifierVersion = verifyThis ? options_.verify.verifierVersion : 0;
     entry.image = block.image;

@@ -95,9 +95,6 @@ struct CompiledBlock {
   // the image carries everything downstream consumers (asm text, binary
   // assembler, simulator) need.
   bool fromCache = false;
-  // Phase-telemetry JSON of the compile that produced the cached entry
-  // (what the hit saved); empty for cold compiles.
-  std::string cachedStatsJson;
   // True when the AVIV covering flow failed (deadline expiry or recoverable
   // internal error) and this block was produced by the sequential baseline
   // instead (DriverOptions::baselineFallback). The image is valid but its

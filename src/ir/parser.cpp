@@ -457,8 +457,4 @@ BlockDag loadBlock(const std::string& name) {
   return parseBlock(readFile(blockPath(name)));
 }
 
-Program loadProgram(const std::string& name) {
-  return parseProgram(readFile(blockPath(name)), name);
-}
-
 }  // namespace aviv

@@ -44,7 +44,4 @@ namespace aviv {
 // Loads blocks/<name>.blk and parses the single block inside it.
 [[nodiscard]] BlockDag loadBlock(const std::string& name);
 
-// Loads blocks/<name>.blk and parses it as a (possibly multi-block) program.
-[[nodiscard]] Program loadProgram(const std::string& name);
-
 }  // namespace aviv

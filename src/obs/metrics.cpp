@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/json.h"
+
 namespace aviv::metrics {
 
 namespace detail {
@@ -169,29 +171,6 @@ void Registry::reset() {
 }
 
 namespace {
-
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  out += '"';
-}
 
 void appendDouble(std::string& out, double value) {
   char buf[40];

@@ -5,6 +5,8 @@
 #include <initializer_list>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace aviv::trace {
 
 namespace detail {
@@ -109,29 +111,6 @@ void Tracer::collect(std::vector<Event>* out) const {
 }
 
 namespace {
-
-void appendJsonString(std::string& out, const char* s) {
-  out += '"';
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-}
 
 void appendMicros(std::string& out, int64_t nanos) {
   // Chrome trace timestamps are microseconds; keep nanosecond precision as

@@ -251,15 +251,4 @@ void recordPeepholeStats(const PeepholeStats& stats, TelemetryNode& phase) {
   phase.setCounter("instructionsSaved", stats.instructionsSaved);
 }
 
-PeepholeStats peepholeStatsView(const TelemetryNode& phase) {
-  PeepholeStats stats;
-  stats.reloadsRemoved = static_cast<int>(phase.counter("reloadsRemoved"));
-  stats.spillStoresRemoved =
-      static_cast<int>(phase.counter("spillStoresRemoved"));
-  stats.opsHoisted = static_cast<int>(phase.counter("opsHoisted"));
-  stats.instructionsSaved =
-      static_cast<int>(phase.counter("instructionsSaved"));
-  return stats;
-}
-
 }  // namespace aviv

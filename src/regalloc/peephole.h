@@ -20,8 +20,8 @@
 
 namespace aviv {
 
-// Typed view over the "peephole" phase-telemetry node — see
-// recordPeepholeStats / peepholeStatsView.
+// What the pass did; recordPeepholeStats writes it into the "peephole"
+// phase-telemetry node.
 struct PeepholeStats {
   int reloadsRemoved = 0;
   int spillStoresRemoved = 0;
@@ -33,8 +33,7 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
                       const ConstraintDatabase& constraints,
                       PeepholeStats* stats = nullptr);
 
-// Telemetry plumbing for the pipeline session's phase tree.
+// The pass's one telemetry writer (the pipeline session's phase tree).
 void recordPeepholeStats(const PeepholeStats& stats, TelemetryNode& phase);
-[[nodiscard]] PeepholeStats peepholeStatsView(const TelemetryNode& phase);
 
 }  // namespace aviv

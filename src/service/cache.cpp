@@ -45,7 +45,6 @@ std::string serializeCacheEntry(const CacheEntry& entry) {
   w.str(entry.machineName);
   w.u32(static_cast<uint32_t>(entry.symbolNames.size()));
   for (const std::string& name : entry.symbolNames) w.str(name);
-  w.str(entry.statsJson);
   w.u8(entry.verified ? 1 : 0);
   w.u32(entry.verifierVersion);
 
@@ -105,7 +104,6 @@ CacheEntry deserializeCacheEntry(std::string_view data) {
   entry.symbolNames.reserve(numSymbols);
   for (uint32_t i = 0; i < numSymbols; ++i)
     entry.symbolNames.push_back(r.str());
-  entry.statsJson = r.str();
   entry.verified = r.u8() != 0;
   entry.verifierVersion = r.u32();
 

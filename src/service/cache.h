@@ -8,9 +8,10 @@
 //     one entry valid for standalone blocks and for any block position
 //     inside a program;
 //   * the interned symbol names in first-use order;
-//   * the phase-telemetry subtree (JSON) of the compile that produced the
-//     entry, so tooling can show "what the cached compile cost" and the
-//     property tests can check hit stats are identical to a cold run.
+//   * the verification pedigree (verified bit + verifier version).
+//
+// An entry carries no telemetry of the compile that produced it: a hit
+// records only its own `cacheHits` counter.
 //
 // Tier 1 is an in-memory sharded LRU (lock per shard). Tier 2 is an
 // on-disk content-addressed store: dir/objects/<h2>/<h30>.avivce with a
@@ -48,8 +49,6 @@ struct CacheEntry {
   // Symbol names in first-use order; ordinal i backs provisional address
   // SymbolScope::provisionalAddr(i) inside `image`.
   std::vector<std::string> symbolNames;
-  // TelemetryNode JSON of the original compile's block subtree.
-  std::string statsJson;
   // Differential-verification pedigree (src/verify/): `verified` records
   // that the image passed simulator-vs-interpreter replay before it was
   // stored, under verifier version `verifierVersion`. Verified warm hits
@@ -116,7 +115,8 @@ class ResultCache {
   // Bump when the entry payload or framing layout changes; old files then
   // fail the version check, are counted corrupt, and get rewritten.
   // v2: verified bit + verifier version (PR 4 verification guardrail).
-  static constexpr uint32_t kEntryFormatVersion = 2;
+  // v3: the stats JSON of the producing compile is no longer stored.
+  static constexpr uint32_t kEntryFormatVersion = 3;
 
   // Creates the store directory and manifest when `config.dir` is set.
   // Throws aviv::Error when the directory cannot be created.

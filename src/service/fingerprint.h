@@ -31,7 +31,7 @@
 
 namespace aviv {
 
-// Version 2: cached statsJson gained the search-telemetry counters
+// Version 2: the cached stats JSON gained the search-telemetry counters
 // (explore prunedByBound/beamDropped, cover clique/candidate totals, the
 // "search" child, and the best-cost trajectory), so version-1 entries would
 // replay stale stat shapes.

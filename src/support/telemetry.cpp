@@ -1,10 +1,8 @@
 #include "support/telemetry.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
-#include "support/error.h"
+#include "obs/json.h"
 
 namespace aviv {
 
@@ -55,30 +53,6 @@ bool TelemetryNode::sameShapeAs(const TelemetryNode& other) const {
 
 namespace {
 
-void appendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          // Remaining control characters (JSON forbids them raw).
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  out += '"';
-}
-
 // %.17g round-trips every double exactly.
 void appendDouble(std::string& out, double value) {
   char buf[40];
@@ -90,7 +64,7 @@ void writeNode(std::string& out, const TelemetryNode& node, int indent) {
   const std::string pad(static_cast<size_t>(indent), ' ');
   const std::string pad2(static_cast<size_t>(indent) + 2, ' ');
   out += "{\n" + pad2 + "\"name\": ";
-  appendEscaped(out, node.name());
+  appendJsonString(out, node.name());
   out += ",\n" + pad2 + "\"seconds\": ";
   appendDouble(out, node.seconds());
   out += ",\n" + pad2 + "\"counters\": {";
@@ -98,7 +72,7 @@ void writeNode(std::string& out, const TelemetryNode& node, int indent) {
   for (const auto& [key, value] : node.counters()) {
     if (!first) out += ", ";
     first = false;
-    appendEscaped(out, key);
+    appendJsonString(out, key);
     out += ": " + std::to_string(value);
   }
   out += "},\n" + pad2 + "\"children\": [";
@@ -113,148 +87,6 @@ void writeNode(std::string& out, const TelemetryNode& node, int indent) {
   out += "]\n" + pad + "}";
 }
 
-// Minimal recursive-descent parser for exactly the schema toJson emits
-// (whitespace-tolerant, keys in any order).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  TelemetryNode parseNode() {
-    expect('{');
-    // Fields may arrive in any order; collect into a nameless node first.
-    TelemetryNode fields("");
-    std::string name;
-    bool sawName = false;
-    if (!consumeIf('}')) {
-      do {
-        const std::string key = parseString();
-        expect(':');
-        if (key == "name") {
-          name = parseString();
-          sawName = true;
-        } else if (key == "seconds") {
-          fields.addSeconds(parseNumber());
-        } else if (key == "counters") {
-          parseCounters(fields);
-        } else if (key == "children") {
-          parseChildren(fields);
-        } else {
-          fail("unknown key '" + key + "'");
-        }
-      } while (consumeIf(','));
-      expect('}');
-    }
-    if (!sawName) fail("telemetry node without \"name\"");
-    TelemetryNode node(name);
-    node.merge(fields);
-    return node;
-  }
-
-  void finish() {
-    skipWs();
-    if (pos_ != text_.size()) fail("trailing characters after telemetry JSON");
-  }
-
- private:
-  void parseCounters(TelemetryNode& node) {
-    expect('{');
-    if (consumeIf('}')) return;
-    do {
-      const std::string key = parseString();
-      expect(':');
-      node.setCounter(key, static_cast<int64_t>(parseNumber()));
-    } while (consumeIf(','));
-    expect('}');
-  }
-
-  void parseChildren(TelemetryNode& node) {
-    expect('[');
-    if (consumeIf(']')) return;
-    do {
-      TelemetryNode c = parseNode();
-      node.child(c.name()).merge(c);
-    } while (consumeIf(','));
-    expect(']');
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              const int digit = h >= '0' && h <= '9'   ? h - '0'
-                                : h >= 'a' && h <= 'f' ? h - 'a' + 10
-                                : h >= 'A' && h <= 'F' ? h - 'A' + 10
-                                                       : -1;
-              if (digit < 0) fail("bad hex digit in \\u escape");
-              code = code * 16 + static_cast<unsigned>(digit);
-            }
-            // Telemetry names are byte strings; we only emit \u00XX.
-            if (code > 0xff) fail("\\u escape beyond \\u00ff unsupported");
-            c = static_cast<char>(code);
-            break;
-          }
-          default: c = esc;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parseNumber() {
-    skipWs();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) fail("expected a number");
-    pos_ += static_cast<size_t>(end - begin);
-    return value;
-  }
-
-  void skipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool consumeIf(char c) {
-    skipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consumeIf(c))
-      fail(std::string("expected '") + c + "'");
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw Error("telemetry JSON at offset " + std::to_string(pos_) + ": " +
-                what);
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string TelemetryNode::toJson(int indent) const {
@@ -262,13 +94,6 @@ std::string TelemetryNode::toJson(int indent) const {
   writeNode(out, *this, indent);
   out += "\n";
   return out;
-}
-
-TelemetryNode TelemetryNode::fromJson(const std::string& json) {
-  JsonReader reader(json);
-  TelemetryNode node = reader.parseNode();
-  reader.finish();
-  return node;
 }
 
 }  // namespace aviv

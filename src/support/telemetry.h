@@ -1,10 +1,10 @@
 // Phase telemetry — one structured tree per pipeline session recording what
 // every stage of the back end did: named phases (split-node build, assignment
 // exploration, covering, regalloc, peephole, encode, ...), accumulated wall
-// time, and integer counters. The tree replaces ad-hoc per-stage stats
-// structs as the single source of truth; the stage-specific structs remain as
-// typed views materialized from it (see recordCoreStats / coreStatsView and
-// friends). Serializes to JSON (`--stats-json`) and parses back for tooling.
+// time, and integer counters. Stats flow one way: each stage fills its own
+// stats struct, one writer per stage copies it into the tree (recordCoreStats,
+// recordPeepholeStats, ...), and the tree is written out as JSON
+// (`--stats-json`). Nothing reads the JSON back in.
 //
 // Thread-safety: a TelemetryNode is NOT thread-safe. Parallel pipeline stages
 // must write to disjoint subtrees created before the parallel region (the
@@ -62,8 +62,6 @@ class TelemetryNode {
   //   {"name": "...", "seconds": 1.5e-3,
   //    "counters": {"irNodes": 13, ...}, "children": [ ... ]}
   [[nodiscard]] std::string toJson(int indent = 0) const;
-  // Inverse of toJson; throws aviv::Error on malformed input.
-  [[nodiscard]] static TelemetryNode fromJson(const std::string& json);
 
  private:
   std::string name_;

@@ -117,7 +117,10 @@ TEST(MetricsRegistry, ToJsonHasSchemaShape) {
   Histogram& h = reg.histogram("test.json.hist");
   h.record(1);
   h.record(1000);
+  // The name the telemetry and trace writers' tests pin too (obs/json.h).
+  reg.counter(std::string("a\"b\\c\nd\te\x01") + "f").add(1);
   const std::string json = reg.toJson();
+  EXPECT_NE(json.find(R"("a\"b\\c\nd\te\u0001f": 1)"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"test.json.counter\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"test.json.gauge\": -4"), std::string::npos);

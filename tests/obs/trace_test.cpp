@@ -149,8 +149,12 @@ TEST_F(TraceTest, FlightRecordRefusesEmptyTraceAndBadPath) {
 
 TEST_F(TraceTest, HostileNamesAreEscapedInExport) {
   instant("test", "bad\"name\r\n\x01");
+  // The name the telemetry and metrics writers' tests pin too (obs/json.h).
+  instant("test", std::string("a\"b\\c\nd\te\x01") + "f");
   const std::string json = Tracer::instance().exportJson();
   EXPECT_NE(json.find("bad\\\"name\\r\\n\\u0001"), std::string::npos);
+  EXPECT_NE(json.find(R"({"name":"a\"b\\c\nd\te\u0001f","cat":"test")"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -46,7 +46,6 @@ CacheEntry makeEntry(uint64_t i) {
   entry.blockName = "block" + std::to_string(i);
   entry.machineName = "mach";
   entry.symbolNames = {"x", "y", "spill#0"};
-  entry.statsJson = "{\"name\": \"block:block" + std::to_string(i) + "\"}";
 
   CodeImage& image = entry.image;
   image.blockName = entry.blockName;
@@ -89,7 +88,6 @@ TEST_F(CacheTest, EntryCodecRoundTrips) {
   EXPECT_EQ(decoded.blockName, original.blockName);
   EXPECT_EQ(decoded.machineName, original.machineName);
   EXPECT_EQ(decoded.symbolNames, original.symbolNames);
-  EXPECT_EQ(decoded.statsJson, original.statsJson);
   EXPECT_EQ(decoded.image.constPool, original.image.constPool);
   EXPECT_EQ(decoded.image.instrs.size(), original.image.instrs.size());
   // Field-by-field equality in one shot: identical re-serialization.
@@ -228,7 +226,7 @@ TEST_F(CacheTest, GarbageFileIsCorrupt) {
 }
 
 TEST_F(CacheTest, StaleFormatVersionIsCorrupt) {
-  expectSelfHealing(dir_, [](const std::string& path) {
+  EXPECT_NO_THROW(expectSelfHealing(dir_, [](const std::string& path) {
     // Rewrite the framing with a future format version but an otherwise
     // self-consistent payload: the version check alone must reject it.
     std::string bytes = readFile(path);
@@ -237,7 +235,32 @@ TEST_F(CacheTest, StaleFormatVersionIsCorrupt) {
     w.u32(ResultCache::kEntryFormatVersion + 1);
     bytes.replace(0, w.buffer().size(), w.buffer());
     writeFile(path, bytes);
-  });
+  }));
+  EXPECT_NO_THROW(expectSelfHealing(dir_, [](const std::string& path) {
+    // A store written by the previous format, byte for byte: its payload
+    // still carries the producing compile's stats JSON after the symbol
+    // names, under a correct key, size and checksum.
+    const std::string bytes = readFile(path);
+    const CacheEntry entry = makeEntry(9);
+    ByteWriter symbols;
+    symbols.str(entry.blockName);
+    symbols.str(entry.machineName);
+    symbols.u32(static_cast<uint32_t>(entry.symbolNames.size()));
+    for (const std::string& name : entry.symbolNames) symbols.str(name);
+    ByteWriter stats;
+    stats.str("{\"name\": \"block:block9\"}");
+    std::string payload = serializeCacheEntry(entry);
+    payload.insert(symbols.buffer().size(), stats.buffer());
+    ByteWriter w;
+    w.u32(0x45435641u);  // magic "AVCE"
+    w.u32(ResultCache::kEntryFormatVersion - 1);
+    std::string framed = w.take() + bytes.substr(8, 16);  // the key
+    ByteWriter size;
+    size.u64(payload.size());
+    ByteWriter checksum;
+    checksum.u64(hash64(payload.data(), payload.size()));
+    writeFile(path, framed + size.buffer() + payload + checksum.buffer());
+  }));
 }
 
 TEST_F(CacheTest, WrongKeyInFramingIsCorrupt) {

@@ -3,9 +3,7 @@
 // automatically:
 //
 //   * a cache-hit compile is bit-identical to a cold compile — same assembly
-//     text, same instruction count, and stored phase stats identical (via
-//     sameShapeAs, which ignores wall-clock) to what a cache-less compile
-//     records;
+//     text, same instruction count;
 //   * a cache populated at jobs=4 replays bit-identically at jobs=1 (the
 //     fingerprint deliberately excludes the worker count);
 //   * a hit performs ZERO covering work: the block's telemetry subtree
@@ -45,16 +43,15 @@ std::vector<std::string> stemsWithExtension(const std::string& dir,
   return stems;
 }
 
-// Everything observable about one standalone-block compile, plus the
-// block's telemetry subtree (as JSON — TelemetryNode is move-only).
+// Everything observable about one standalone-block compile, plus a deep
+// copy of the block's telemetry subtree (merged into an empty node).
 struct Outcome {
   bool ok = false;
   std::string error;
   std::string asmText;
   int instructions = 0;
   bool fromCache = false;
-  std::string cachedStatsJson;
-  std::string blockStatsJson;
+  TelemetryNode blockTel{""};
 };
 
 Outcome compileWith(const BlockDag& dag, const Machine& machine, int jobs,
@@ -72,10 +69,9 @@ Outcome compileWith(const BlockDag& dag, const Machine& machine, int jobs,
     out.asmText = block.image.asmText(machine);
     out.instructions = block.numInstructions();
     out.fromCache = block.fromCache;
-    out.cachedStatsJson = block.cachedStatsJson;
     const TelemetryNode* tel =
         generator.telemetry().findChild("block:" + dag.name());
-    if (tel != nullptr) out.blockStatsJson = tel->toJson();
+    if (tel != nullptr) out.blockTel.merge(*tel);
   } catch (const Error& e) {
     out.error = e.what();
   }
@@ -122,23 +118,9 @@ TEST_P(CacheReplay, HitIsBitIdenticalToColdCompile) {
 
   // Zero covering work on a hit: the block subtree holds the cacheHits
   // counter and nothing else — no assignment/cover/regalloc/encode phases.
-  const TelemetryNode hitTel = TelemetryNode::fromJson(hit.blockStatsJson);
-  EXPECT_TRUE(hitTel.children().empty());
-  EXPECT_EQ(hitTel.counters().size(), 1u);
-  EXPECT_EQ(hitTel.counter("cacheHits"), 1);
-
-  // The stored stats are what a cache-less compile records, verbatim. Use a
-  // jobs=1-populated cache for this comparison: the cold baseline ran at
-  // jobs=1 and cover-phase telemetry legitimately records the worker count.
-  auto serialCache = std::make_shared<ResultCache>(CacheConfig{});
-  (void)compileWith(dag, machine, 1, serialCache);
-  const Outcome serialHit = compileWith(dag, machine, 1, serialCache);
-  ASSERT_TRUE(serialHit.fromCache);
-  const TelemetryNode stored =
-      TelemetryNode::fromJson(serialHit.cachedStatsJson);
-  const TelemetryNode coldTel = TelemetryNode::fromJson(cold.blockStatsJson);
-  EXPECT_TRUE(stored.sameShapeAs(coldTel))
-      << "stored:\n" << stored.toJson() << "\ncold:\n" << coldTel.toJson();
+  EXPECT_TRUE(hit.blockTel.children().empty()) << hit.blockTel.toJson();
+  EXPECT_EQ(hit.blockTel.counters().size(), 1u) << hit.blockTel.toJson();
+  EXPECT_EQ(hit.blockTel.counter("cacheHits"), 1);
 }
 
 std::vector<ServiceCase> allCases() {
