@@ -1,28 +1,22 @@
 // Performance microbenchmarks (google-benchmark) for the expensive stages
-// of the AVIV flow, on the paper's blocks and on synthetic DAGs of growing
-// size. The paper observes that "generating all of the maximal cliques is
-// the most time consuming portion of our algorithm" — BM_CliqueGeneration
-// vs the rest quantifies that on our implementation, and the LevelWindow
-// variants show the Section IV-C.2 remedy.
+// of the AVIV flow on synthetic DAGs of growing size, plus the cost of the
+// observability hooks. Only questions that perfbench's per-layer metrics
+// cannot answer live here: scaling curves, the jobs split of covering, and
+// heap traffic per stage. The paper observes that "generating all of the
+// maximal cliques is the most time consuming portion of our algorithm" —
+// BM_CliqueGeneration vs the rest quantifies that on our implementation,
+// and the LevelWindow variants show the Section IV-C.2 remedy.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
-#include <memory>
 #include <new>
-#include <vector>
 
 #include "core/assign_explore.h"
 #include "core/assigned.h"
 #include "core/clique.h"
 #include "core/codegen.h"
 #include "core/parallel_matrix.h"
-#include "core/workspace.h"
-#include "driver/codegen.h"
-#include "ir/parser.h"
-#include "service/cache.h"
-#include "service/fingerprint.h"
 #include "ir/random_dag.h"
 #include "isdl/parser.h"
 #include "obs/metrics.h"
@@ -105,21 +99,10 @@ BlockDag syntheticDag(int ops) {
   return makeRandomDag(spec);
 }
 
+// Split-Node DAG build. The heap counters show the flattened span/pool
+// storage at work: a build makes a handful of chunk allocations instead of
+// one vector per node, so allocations/op grow far slower than node count.
 void BM_SplitNodeBuild(benchmark::State& state) {
-  const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
-  const CodegenOptions options;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SplitNodeDag::build(dag, arch1(), arch1Dbs(), options));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SplitNodeBuild)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity();
-
-// Same build, instrumented: with the flattened span/pool storage a build
-// makes a handful of chunk allocations instead of one vector per node, so
-// allocations/op should grow far slower than node count.
-void BM_SplitNodeBuildArena(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
   const CodegenOptions options;
   const HeapMeter heap;
@@ -130,12 +113,7 @@ void BM_SplitNodeBuildArena(benchmark::State& state) {
   heap.report(state);
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SplitNodeBuildArena)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->Complexity();
+BENCHMARK(BM_SplitNodeBuild)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity();
 
 void BM_AssignmentExploration(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
@@ -219,139 +197,6 @@ void BM_CoverSelectedAssignments(benchmark::State& state) {
   state.SetLabel("jobs=" + std::to_string(options.jobs));
 }
 BENCHMARK(BM_CoverSelectedAssignments)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-// The candidate-state cost model head to head: Arg(0) re-homes every
-// candidate's payload spans into graph-owned pools right after materialize
-// (the pre-refactor per-candidate deep copy); Arg(1) leaves them aliasing
-// the Split-Node DAG's pools, as the covering loop now does — only the
-// winner pays the detach. Same candidate set, so the time and allocs/op
-// deltas are exactly the copy tax.
-void BM_CandidateCopyVsDelta(benchmark::State& state) {
-  const BlockDag dag = syntheticDag(26);
-  CodegenOptions options = CodegenOptions::heuristicsOn();
-  options.outputsToMemory = true;
-  options.assignPruneIncremental = false;
-  options.assignBeamWidth = 32;
-  options.assignKeepBest = 8;
-  const SplitNodeDag snd =
-      SplitNodeDag::build(dag, arch1(), arch1Dbs(), options);
-  const std::vector<Assignment> assignments =
-      AssignmentExplorer(snd, options).explore();
-  const bool copyMode = state.range(0) == 0;
-  CoverWorkspace ws;
-  const HeapMeter heap;
-  for (auto _ : state) {
-    for (const Assignment& assignment : assignments) {
-      const ArenaScope candidateScope(ws.arena);
-      AssignedGraph graph =
-          AssignedGraph::materialize(snd, assignment, options, &ws);
-      if (copyMode) graph.detachPayloads();
-      benchmark::DoNotOptimize(graph.size());
-    }
-  }
-  heap.report(state);
-  state.counters["candidates"] =
-      benchmark::Counter(static_cast<double>(assignments.size()));
-  state.SetLabel(copyMode ? "copy" : "delta");
-}
-BENCHMARK(BM_CandidateCopyVsDelta)->Arg(0)->Arg(1);
-
-void BM_PaperBlocks(benchmark::State& state) {
-  static const char* names[] = {"ex1", "ex2", "ex3", "ex4", "ex5"};
-  const BlockDag dag = loadBlock(names[state.range(0)]);
-  const CodegenOptions options = CodegenOptions::heuristicsOn();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(coverBlock(dag, arch1(), arch1Dbs(), options));
-  }
-  state.SetLabel(names[state.range(0)]);
-}
-BENCHMARK(BM_PaperBlocks)->DenseRange(0, 4);
-
-// --- compilation service (DESIGN.md System 23) ---
-
-void BM_FingerprintCompute(benchmark::State& state) {
-  const BlockDag dag = loadBlock("ex2");
-  const CodegenOptions options = CodegenOptions::heuristicsOn();
-  CodegenContext ctx(arch1(), options);
-  ctx.setMachineFingerprint(fingerprintMachine(ctx.machine()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        compileFingerprint(ctx, dag, options, true, true));
-  }
-}
-BENCHMARK(BM_FingerprintCompute);
-
-CacheEntry benchEntry() {
-  // A realistic entry: ex2 compiled for arch1.
-  static const CacheEntry entry = [] {
-    DriverOptions options;
-    options.cache = std::make_shared<ResultCache>(CacheConfig{});
-    CodeGenerator generator(arch1(), options);
-    (void)generator.compileBlock(loadBlock("ex2"));
-    CacheEntry e;
-    e.blockName = "ex2";
-    e.machineName = "arch1";
-    return e;
-  }();
-  return entry;
-}
-
-void BM_CacheLookupMemoryHit(benchmark::State& state) {
-  ResultCache cache(CacheConfig{});
-  const Hash128 key = Hasher().str("bench").digest();
-  cache.store(key, benchEntry());
-  for (auto _ : state) benchmark::DoNotOptimize(cache.lookup(key));
-}
-BENCHMARK(BM_CacheLookupMemoryHit);
-
-void BM_CacheLookupDiskHit(benchmark::State& state) {
-  CacheConfig config;
-  config.dir = (std::filesystem::temp_directory_path() /
-                "aviv_bench_cache")
-                   .string();
-  config.memoryEntries = 0;  // every hit pays the read + decode + checksum
-  ResultCache cache(config);
-  const Hash128 key = Hasher().str("bench").digest();
-  cache.store(key, benchEntry());
-  for (auto _ : state) benchmark::DoNotOptimize(cache.lookup(key));
-  std::filesystem::remove_all(config.dir);
-}
-BENCHMARK(BM_CacheLookupDiskHit);
-
-void BM_CacheLookupMiss(benchmark::State& state) {
-  ResultCache cache(CacheConfig{});
-  const Hash128 key = Hasher().str("absent").digest();
-  for (auto _ : state) benchmark::DoNotOptimize(cache.lookup(key));
-}
-BENCHMARK(BM_CacheLookupMiss);
-
-// The avivd value proposition: one batch of the five paper kernels, cold
-// (every compile does covering work) vs warm (every compile replays from
-// the cache). The ratio is the speedup a warm daemon delivers.
-void BM_BatchCompileColdVsWarm(benchmark::State& state) {
-  static const char* names[] = {"ex1", "ex2", "ex3", "ex4", "ex5"};
-  std::vector<BlockDag> dags;
-  for (const char* name : names) dags.push_back(loadBlock(name));
-  const bool warm = state.range(0) != 0;
-  auto cache = std::make_shared<ResultCache>(CacheConfig{});
-  DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
-  options.cache = cache;
-  if (warm) {
-    CodeGenerator generator(arch1(), options);
-    for (const BlockDag& dag : dags) (void)generator.compileBlock(dag);
-  }
-  for (auto _ : state) {
-    if (!warm) cache = std::make_shared<ResultCache>(CacheConfig{});
-    DriverOptions iter = options;
-    iter.cache = cache;
-    CodeGenerator generator(arch1(), iter);
-    for (const BlockDag& dag : dags)
-      benchmark::DoNotOptimize(generator.compileBlock(dag));
-  }
-  state.SetLabel(warm ? "warm" : "cold");
-}
-BENCHMARK(BM_BatchCompileColdVsWarm)->Arg(0)->Arg(1);
 
 // Observability overhead. Disabled is the price every call site pays when
 // nobody asked for a trace — the acceptance bar is "one predictable

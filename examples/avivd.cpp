@@ -30,8 +30,7 @@
 // A request that fails — compile error, injected fault, anything — only
 // fails that request: the daemon never dies mid-batch. SIGINT/SIGTERM
 // request a graceful shutdown: in-flight requests drain, pending ones
-// report `skipped (shutdown)`, the cache manifest is flushed, and the
-// process exits 130.
+// report `skipped (shutdown)`, and the process exits 130.
 //
 // Both front ends hand each request line to one dispatch
 // (DaemonConfig::dispatch): in-process through serveRequestLine, or through
@@ -76,7 +75,6 @@
 //   --worker-deadline-ms <n>  hard per-request ceiling before a worker is
 //                        SIGKILLed (default 30000; 0 = none)
 //   --worker-rss-mb <n>  per-worker RLIMIT_AS cap in MB (0 = inherit)
-//   --worker-cpu-s <n>   per-worker RLIMIT_CPU cap in seconds (0 = inherit)
 //   --crash-dir <dir>    write every worker crash as a standalone repro
 //                        bundle under this directory (replayable with
 //                        `fuzz_gen --replay <bundle>`)
@@ -99,7 +97,6 @@
 //                        host:port (port 0 = kernel-assigned, printed)
 //   --queue-cap <n>      server: admitted-but-unstarted request bound before
 //                        shedding with RETRY_AFTER (default 256)
-//   --backend <b>        server: event backend auto|epoll|poll
 //   --drain-timeout-ms <n>  server: grace for stalled peers at shutdown
 //
 // Batch status lines (streamed as requests complete; order varies with
@@ -375,9 +372,8 @@ int runBatch(const DaemonConfig& daemon, const std::string& batchPath,
   }
 
   if (shutdown) {
-    // Graceful shutdown: in-flight work has drained; persist what we can
-    // and exit with the conventional interrupted status.
-    if (cache != nullptr) cache->flushManifest();
+    // Graceful shutdown: in-flight work has drained; write the outputs and
+    // exit with the conventional interrupted status.
     daemon.writeOutputs(root, nullptr);
     std::printf("avivd: shutdown requested, exiting\n");
     return 130;
@@ -398,20 +394,11 @@ int runBatch(const DaemonConfig& daemon, const std::string& batchPath,
 // --- server mode ----------------------------------------------------------
 
 int runServer(const DaemonConfig& daemon, const std::string& listenSpec,
-              int queueCap, const std::string& backendName,
-              int drainTimeoutMs) {
+              int queueCap, int drainTimeoutMs) {
   net::ServerConfig config;
   config.listen = net::parseEndpoint(listenSpec);
   config.queueCapacity = queueCap;
   if (drainTimeoutMs > 0) config.drainTimeoutMs = drainTimeoutMs;
-  if (backendName == "epoll") {
-    config.backend = net::EventLoop::Backend::kEpoll;
-  } else if (backendName == "poll") {
-    config.backend = net::EventLoop::Backend::kPoll;
-  } else if (backendName != "auto") {
-    throw Error("--backend expects auto|epoll|poll, got '" + backendName +
-                "'");
-  }
 
   ThreadPool pool(daemon.jobs);
 
@@ -437,11 +424,9 @@ int runServer(const DaemonConfig& daemon, const std::string& listenSpec,
   if (daemon.pool != nullptr)
     std::printf("avivd: workers: %s\n",
                 statsLine(daemon.pool->stats()).c_str());
-  if (daemon.exec.cache != nullptr) {
+  if (daemon.exec.cache != nullptr)
     std::printf("avivd: cache: %s\n",
                 statsLine(daemon.exec.cache->stats()).c_str());
-    daemon.exec.cache->flushManifest();
-  }
   TelemetryNode root("avivd");
   daemon.writeOutputs(root, &server);
   std::printf("avivd: drained, exiting\n");
@@ -465,10 +450,9 @@ int main(int argc, char** argv) {
           "[--print-asm] [--stats-json out.json] [--trace-out out.json] "
           "[--metrics-json out.json]\n"
           "       avivd --listen <unix:PATH|HOST:PORT> [--queue-cap N] "
-          "[--backend auto|epoll|poll] [--drain-timeout-ms N] "
-          "[common options]\n"
+          "[--drain-timeout-ms N] [common options]\n"
           "       common: --isolate-workers N [--worker-deadline-ms N] "
-          "[--worker-rss-mb N] [--worker-cpu-s N] [--crash-dir DIR] "
+          "[--worker-rss-mb N] [--crash-dir DIR] "
           "[--crash-loop-k N] — compile in supervised, crash-isolated "
           "worker processes");
     DaemonConfig daemon;
@@ -499,7 +483,6 @@ int main(int argc, char** argv) {
     daemon.traceOut = flags.getString("trace-out", "");
     daemon.metricsJson = flags.getString("metrics-json", "");
     const int queueCap = static_cast<int>(flags.getInt("queue-cap", 256));
-    const std::string backendName = flags.getString("backend", "auto");
     const int drainTimeoutMs =
         static_cast<int>(flags.getInt("drain-timeout-ms", 0));
     const int isolateWorkers =
@@ -508,8 +491,6 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.getInt("worker-deadline-ms", 30000));
     const auto workerRssMb =
         static_cast<uint64_t>(flags.getInt("worker-rss-mb", 0));
-    const auto workerCpuS =
-        static_cast<uint64_t>(flags.getInt("worker-cpu-s", 0));
     const std::string crashDir = flags.getString("crash-dir", "");
     const int crashLoopK = static_cast<int>(flags.getInt("crash-loop-k", 3));
     flags.finish();
@@ -543,7 +524,6 @@ int main(int argc, char** argv) {
       poolConfig.env.cacheEnabled = !noCache;
       poolConfig.env.memEntries = memEntries;
       poolConfig.env.rssLimitBytes = workerRssMb << 20;
-      poolConfig.env.cpuLimitSeconds = workerCpuS;
       if (daemon.exec.cache != nullptr) {
         // A worker SIGKILLed mid-store leaves a torn *.tmp in the shared
         // disk store; re-sweep (age-gated: live sibling writers keep
@@ -554,16 +534,14 @@ int main(int argc, char** argv) {
       daemon.pool = std::make_shared<proc::WorkerPool>(poolConfig);
       std::printf(
           "avivd: %d isolated compile worker%s (deadline %dms, rss-cap "
-          "%lluMB, cpu-cap %llus)\n",
+          "%lluMB)\n",
           isolateWorkers, isolateWorkers == 1 ? "" : "s", workerDeadlineMs,
-          static_cast<unsigned long long>(workerRssMb),
-          static_cast<unsigned long long>(workerCpuS));
+          static_cast<unsigned long long>(workerRssMb));
       std::fflush(stdout);
     }
 
     if (!listenSpec.empty())
-      return runServer(daemon, listenSpec, queueCap, backendName,
-                       drainTimeoutMs);
+      return runServer(daemon, listenSpec, queueCap, drainTimeoutMs);
     return runBatch(daemon, flags.positional()[0], repeat, expectAllHits,
                     printAsm);
   } catch (const std::exception& e) {

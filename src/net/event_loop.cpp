@@ -1,18 +1,11 @@
 #include "net/event_loop.h"
 
 #include <errno.h>
-#include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cstring>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define AVIV_NET_HAVE_EPOLL 1
-#else
-#define AVIV_NET_HAVE_EPOLL 0
-#endif
+#include <vector>
 
 #include "support/error.h"
 
@@ -26,20 +19,8 @@ namespace {
 
 }  // namespace
 
-EventLoop::EventLoop(Backend backend) {
-#if AVIV_NET_HAVE_EPOLL
-  usingEpoll_ = backend != Backend::kPoll;
-#else
-  if (backend == Backend::kEpoll)
-    throw Error("event loop: epoll backend unavailable on this platform");
-  usingEpoll_ = false;
-#endif
-#if AVIV_NET_HAVE_EPOLL
-  if (usingEpoll_) {
-    epollFd_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-    if (!epollFd_.valid()) throwErrno("epoll_create1");
-  }
-#endif
+EventLoop::EventLoop() : epollFd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (!epollFd_.valid()) throwErrno("epoll_create1");
   int pipeFds[2];
   if (::pipe(pipeFds) < 0) throwErrno("pipe");
   wakePipe_[0] = Fd(pipeFds[0]);
@@ -60,7 +41,7 @@ void EventLoop::add(int fd, uint32_t interest, Callback callback) {
   entry.generation = nextGeneration_++;
   entry.callback = std::move(callback);
   entries_.emplace(fd, std::move(entry));
-  backendAdd(fd, interest);
+  control(EPOLL_CTL_ADD, fd, interest);
 }
 
 void EventLoop::modify(int fd, uint32_t interest) {
@@ -68,13 +49,13 @@ void EventLoop::modify(int fd, uint32_t interest) {
   AVIV_CHECK(it != entries_.end());
   if (it->second.interest == interest) return;
   it->second.interest = interest;
-  backendModify(fd, interest);
+  control(EPOLL_CTL_MOD, fd, interest);
 }
 
 void EventLoop::remove(int fd) {
   auto it = entries_.find(fd);
   if (it == entries_.end()) return;
-  backendRemove(fd);
+  control(EPOLL_CTL_DEL, fd, 0);
   entries_.erase(it);
 }
 
@@ -91,104 +72,27 @@ void EventLoop::drainWakePipe() {
   }
 }
 
-void EventLoop::backendAdd(int fd, uint32_t interest) {
-#if AVIV_NET_HAVE_EPOLL
-  if (usingEpoll_) {
-    epoll_event ev{};
-    ev.events = (interest & kRead ? EPOLLIN : 0u) |
-                (interest & kWrite ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epollFd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0)
-      throwErrno("epoll_ctl(ADD)");
-  }
-#else
-  (void)fd;
-  (void)interest;
-#endif
-}
-
-void EventLoop::backendModify(int fd, uint32_t interest) {
-#if AVIV_NET_HAVE_EPOLL
-  if (usingEpoll_) {
-    epoll_event ev{};
-    ev.events = (interest & kRead ? EPOLLIN : 0u) |
-                (interest & kWrite ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epollFd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0)
-      throwErrno("epoll_ctl(MOD)");
-  }
-#else
-  (void)fd;
-  (void)interest;
-#endif
-}
-
-void EventLoop::backendRemove(int fd) {
-#if AVIV_NET_HAVE_EPOLL
-  if (usingEpoll_) {
-    epoll_event ev{};  // non-null for pre-2.6.9 kernels, per the man page
-    ::epoll_ctl(epollFd_.get(), EPOLL_CTL_DEL, fd, &ev);
-  }
-#else
-  (void)fd;
-#endif
-}
-
-int EventLoop::waitReady(int timeoutMs,
-                         std::vector<std::pair<int, uint32_t>>* ready) {
-#if AVIV_NET_HAVE_EPOLL
-  if (usingEpoll_) {
-    static constexpr int kMaxEvents = 256;
-    epoll_event events[kMaxEvents];
-    const int n = ::epoll_wait(epollFd_.get(), events, kMaxEvents, timeoutMs);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throwErrno("epoll_wait");
-    }
-    for (int i = 0; i < n; ++i) {
-      uint32_t bits = 0;
-      if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0)
-        bits |= kRead;
-      if ((events[i].events & EPOLLOUT) != 0) bits |= kWrite;
-      const int fd = events[i].data.fd;
-      if (bits != 0) ready->emplace_back(fd, bits);
-    }
-    return n;
-  }
-#endif
-  // poll fallback: rebuild the pollfd set from the registry every wait.
-  // O(fds) per call, which is fine for the fallback path; epoll carries
-  // the thousand-connection runs.
-  std::vector<pollfd> fds;
-  fds.reserve(entries_.size());
-  for (const auto& [fd, entry] : entries_) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = static_cast<short>((entry.interest & kRead ? POLLIN : 0) |
-                                  (entry.interest & kWrite ? POLLOUT : 0));
-    fds.push_back(p);
-  }
-  const int n = ::poll(fds.data(), fds.size(), timeoutMs);
-  if (n < 0) {
-    if (errno == EINTR) return 0;
-    throwErrno("poll");
-  }
-  for (const pollfd& p : fds) {
-    if (p.revents == 0) continue;
-    uint32_t bits = 0;
-    if ((p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0)
-      bits |= kRead;
-    if ((p.revents & POLLOUT) != 0) bits |= kWrite;
-    if (bits != 0) ready->emplace_back(p.fd, bits);
-  }
-  return n;
+void EventLoop::control(int op, int fd, uint32_t interest) {
+  epoll_event ev{};  // non-null even for DEL, per the man page
+  ev.events = (interest & kRead ? EPOLLIN : 0u) |
+              (interest & kWrite ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  // A failed DEL only means the fd is already gone from the kernel set.
+  if (::epoll_ctl(epollFd_.get(), op, fd, &ev) < 0 && op != EPOLL_CTL_DEL)
+    throwErrno(op == EPOLL_CTL_ADD ? "epoll_ctl(ADD)" : "epoll_ctl(MOD)");
 }
 
 int EventLoop::runOnce(int timeoutMs) {
-  std::vector<std::pair<int, uint32_t>> ready;
-  waitReady(timeoutMs, &ready);
+  static constexpr int kMaxEvents = 256;
+  epoll_event events[kMaxEvents];
+  const int n = ::epoll_wait(epollFd_.get(), events, kMaxEvents, timeoutMs);
+  if (n < 0) {
+    if (errno == EINTR) return 0;
+    throwErrno("epoll_wait");
+  }
 
-  // Re-validate before each dispatch: an earlier callback this round may
+  // Snapshot every ready fd with its registration generation first, then
+  // re-validate before each dispatch: an earlier callback this round may
   // have removed the fd (or removed + re-added it, changing generation).
   struct Pending {
     int fd;
@@ -196,11 +100,15 @@ int EventLoop::runOnce(int timeoutMs) {
     uint64_t generation;
   };
   std::vector<Pending> snapshot;
-  snapshot.reserve(ready.size());
-  for (const auto& [fd, bits] : ready) {
-    auto it = entries_.find(fd);
-    if (it == entries_.end()) continue;
-    snapshot.push_back({fd, bits, it->second.generation});
+  snapshot.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    uint32_t bits = 0;
+    if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0)
+      bits |= kRead;
+    if ((events[i].events & EPOLLOUT) != 0) bits |= kWrite;
+    const auto it = entries_.find(events[i].data.fd);
+    if (bits == 0 || it == entries_.end()) continue;
+    snapshot.push_back({events[i].data.fd, bits, it->second.generation});
   }
   int dispatched = 0;
   for (const Pending& pending : snapshot) {

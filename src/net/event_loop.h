@@ -1,8 +1,7 @@
 // EventLoop — the readiness core of the compile server: a single-threaded
-// epoll dispatcher (Linux) with a poll(2) fallback selected at runtime, so
-// the same binary runs on any POSIX system and tests can exercise both
-// backends. Callbacks are registered per fd with a read/write interest
-// mask; runOnce() waits for readiness and dispatches.
+// epoll dispatcher (the server targets Linux). Callbacks are registered per
+// fd with a read/write interest mask; runOnce() waits for readiness and
+// dispatches.
 //
 // Thread model: add/modify/remove/runOnce belong to the loop thread.
 // wakeup() is the one cross-thread (and async-signal-safe) entry point — a
@@ -20,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "net/socket.h"
 
@@ -33,13 +31,7 @@ class EventLoop {
   static constexpr uint32_t kRead = 1;
   static constexpr uint32_t kWrite = 2;
 
-  enum class Backend {
-    kAuto,   // epoll on Linux, poll elsewhere
-    kEpoll,  // Linux only; throws where unsupported
-    kPoll,
-  };
-
-  explicit EventLoop(Backend backend = Backend::kAuto);
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -55,7 +47,8 @@ class EventLoop {
   [[nodiscard]] size_t size() const { return entries_.size(); }
 
   // Waits up to timeoutMs (-1 = forever) and dispatches ready callbacks.
-  // Returns the number of callbacks invoked (0 on timeout or bare wakeup).
+  // Returns the number of callbacks invoked (0 on timeout; a wakeup counts
+  // the wake pipe's own drain callback).
   int runOnce(int timeoutMs);
 
   // Thread-safe and async-signal-safe: nudges runOnce awake.
@@ -64,10 +57,6 @@ class EventLoop {
   // write() it directly.
   [[nodiscard]] int wakeupFd() const { return wakePipe_[1].get(); }
 
-  [[nodiscard]] const char* backendName() const {
-    return usingEpoll_ ? "epoll" : "poll";
-  }
-
  private:
   struct Entry {
     uint32_t interest = 0;
@@ -75,13 +64,9 @@ class EventLoop {
     Callback callback;
   };
 
-  void backendAdd(int fd, uint32_t interest);
-  void backendModify(int fd, uint32_t interest);
-  void backendRemove(int fd);
-  int waitReady(int timeoutMs, std::vector<std::pair<int, uint32_t>>* ready);
+  void control(int op, int fd, uint32_t interest);
   void drainWakePipe();
 
-  bool usingEpoll_ = false;
   Fd epollFd_;
   Fd wakePipe_[2];  // [0] read end (watched), [1] write end
   std::unordered_map<int, Entry> entries_;

@@ -15,8 +15,7 @@ CompileServer::CompileServer(ServerConfig config, ThreadPool& pool,
                              RequestHandler handler)
     : config_(std::move(config)),
       pool_(pool),
-      handler_(std::move(handler)),
-      loop_(config_.backend) {
+      handler_(std::move(handler)) {
   AVIV_CHECK(config_.queueCapacity >= 1);
   AVIV_CHECK(handler_ != nullptr);
 }
@@ -34,7 +33,7 @@ CompileServer::~CompileServer() {
 Endpoint CompileServer::start() {
   AVIV_CHECK(!started_);
   raiseFdLimit();
-  listener_ = listenOn(config_.listen, config_.backlog, &bound_);
+  listener_ = listenOn(config_.listen, /*backlog=*/512, &bound_);
   loop_.add(listener_.get(), EventLoop::kRead,
             [this](uint32_t) { onAcceptable(); });
   // Workers: each of the pool's participants runs one workerLoop until the
@@ -390,11 +389,14 @@ bool CompileServer::flushConnection(uint64_t connId) {
 }
 
 void CompileServer::updateBackpressure(Connection& conn) {
+  // Outbound-buffer watermarks for per-connection read pausing.
+  static constexpr size_t kWriteHighWater = 1u << 20;
+  static constexpr size_t kWriteLowWater = 256u << 10;
   const size_t pending = conn.pendingOut();
-  if (!conn.readPaused && !conn.closing && pending > config_.writeHighWater) {
+  if (!conn.readPaused && !conn.closing && pending > kWriteHighWater) {
     conn.readPaused = true;
     stats_.add(&ServerStats::readPauses);
-  } else if (conn.readPaused && pending < config_.writeLowWater) {
+  } else if (conn.readPaused && pending < kWriteLowWater) {
     conn.readPaused = false;
   }
   uint32_t interest = 0;

@@ -15,10 +15,10 @@
 //     (a "shed") and costs O(1) memory — the server prefers telling a
 //     client to come back over growing without bound.
 //   * Per-connection write backpressure: when a connection's outbound
-//     buffer exceeds writeHighWater (a client that sends but does not
-//     read), the server stops READING from that connection until the
-//     buffer drains below writeLowWater. Its pipelined requests then park
-//     in the kernel socket buffer, propagating the pressure to the client.
+//     buffer exceeds 1 MiB (a client that sends but does not read), the
+//     server stops READING from that connection until the buffer drains
+//     below 256 KiB. Its pipelined requests then park in the kernel socket
+//     buffer, propagating the pressure to the client.
 //   * Frame cap: a request frame declaring a payload above maxFrameBytes
 //     poisons the connection before any payload is buffered.
 //
@@ -58,14 +58,10 @@ namespace aviv::net {
 
 struct ServerConfig {
   Endpoint listen;
-  int backlog = 512;
   // Admitted-but-unstarted requests; beyond this the server sheds with
   // RETRY_AFTER instead of growing memory.
   int queueCapacity = 256;
   uint64_t maxFrameBytes = kDefaultMaxPayload;
-  // Outbound-buffer watermarks for per-connection read pausing.
-  size_t writeHighWater = 1u << 20;
-  size_t writeLowWater = 256u << 10;
   // Suggested client retry delay carried in RETRY_AFTER responses, and the
   // cadence at which serve() re-checks its stop flag.
   int retryAfterMs = 50;
@@ -73,7 +69,6 @@ struct ServerConfig {
   // Drain gives stalled connections this long to accept their responses
   // before dropping them; guarantees shutdown terminates.
   int drainTimeoutMs = 30000;
-  EventLoop::Backend backend = EventLoop::Backend::kAuto;
 };
 
 struct NetRequest {

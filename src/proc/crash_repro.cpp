@@ -77,7 +77,7 @@ std::string rewriteLine(const std::string& line, const std::string& dir,
   // the child a ceiling regardless.
   uint64_t rss = repro.rssLimitBytes;
   if (rss == 0 && repro.failpointSite == "worker-oom") rss = 512ull << 20;
-  applyWorkerLimits(rss, repro.cpuLimitSeconds);
+  applyWorkerLimits(rss);
 
   evalWorkerCrashPoints("");  // fires the recorded site, if any
   try {
@@ -136,7 +136,6 @@ std::string writeCrashRepro(const CrashCapture& capture) {
          {"wantAsm", capture.wantAsm ? "1" : "0"}, {"blockFile", blockFile},
          {"failpoints", capture.failpointSite},
          {"rssLimitBytes", std::to_string(capture.rssLimitBytes)},
-         {"cpuLimitSeconds", std::to_string(capture.cpuLimitSeconds)},
          {"deadlineMs", std::to_string(capture.deadlineMs)}});
     std::error_code ec;  // no flight record is not an error
     fs::rename(capture.flightRecordPath, dir + "/" + kBundleFlightFile, ec);
@@ -152,7 +151,6 @@ CrashRepro loadCrashRepro(const ReproBundle& bundle) {
   repro.wantAsm = bundle.number<int>("wantAsm") != 0;
   repro.failpointSite = bundle.text("failpoints");
   repro.rssLimitBytes = bundle.number<uint64_t>("rssLimitBytes");
-  repro.cpuLimitSeconds = bundle.number<uint64_t>("cpuLimitSeconds");
   repro.deadlineMs = bundle.number<int>("deadlineMs");
   const std::string& blockFile = bundle.text("blockFile");
   const std::string original =

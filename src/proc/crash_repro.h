@@ -29,7 +29,6 @@ struct CrashCapture {
   // spec.
   std::string failpointSite;
   uint64_t rssLimitBytes = 0;
-  uint64_t cpuLimitSeconds = 0;
   int deadlineMs = 0;
   // Flight-recorder dump the worker's crash handler wrote, moved into the
   // bundle ("" or missing file = no tail captured).
@@ -47,7 +46,6 @@ struct CrashRepro {
   bool wantAsm = false;
   std::string failpointSite;
   uint64_t rssLimitBytes = 0;
-  uint64_t cpuLimitSeconds = 0;
   int deadlineMs = 0;
 };
 

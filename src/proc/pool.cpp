@@ -36,6 +36,11 @@ void closeInheritedFds() {
 
 std::chrono::milliseconds ms(int n) { return std::chrono::milliseconds(n); }
 
+// Respawn backoff of a slot: `firstMs`, then doubling up to 2 s.
+int nextBackoffMs(int currentMs, int firstMs) {
+  return currentMs == 0 ? firstMs : std::min(currentMs * 2, 2000);
+}
+
 }  // namespace
 
 WorkerPool::WorkerPool(PoolConfig config) : config_(std::move(config)) {
@@ -138,10 +143,8 @@ int WorkerPool::acquireSlot() {
           return static_cast<int>(i);
         }
         // fork refused (EAGAIN, fd pressure): back off and keep trying
-        slot.backoffMs = slot.backoffMs == 0
-                             ? config_.respawnBackoffMs
-                             : std::min(slot.backoffMs * 2,
-                                        config_.respawnBackoffMaxMs);
+        slot.backoffMs =
+            nextBackoffMs(slot.backoffMs, config_.respawnBackoffMs);
         slot.respawnAt = now + ms(slot.backoffMs);
       }
     }
@@ -304,7 +307,6 @@ void WorkerPool::handleCrash(int index, const std::string& line,
         attempt->killedByDeadline || attempt->killedByHeartbeat;
     capture.failpointSite = site;
     capture.rssLimitBytes = config_.env.rssLimitBytes;
-    capture.cpuLimitSeconds = config_.env.cpuLimitSeconds;
     capture.deadlineMs = config_.hardDeadlineMs;
     capture.flightRecordPath = flightPath;
     capture.sequence = crashSeq_.fetch_add(1, std::memory_order_relaxed);
@@ -325,10 +327,7 @@ void WorkerPool::handleCrash(int index, const std::string& line,
     slot.fd.reset();
     slot.dead = true;
     slot.busy = false;
-    slot.backoffMs = slot.backoffMs == 0
-                         ? config_.respawnBackoffMs
-                         : std::min(slot.backoffMs * 2,
-                                    config_.respawnBackoffMaxMs);
+    slot.backoffMs = nextBackoffMs(slot.backoffMs, config_.respawnBackoffMs);
     slot.respawnAt = Clock::now() + ms(slot.backoffMs);
   }
   cv_.notify_all();

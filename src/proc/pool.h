@@ -58,16 +58,16 @@ struct PoolConfig {
   // (heartbeat silence still catches wedged workers).
   int hardDeadlineMs = 30000;
   // SIGKILL a busy worker that has not produced a heartbeat or response
-  // for this long. Must be comfortably larger than env.heartbeatMs.
+  // for this long. Must be comfortably larger than the worker's 100 ms
+  // heartbeat cadence (proc/worker.h).
   int heartbeatTimeoutMs = 2000;
   // Crash-loop breaker: K crashes of one request line within the window
   // opens the breaker for that line.
   int crashLoopK = 3;
   double crashLoopWindowSeconds = 60.0;
-  // Respawn backoff: doubles per consecutive crash of a slot, resets on a
-  // served response.
+  // Respawn backoff: starts here, doubles per consecutive crash of a slot
+  // up to 2 s, resets on a served response.
   int respawnBackoffMs = 50;
-  int respawnBackoffMaxMs = 2000;
   // Crash repro bundles land here; "" disables capture.
   std::string crashDir;
   // Invoked (on the executing thread) after every worker crash, before the

@@ -57,23 +57,14 @@ void writeFrame(int fd, std::mutex& mu, const std::string& frame) {
 
 }  // namespace
 
-void applyWorkerLimits(uint64_t rssLimitBytes, uint64_t cpuLimitSeconds) {
-  if (rssLimitBytes > 0) {
-    // RLIMIT_AS is the portable stand-in for an RSS cap: allocation past it
-    // fails, which the worker-oom model turns into the kernel-OOM outcome.
-    rlimit lim{};
-    lim.rlim_cur = static_cast<rlim_t>(rssLimitBytes);
-    lim.rlim_max = static_cast<rlim_t>(rssLimitBytes);
-    (void)::setrlimit(RLIMIT_AS, &lim);
-  }
-  if (cpuLimitSeconds > 0) {
-    // Soft limit delivers SIGXCPU (default: terminate); hard limit one
-    // second later SIGKILLs a handler that swallowed it.
-    rlimit lim{};
-    lim.rlim_cur = static_cast<rlim_t>(cpuLimitSeconds);
-    lim.rlim_max = static_cast<rlim_t>(cpuLimitSeconds + 1);
-    (void)::setrlimit(RLIMIT_CPU, &lim);
-  }
+void applyWorkerLimits(uint64_t rssLimitBytes) {
+  if (rssLimitBytes == 0) return;
+  // RLIMIT_AS is the portable stand-in for an RSS cap: allocation past it
+  // fails, which the worker-oom model turns into the kernel-OOM outcome.
+  rlimit lim{};
+  lim.rlim_cur = static_cast<rlim_t>(rssLimitBytes);
+  lim.rlim_max = static_cast<rlim_t>(rssLimitBytes);
+  (void)::setrlimit(RLIMIT_AS, &lim);
 }
 
 void evalWorkerCrashPoints(const std::string& crashNotePath) {
@@ -141,7 +132,7 @@ void runWorkerProcess(int fd, const WorkerEnv& env) {
     for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL})
       std::signal(sig, handleWorkerCrash);
   }
-  applyWorkerLimits(env.rssLimitBytes, env.cpuLimitSeconds);
+  applyWorkerLimits(env.rssLimitBytes);
 
   std::shared_ptr<ResultCache> cache;
   if (env.cacheEnabled) {
@@ -163,15 +154,14 @@ void runWorkerProcess(int fd, const WorkerEnv& env) {
   std::mutex writeMu;
   std::atomic<bool> busy{false};
   std::atomic<bool> done{false};
-  // Heartbeat watchdog: beats only while a request is executing (an idle
-  // worker's beats would just pile up unread in the kernel buffer).
+  // Heartbeat watchdog: beats every 100 ms, only while a request is
+  // executing (an idle worker's beats would just pile up unread in the
+  // kernel buffer).
   std::thread heartbeat([&] {
     const std::string beat = net::encodeFrame(net::FrameType::kHeartbeat, "");
     while (!done.load(std::memory_order_relaxed)) {
       if (busy.load(std::memory_order_relaxed)) writeFrame(fd, writeMu, beat);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(env.heartbeatMs > 0 ? env.heartbeatMs
-                                                        : 100));
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
   });
   heartbeat.detach();  // the process exits via _exit; nothing to join

@@ -4,12 +4,11 @@
 // end of the socketpair, executes each through the shared request dispatch
 // (service/request.h) against a worker-private ResultCache, and writes one
 // typed response frame back. A busy worker additionally emits kHeartbeat
-// frames from a watchdog thread so the supervisor can tell a slow compile
-// from a wedged process.
+// frames every 100 ms from a watchdog thread so the supervisor can tell a
+// slow compile from a wedged process.
 //
 // The worker is the sandbox: before serving it resets inherited signal
-// dispositions, applies the configured setrlimit() caps (RLIMIT_AS as the
-// memory ceiling, RLIMIT_CPU as the runaway-search ceiling), installs
+// dispositions, applies the configured RLIMIT_AS memory ceiling, installs
 // crash handlers that dump the flight-recorder tail (obs/trace.h) for the
 // repro bundle, and closes every inherited fd except its socketpair. A
 // SIGSEGV, abort(), OOM, or SIGKILL here takes down ONE request's process,
@@ -43,11 +42,9 @@ struct WorkerEnv {
   std::string cacheDir;
   bool cacheEnabled = true;
   size_t memEntries = 1024;
-  // setrlimit caps; 0 = inherit (unlimited).
+  // RLIMIT_AS cap; 0 = inherit (unlimited). A runaway search is bounded
+  // by the supervisor's per-request hard deadline instead.
   uint64_t rssLimitBytes = 0;
-  uint64_t cpuLimitSeconds = 0;
-  // Heartbeat cadence while a request is executing.
-  int heartbeatMs = 100;
   // Crash-handler flight-record dump target ("" disables); the supervisor
   // moves it into the crash repro bundle. Enabling implies enabling the
   // tracer in the worker so there is a tail to dump.
@@ -67,10 +64,10 @@ struct WorkerEnv {
 // (proc/crash_repro.h) so a recorded spec reproduces the same death.
 void evalWorkerCrashPoints(const std::string& crashNotePath);
 
-// Applies RLIMIT_AS / RLIMIT_CPU caps (0 = leave untouched). Best-effort:
-// a refused setrlimit is not fatal (the supervisor's hard deadline still
-// backstops). Shared with the replay child.
-void applyWorkerLimits(uint64_t rssLimitBytes, uint64_t cpuLimitSeconds);
+// Applies the RLIMIT_AS cap (0 = leave untouched). Best-effort: a refused
+// setrlimit is not fatal (the supervisor's hard deadline still backstops).
+// Shared with the replay child.
+void applyWorkerLimits(uint64_t rssLimitBytes);
 
 // Formats "signal 11 (Segmentation fault)" / "exit code 3" from a waitpid
 // status, for crash bundles and log lines.

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "service/fingerprint.h"
 #include "support/error.h"
 #include "support/failpoint.h"
 #include "support/io.h"
@@ -191,7 +190,6 @@ ResultCache::ResultCache(CacheConfig config) : config_(std::move(config)) {
       throw Error("cannot create cache directory '" + config_.dir +
                   "': " + ec.message());
     sweepTempFiles(config_.sweepMinAgeSeconds);
-    writeManifest();
   }
 }
 
@@ -230,43 +228,8 @@ void ResultCache::sweepStaleTemps(double minAgeSeconds) {
   sweepTempFiles(minAgeSeconds);
 }
 
-void ResultCache::retryIo(const std::function<void()>& fn) const {
+void ResultCache::retryIo(const std::function<void()>& fn) {
   retryTransient(fn, [this] { stats_.add(&CacheStats::ioRetries); });
-}
-
-void ResultCache::writeManifest() const {
-  // The manifest documents the store's format; entries whose framing
-  // version no longer matches are self-healed on lookup (corrupt path).
-  const fs::path path = fs::path(config_.dir) / "manifest.json";
-  std::string manifest =
-      std::string("{\n  \"format\": \"aviv-result-cache\",\n") +
-      "  \"entryFormatVersion\": " + std::to_string(kEntryFormatVersion) +
-      ",\n  \"fingerprintVersion\": " + std::to_string(kFingerprintVersion) +
-      "\n}\n";
-  std::error_code ec;
-  if (fs::exists(path, ec)) {
-    try {
-      FailPoints::instance().maybeThrow("cache-manifest");
-      if (readFile(path.string()) == manifest) return;
-    } catch (const Error&) {
-      // Unreadable manifest: rewrite it below.
-    }
-  }
-  try {
-    retryIo([&] {
-      FailPoints::instance().maybeThrow("cache-manifest");
-      writeFile(path.string(), manifest);
-    });
-  } catch (const Error&) {
-    // The manifest is advisory (entries self-heal through their own
-    // framing); a store that cannot write it keeps serving.
-    stats_.add(&CacheStats::writeErrors);
-  }
-}
-
-void ResultCache::flushManifest() const {
-  if (config_.dir.empty()) return;
-  writeManifest();
 }
 
 ResultCache::Shard& ResultCache::shardFor(const Hash128& key) {

@@ -14,9 +14,9 @@
 // records only its own `cacheHits` counter.
 //
 // Tier 1 is an in-memory sharded LRU (lock per shard). Tier 2 is an
-// on-disk content-addressed store: dir/objects/<h2>/<h30>.avivce with a
-// manifest recording the format versions. Entries are framed with a magic,
-// a format version, the fingerprint, and a checksum; any mismatch —
+// on-disk content-addressed store: dir/objects/<h2>/<h30>.avivce. Each
+// entry is self-describing: framed with a magic, a format version, the
+// fingerprint, and a checksum; any mismatch —
 // truncation, bit flips, stale format — is counted as `corrupt`, the file
 // is removed, and the lookup reports a miss so the caller recompiles and
 // rewrites a valid entry. The cache never fails a compile.
@@ -118,7 +118,7 @@ class ResultCache {
   // v3: the stats JSON of the producing compile is no longer stored.
   static constexpr uint32_t kEntryFormatVersion = 3;
 
-  // Creates the store directory and manifest when `config.dir` is set.
+  // Creates the store directory when `config.dir` is set.
   // Throws aviv::Error when the directory cannot be created.
   explicit ResultCache(CacheConfig config);
 
@@ -134,12 +134,6 @@ class ResultCache {
   // On-disk path an entry for `key` would live at; empty for memory-only
   // caches. Exposed for the corruption tests and cache tooling.
   [[nodiscard]] std::string entryPath(const Hash128& key) const;
-
-  // Rewrites the store manifest if it is missing or unreadable. The daemon
-  // calls this during graceful shutdown so a manifest lost to a mid-run
-  // fault is restored before the process exits. No-op for memory-only
-  // caches; never throws.
-  void flushManifest() const;
 
   // Removes stale `*.tmp` files under objects/ — the startup torn-write
   // sweep, callable again mid-run. A compile worker SIGKILLed between
@@ -171,19 +165,18 @@ class ResultCache {
   [[nodiscard]] std::shared_ptr<const CacheEntry> diskLookup(
       const Hash128& key);
   void diskStore(const Hash128& key, const CacheEntry& entry);
-  void writeManifest() const;
   // Removes temp files a crashed/killed writer left under objects/, aged
   // at least `minAgeSeconds`.
   void sweepTempFiles(double minAgeSeconds = 0.0);
   // Runs `fn` under the transient-retry policy (support/retry.h), counting
   // each retry into ioRetries; the final failure propagates.
-  void retryIo(const std::function<void()>& fn) const;
+  void retryIo(const std::function<void()>& fn);
 
   CacheConfig config_;
   size_t perShardCapacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> tempCounter_{0};
-  mutable AtomicStats<CacheStats> stats_;
+  AtomicStats<CacheStats> stats_;
 };
 
 }  // namespace aviv

@@ -21,8 +21,8 @@ struct KindSchema {
 // Indexed by BundleKind.
 const std::vector<KindSchema>& schemas() {
   static const std::vector<std::string> kCrashKeys = {
-      "exit",          "wantAsm",         "blockFile", "failpoints",
-      "rssLimitBytes", "cpuLimitSeconds", "deadlineMs"};
+      "exit",       "wantAsm",       "blockFile",
+      "failpoints", "rssLimitBytes", "deadlineMs"};
   static const std::vector<KindSchema> kSchemas = {
       {"miscompile", {"seed", "vectors", "verifierVersion"}},
       {"fuzz",

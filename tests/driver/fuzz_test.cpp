@@ -7,12 +7,13 @@
 #include "baseline/optimal.h"
 #include "baseline/sequential.h"
 #include "driver/codegen.h"
+#include "fuzz/genblock.h"
+#include "fuzz/genmachine.h"
 #include "ir/interp.h"
 #include "ir/random_dag.h"
 #include "isdl/parser.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
-#include "support/strings.h"
 
 namespace aviv {
 namespace {
@@ -80,80 +81,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagPressure,
 
 // --- random machines -----------------------------------------------------
 
-// Builds a random but valid machine: 1-3 units with random repertoires
-// (ADD/SUB/MUL coverage guaranteed), random register counts, 1-2 buses.
-Machine makeRandomMachine(uint64_t seed) {
-  Rng rng(seed);
-  Machine machine("fuzz" + std::to_string(seed));
-  const int numUnits = 1 + static_cast<int>(rng.below(3));
-  std::vector<RegFileId> banks;
-  for (int u = 0; u < numUnits; ++u) {
-    banks.push_back(machine.addRegFile(
-        {"R" + std::to_string(u), 2 + static_cast<int>(rng.below(5))}));
-  }
-  const MemoryId dm = machine.addMemory({"DM", 128, true});
-  (void)dm;
-  const int numBuses = 1 + static_cast<int>(rng.below(2));
-  for (int b = 0; b < numBuses; ++b)
-    machine.addBus({"B" + std::to_string(b), 1 + static_cast<int>(rng.below(2))});
-
-  const std::vector<Op> pool = {Op::kAdd, Op::kSub, Op::kMul};
-  for (int u = 0; u < numUnits; ++u) {
-    FunctionalUnit unit;
-    unit.name = "U" + std::to_string(u);
-    unit.regFile = banks[static_cast<size_t>(u)];
-    for (Op op : pool) {
-      if (rng.chance(0.6)) unit.ops.push_back({op, toLower(std::string(opName(op))), 1});
-    }
-    if (unit.ops.empty()) unit.ops.push_back({Op::kAdd, "add", 1});
-    machine.addUnit(std::move(unit));
-  }
-  // Guarantee every pool op is implementable somewhere: give unit 0 the
-  // missing ones.
-  {
-    OpDatabase ops(machine);
-    FunctionalUnit patched = machine.units()[0];
-    Machine rebuilt(machine.name());
-    for (const RegFile& rf : machine.regFiles()) rebuilt.addRegFile(rf);
-    for (const Memory& mem : machine.memories()) rebuilt.addMemory(mem);
-    for (const Bus& bus : machine.buses()) rebuilt.addBus(bus);
-    for (Op op : pool) {
-      if (!ops.isImplementable(op))
-        patched.ops.push_back({op, toLower(std::string(opName(op))), 1});
-    }
-    rebuilt.addUnit(patched);
-    for (size_t u = 1; u < machine.units().size(); ++u)
-      rebuilt.addUnit(machine.units()[u]);
-    machine = std::move(rebuilt);
-  }
-  // Transfers: every storage pair over a random bus (complete connectivity
-  // keeps every random block compilable).
-  std::vector<Loc> locs;
-  for (size_t i = 0; i < machine.regFiles().size(); ++i)
-    locs.push_back(Loc::regFile(static_cast<RegFileId>(i)));
-  locs.push_back(machine.dataMemoryLoc());
-  for (const Loc& from : locs) {
-    for (const Loc& to : locs) {
-      if (from == to) continue;
-      machine.addTransfer(
-          {from, to,
-           static_cast<BusId>(rng.below(machine.buses().size()))});
-    }
-  }
-  machine.validate();
-  return machine;
-}
-
+// Machines and blocks come from the fuzzer's generators (src/fuzz), one
+// machine family per seed residue.
 class RandomMachinePipeline : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomMachinePipeline, CompilesAndSimulatesCorrectly) {
-  const Machine machine = makeRandomMachine(GetParam() * 977);
-  RandomDagSpec spec;
-  spec.seed = GetParam() * 13;
-  spec.numInputs = 3;
-  spec.numOps = 6 + static_cast<int>(GetParam() % 8);
-  spec.numOutputs = 2;
-  const BlockDag dag = makeRandomDag(spec);
+  const uint64_t seed = GetParam();
+  const Machine machine = generateMachine(
+      {static_cast<MachineFamily>(seed % kNumMachineFamilies), seed * 977});
+  const int ops = 6 + static_cast<int>(seed % 8);
+  const BlockDag dag = generateBlock(machine, {seed * 13, ops, ops});
   expectCompiledCorrect(dag, machine);
 }
 

@@ -178,7 +178,6 @@ TEST(CrashRepro, MalformedMetaValueThrowsNotCrashes) {
        {"blockFile", ""},
        {"failpoints", ""},
        {"rssLimitBytes", "lots"},
-       {"cpuLimitSeconds", "0"},
        {"deadlineMs", "0"}});
   EXPECT_THROW((void)loadCrashRepro(ReproBundle::load(dir)), Error);
 }

@@ -158,7 +158,6 @@ TEST_F(CacheTest, DiskTierPersistsAcrossInstances) {
   // The disk hit repopulated the memory tier.
   ASSERT_NE(reader.lookup(makeKey(5)), nullptr);
   EXPECT_EQ(reader.stats().memoryHits, 1);
-  EXPECT_TRUE(fs::exists(fs::path(dir_) / "manifest.json"));
 }
 
 TEST_F(CacheTest, ZeroMemoryEntriesDisablesTierOne) {

@@ -1,7 +1,7 @@
 // Fault-injection tests for the result cache's disk tier: torn writes,
 // rename failures, transient read/write errors with retry (the fixed
 // policy of support/retry.h: two retries, so an operation fails only after
-// three fires), stale temp-file sweeping, and manifest recovery. Faults
+// three fires), and stale temp-file sweeping. Faults
 // come from the FailPoints registry (support/failpoint.h); every scenario
 // must end with the cache healthy and the process alive — the cache never
 // fails a compile.
@@ -168,36 +168,6 @@ TEST_F(CacheFaultTest, StartupSweepsStaleTempFiles) {
   EXPECT_FALSE(fs::exists(parent / "deadbeef.avivce.tmp0"));
   EXPECT_FALSE(fs::exists(parent / "deadbeef.avivce.tmp17"));
   EXPECT_NE(cache.lookup(key), nullptr) << "real entries survive the sweep";
-}
-
-TEST_F(CacheFaultTest, CorruptManifestIsRewrittenOnStartup) {
-  { ResultCache writer(diskOnlyConfig()); }
-  const fs::path manifest = fs::path(dir_) / "manifest.json";
-  ASSERT_TRUE(fs::exists(manifest));
-  writeFile(manifest.string(), "{ not json \x01\x02");
-
-  { ResultCache reopened(diskOnlyConfig()); }
-  const std::string text = readFile(manifest.string());
-  EXPECT_NE(text.find("aviv-result-cache"), std::string::npos);
-  EXPECT_NE(text.find("entryFormatVersion"), std::string::npos);
-}
-
-TEST_F(CacheFaultTest, FlushManifestRestoresDeletedManifest) {
-  ResultCache cache(diskOnlyConfig());
-  const fs::path manifest = fs::path(dir_) / "manifest.json";
-  fs::remove(manifest);
-  cache.flushManifest();
-  EXPECT_TRUE(fs::exists(manifest));
-}
-
-TEST_F(CacheFaultTest, ManifestWriteFaultDoesNotFailConstruction) {
-  FailPoints::instance().configure("cache-manifest");
-  ResultCache cache(diskOnlyConfig());  // must not throw
-  EXPECT_GE(cache.stats().writeErrors, 1);
-  // The store still works without its manifest.
-  FailPoints::instance().clear();
-  cache.store(makeKey(9), makeEntry(9));
-  EXPECT_NE(cache.lookup(makeKey(9)), nullptr);
 }
 
 }  // namespace

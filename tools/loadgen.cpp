@@ -7,23 +7,18 @@
 //
 //   loadgen --connect <unix:PATH|HOST:PORT> [options]
 //
+// The loop is closed: each connection keeps up to --pipeline requests in
+// flight and sends the next one as soon as a response arrives.
+//
 // Options:
 //   --connections N   concurrent connections (default 1)
-//   --requests N      total requests to issue, closed loop (default 100)
-//   --duration SEC    open loop: issue at --rate for SEC seconds
-//   --mode M          closed (default) | open
-//   --rate R          open loop: target requests/second across all conns
-//   --pipeline P      closed loop: per-connection in-flight cap (default 1)
+//   --requests N      total requests to issue (default 100)
+//   --pipeline P      per-connection in-flight cap (default 1)
 //   --batch FILE      request lines to cycle through (default a single
 //                     "machine=arch1 block=ex1")
-//   --line STR        single request line (overrides the default; --batch
-//                     wins when both are given)
-//   --distinct N      cold mix: request i appends " regs=<8 + i%N>" so each
-//                     variant fingerprints distinctly (0 = off, warm)
 //   --want-asm        request assembly bodies
 //   --dump-asm        print each response body to stdout (arrival order)
 //   --json FILE       write the stats report as JSON
-//   --connect-timeout-ms N  per-connection connect budget (default 5000)
 //   --stall-timeout-ms N    exit nonzero if no response arrives for this
 //                     long while requests are outstanding (default 30000)
 //
@@ -34,7 +29,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -85,12 +79,8 @@ class LoadGen {
     Endpoint endpoint;
     int connections = 1;
     int64_t totalRequests = 100;
-    double durationSeconds = 0;  // open loop
-    bool openLoop = false;
-    double rate = 0;  // open loop requests/sec
     int pipeline = 1;
     std::vector<std::string> lines;
-    int distinct = 0;
     bool wantAsm = false;
     bool dumpAsm = false;
     int stallTimeoutMs = 30000;
@@ -130,8 +120,6 @@ class LoadGen {
   std::vector<std::unique_ptr<Conn>> conns_;
   std::unordered_map<uint64_t, double> sendTimes_;  // id -> send seconds
   uint64_t nextId_ = 1;
-  int64_t target_ = 0;
-  size_t rrNext_ = 0;  // open-loop round-robin cursor
 };
 
 void LoadGen::sendRequest(Conn& conn) {
@@ -139,12 +127,6 @@ void LoadGen::sendRequest(Conn& conn) {
   payload.id = nextId_++;
   payload.wantAsm = options_.wantAsm;
   payload.line = options_.lines[(payload.id - 1) % options_.lines.size()];
-  if (options_.distinct > 0) {
-    // Cold mix: a distinct regs= override changes the machine fingerprint,
-    // so each variant misses the result cache on first sight.
-    payload.line += " regs=" + std::to_string(8 + static_cast<int>(
-        (payload.id - 1) % static_cast<uint64_t>(options_.distinct)));
-  }
   sendTimes_[payload.id] = clock_.seconds();
   conn.outbuf.append(
       encodeFrame(FrameType::kRequest, encodeRequestPayload(payload)));
@@ -221,8 +203,7 @@ void LoadGen::handleResponse(Conn& conn, const Frame& frame) {
   if (options_.dumpAsm && !payload.body.empty())
     std::fwrite(payload.body.data(), 1, payload.body.size(), stdout);
   // Closed loop: a completed request immediately funds the next one.
-  if (!options_.openLoop && issued < target_ &&
-      conn.outstanding < options_.pipeline)
+  if (issued < options_.totalRequests && conn.outstanding < options_.pipeline)
     sendRequest(conn);
 }
 
@@ -267,15 +248,11 @@ void LoadGen::onEvent(Conn& conn, uint32_t ready) {
 bool LoadGen::done() const {
   int64_t outstanding = 0;
   for (const auto& conn : conns_) outstanding += conn->outstanding;
-  if (options_.openLoop) {
-    return clock_.seconds() >= options_.durationSeconds && outstanding == 0;
-  }
-  return issued >= target_ && outstanding == 0;
+  return issued >= options_.totalRequests && outstanding == 0;
 }
 
 int LoadGen::run() {
   raiseFdLimit();
-  target_ = options_.totalRequests;
   conns_.reserve(static_cast<size_t>(options_.connections));
   for (int i = 0; i < options_.connections; ++i) {
     auto conn = std::make_unique<Conn>();
@@ -289,38 +266,18 @@ int LoadGen::run() {
   }
 
   clock_.reset();
-  if (!options_.openLoop) {
-    // Prime each connection up to its pipeline depth (bounded by target).
-    for (auto& conn : conns_) {
-      for (int k = 0; k < options_.pipeline && issued < target_; ++k)
-        sendRequest(*conn);
-      if (issued >= target_) break;
-    }
+  // Prime each connection up to its pipeline depth (bounded by the total).
+  for (auto& conn : conns_) {
+    for (int k = 0; k < options_.pipeline && issued < options_.totalRequests;
+         ++k)
+      sendRequest(*conn);
+    if (issued >= options_.totalRequests) break;
   }
 
   double lastProgress = clock_.seconds();
   int64_t lastResponses = 0;
-  double nextSend = 0;
   while (!done()) {
-    int timeoutMs = 50;
-    if (options_.openLoop && clock_.seconds() < options_.durationSeconds &&
-        options_.rate > 0) {
-      const double now = clock_.seconds();
-      if (now >= nextSend) {
-        // Round-robin the arrival over live connections, independent of
-        // completions — that is what makes the loop "open".
-        for (size_t tries = 0; tries < conns_.size(); ++tries) {
-          Conn& conn = *conns_[rrNext_++ % conns_.size()];
-          if (conn.dead) continue;
-          sendRequest(conn);
-          break;
-        }
-        nextSend = now + 1.0 / options_.rate;
-      }
-      timeoutMs = std::max(
-          1, static_cast<int>((nextSend - clock_.seconds()) * 1e3));
-    }
-    loop_.runOnce(timeoutMs);
+    loop_.runOnce(50);
 
     if (responses != lastResponses) {
       lastResponses = responses;
@@ -364,8 +321,6 @@ std::string statsJson(const LoadGen& gen, const LoadGen::Options& options) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"connections\": " << options.connections << ",\n";
-  out << "  \"mode\": \"" << (options.openLoop ? "open" : "closed")
-      << "\",\n";
   out << "  \"issued\": " << gen.issued << ",\n";
   out << "  \"responses\": " << gen.responses << ",\n";
   out << "  \"ok\": " << gen.okCount << ",\n";
@@ -408,25 +363,13 @@ int main(int argc, char** argv) {
     if (connectSpec.empty())
       throw Error(
           "usage: loadgen --connect <unix:PATH|HOST:PORT> [--connections N] "
-          "[--requests N] [--mode closed|open] [--rate R] [--duration SEC] "
-          "[--pipeline P] [--batch FILE] [--line STR] [--distinct N] "
-          "[--want-asm] [--dump-asm] [--json FILE] [--stall-timeout-ms N]");
+          "[--requests N] [--pipeline P] [--batch FILE] [--want-asm] "
+          "[--dump-asm] [--json FILE] [--stall-timeout-ms N]");
     options.endpoint = parseEndpoint(connectSpec);
     options.connections = static_cast<int>(flags.getInt("connections", 1));
     options.totalRequests = flags.getInt("requests", 100);
-    options.durationSeconds = flags.getDouble("duration", 0.0);
-    const std::string mode = flags.getString("mode", "closed");
-    if (mode == "open") {
-      options.openLoop = true;
-    } else if (mode != "closed") {
-      throw Error("--mode expects closed|open, got '" + mode + "'");
-    }
-    options.rate = flags.getDouble("rate", 0.0);
     options.pipeline = static_cast<int>(flags.getInt("pipeline", 1));
     const std::string batchFile = flags.getString("batch", "");
-    const std::string singleLine =
-        flags.getString("line", "machine=arch1 block=ex1");
-    options.distinct = static_cast<int>(flags.getInt("distinct", 0));
     options.wantAsm = flags.getBool("want-asm", false);
     options.dumpAsm = flags.getBool("dump-asm", false);
     const std::string jsonOut = flags.getString("json", "");
@@ -445,12 +388,10 @@ int main(int argc, char** argv) {
       if (options.lines.empty())
         throw Error("--batch file has no request lines");
     } else {
-      options.lines.push_back(singleLine);
+      options.lines.emplace_back("machine=arch1 block=ex1");
     }
     if (options.connections < 1) throw Error("--connections must be >= 1");
     if (options.pipeline < 1) throw Error("--pipeline must be >= 1");
-    if (options.openLoop && (options.rate <= 0 || options.durationSeconds <= 0))
-      throw Error("--mode open needs --rate > 0 and --duration > 0");
 
     std::signal(SIGPIPE, SIG_IGN);
     LoadGen gen(options);
