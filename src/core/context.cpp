@@ -1,18 +1,12 @@
 #include "core/context.h"
 
+#include "support/error.h"
+
 namespace aviv {
 
-namespace {
-const Machine& validated(Machine& machine) {
-  machine.validate();
-  return machine;
-}
-}  // namespace
-
-CodegenContext::CodegenContext(Machine machine, CodegenOptions options,
-                               uint64_t seed)
-    : machine_(std::move(machine)),
-      dbs_(validated(machine_)),
+CodegenContext::CodegenContext(std::shared_ptr<const ResolvedMachine> machine,
+                               CodegenOptions options, uint64_t seed)
+    : resolved_(std::move(machine)),
       options_(options),
       seed_(seed),
       telemetry_("codegen") {
@@ -21,6 +15,18 @@ CodegenContext::CodegenContext(Machine machine, CodegenOptions options,
   deadline_.arm(options_.timeLimitSeconds);
   if (options_.jobs > 1)
     pool_ = std::make_unique<ThreadPool>(options_.jobs);
+}
+
+CodegenContext::CodegenContext(Machine machine, CodegenOptions options,
+                               uint64_t seed)
+    : CodegenContext(
+          std::make_shared<const ResolvedMachine>(std::move(machine)),
+          options, seed) {}
+
+void CodegenContext::setMachineFingerprint(Hash128 fp) const {
+  if (fp != resolved_->fingerprint)
+    throw InternalError("machine fingerprint disagrees with the session's "
+                        "resolved machine '" + machine().name() + "'");
 }
 
 }  // namespace aviv

@@ -1,9 +1,11 @@
-// CodegenContext — one pipeline session of the AVIV back end. A session owns
-// everything the stages share: a validated copy of the target machine, the
-// databases derived from it (op correlation, expanded transfers,
-// constraints), the session options (including the worker count `jobs`), a
-// deterministic per-session RNG seed, the phase-telemetry tree every stage
-// reports into, and the thread pool the parallel stages draw workers from.
+// CodegenContext — one pipeline session of the AVIV back end. A session
+// holds everything the stages share: the resolved target machine (the
+// validated Machine, the databases derived from it — op correlation,
+// expanded transfers, constraints — and its fingerprint), shared immutably
+// with any other session resolved from the same machine; and, of its own,
+// the session options (including the worker count `jobs`), a deterministic
+// per-session RNG seed, the phase-telemetry tree every stage reports into,
+// and the thread pool the parallel stages draw workers from.
 //
 // The context must outlive every result produced through it (compiled
 // blocks reference its machine). TelemetryNode is not thread-safe: parallel
@@ -12,9 +14,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "core/options.h"
+#include "core/resolved_machine.h"
 #include "core/workspace.h"
 #include "isdl/databases.h"
 #include "isdl/machine.h"
@@ -29,14 +31,26 @@ class CodegenContext {
  public:
   static constexpr uint64_t kDefaultSeed = 0x41564956ull;  // "AVIV"
 
-  // Validates and takes ownership of `machine`, builds the databases, and
-  // (when options.jobs > 1) spawns the session thread pool up front so
-  // parallel stages never race on its creation.
+  // Shares the already-resolved `machine` and (when options.jobs > 1)
+  // spawns the session thread pool up front so parallel stages never race
+  // on its creation.
+  explicit CodegenContext(std::shared_ptr<const ResolvedMachine> machine,
+                          CodegenOptions options = {},
+                          uint64_t seed = kDefaultSeed);
+  // Resolves `machine` into a private bundle (validate, databases,
+  // fingerprint), then as above.
   explicit CodegenContext(Machine machine, CodegenOptions options = {},
                           uint64_t seed = kDefaultSeed);
 
-  [[nodiscard]] const Machine& machine() const { return machine_; }
-  [[nodiscard]] const MachineDatabases& databases() const { return dbs_; }
+  [[nodiscard]] const Machine& machine() const { return resolved_->machine; }
+  [[nodiscard]] const MachineDatabases& databases() const {
+    return resolved_->databases;
+  }
+  // The service layer's canonical machine fingerprint
+  // (src/service/fingerprint.*), computed once per resolved machine.
+  [[nodiscard]] const Hash128& machineFingerprint() const {
+    return resolved_->fingerprint;
+  }
   [[nodiscard]] uint64_t seed() const { return seed_; }
   [[nodiscard]] int jobs() const { return options_.jobs > 1 ? options_.jobs : 1; }
 
@@ -58,28 +72,23 @@ class CodegenContext {
   // Session-lifetime pool of covering workspaces (arenas, bitsets, matrix
   // rows). Only perfbench's replay leases from it. The driver's coverBlock
   // calls pass no cache, so each compile uses its own call-local scratch,
-  // and avivd builds a new CodeGenerator (hence a new session) per request.
+  // and avivd builds a new CodeGenerator (hence a new session, sharing the
+  // process's resolved machine) per request.
   [[nodiscard]] WorkspaceCache& workspaces() { return workspaces_; }
 
-  // Memo slot for the service layer's canonical machine fingerprint
-  // (src/service/fingerprint.*). The machine is immutable after
-  // validation, so the fingerprint is computed once per session. Set it
-  // before any parallel region; reads afterwards are lock-free.
-  [[nodiscard]] const std::optional<Hash128>& machineFingerprint() const {
-    return machineFp_;
-  }
-  void setMachineFingerprint(Hash128 fp) { machineFp_ = fp; }
+  // Kept for perfbench/replay.cpp, which predates the resolved machine
+  // and still hands the session a fingerprint. The bundle already carries
+  // it, so this only checks that `fp` agrees (InternalError otherwise).
+  void setMachineFingerprint(Hash128 fp) const;
 
  private:
-  Machine machine_;
-  MachineDatabases dbs_;
+  std::shared_ptr<const ResolvedMachine> resolved_;
   CodegenOptions options_;
   uint64_t seed_;
   TelemetryNode telemetry_;
   Deadline deadline_;
   std::unique_ptr<ThreadPool> pool_;
   WorkspaceCache workspaces_;
-  std::optional<Hash128> machineFp_;
 };
 
 }  // namespace aviv

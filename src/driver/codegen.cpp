@@ -69,14 +69,15 @@ int CompiledProgram::totalInstructions() const {
   return total;
 }
 
-CodeGenerator::CodeGenerator(Machine machine, DriverOptions options)
+CodeGenerator::CodeGenerator(std::shared_ptr<const ResolvedMachine> machine,
+                             DriverOptions options)
     : options_(std::move(options)),
-      ctx_(std::move(machine), options_.core, options_.seed) {
-  // Fingerprint the machine once per session, before any parallel region,
-  // so concurrent block compiles read the memo lock-free.
-  if (options_.cache != nullptr)
-    ctx_.setMachineFingerprint(fingerprintMachine(ctx_.machine()));
-}
+      ctx_(std::move(machine), options_.core, options_.seed) {}
+
+CodeGenerator::CodeGenerator(Machine machine, DriverOptions options)
+    : CodeGenerator(
+          std::make_shared<const ResolvedMachine>(std::move(machine)),
+          std::move(options)) {}
 
 // The per-block overflow check encodeBlock performs for direct scopes;
 // cache-hydrated images need it re-run against the consumer's table.

@@ -139,13 +139,17 @@ struct CompiledProgram {
 
 class CodeGenerator {
  public:
-  // The generator owns the pipeline session (CodegenContext): a copy of the
-  // machine, the derived databases, the phase-telemetry tree and the thread
-  // pool, so temporaries (e.g. loadMachine(...)) are safe to pass. Compiled
+  // The generator owns the pipeline session (CodegenContext): a share of
+  // the resolved machine (validated Machine, derived databases,
+  // fingerprint), the phase-telemetry tree and the thread pool. Compiled
   // results reference the session's machine: the generator must outlive
   // them. With options.core.jobs > 1, coverBlock covers its candidate
   // assignments in parallel and compileProgram compiles independent blocks
   // in parallel; both are bit-identical to the serial run.
+  explicit CodeGenerator(std::shared_ptr<const ResolvedMachine> machine,
+                         DriverOptions options = {});
+  // Resolves `machine` into a private bundle first, so temporaries (e.g.
+  // loadMachine(...)) are safe to pass.
   explicit CodeGenerator(Machine machine, DriverOptions options = {});
 
   // Compiles one standalone block. The returned structure references

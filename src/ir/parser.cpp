@@ -57,7 +57,11 @@ Token substituteIndex(Token tok, int iteration) {
   return tok;
 }
 
-std::vector<Token> expandRepeats(const std::vector<Token>& in) {
+std::vector<Token> expandRepeats(std::vector<Token> in) {
+  // Most blocks have no repeat: hand their stream through untouched.
+  if (std::none_of(in.begin(), in.end(),
+                   [](const Token& tok) { return tok.isIdent("repeat"); }))
+    return in;
   std::vector<Token> out;
   size_t i = 0;
   while (i < in.size()) {
@@ -159,7 +163,7 @@ class BlockParser {
 
   BlockResult parseBlockDef() {
     expectIdentKeyword("block");
-    const Token nameTok = expectIdent();
+    const Token& nameTok = expectIdent();
     BlockDag dag(nameTok.text);
     expectPunct("{");
 
@@ -217,13 +221,13 @@ class BlockParser {
   void parseStatement(BlockDag& dag, Terminator& term, bool& explicitTerm) {
       if (tryConsumeIdent("input")) {
         do {
-          const Token var = expectIdent();
+          const Token& var = expectIdent();
           env_[var.text] = dag.addInput(var.text);
         } while (tryConsume(","));
         expectPunct(";");
       } else if (tryConsumeIdent("output")) {
         do {
-          const Token var = expectIdent();
+          const Token& var = expectIdent();
           declaredOutputs_.insert(var.text);
         } while (tryConsume(","));
         expectPunct(";");
@@ -239,7 +243,7 @@ class BlockParser {
       } else if (peek().isIdent("if")) {
         next();
         term.kind = TermKind::kBranch;
-        const Token cond = expectIdent();
+        const Token& cond = expectIdent();
         term.condVar = cond.text;
         if (!env_.count(cond.text))
           throw Error(cond.loc, "branch condition '" + cond.text +
@@ -253,7 +257,7 @@ class BlockParser {
         explicitTerm = true;
       } else {
         // Assignment statement.
-        const Token lhs = expectIdent();
+        const Token& lhs = expectIdent();
         expectPunct("=");
         const NodeId value = parseExpr(dag);
         expectPunct(";");
@@ -329,7 +333,7 @@ class BlockParser {
     // Peek before consuming: on a syntax error the offending token must
     // stay in the stream so panic-mode resynchronization (which scans for
     // the next ';') doesn't swallow the following statement.
-    const Token tok = peek();
+    const Token& tok = peek();
     if (tok.is(Token::Kind::kNumber)) {
       next();
       return dag.addConst(tok.number);
@@ -372,11 +376,13 @@ class BlockParser {
   }
 
   // --- token helpers over the pre-expanded vector ----------------------
+  // tokens_ never changes after construction, so the references these
+  // hand out stay valid for the parser's lifetime.
   const Token& peek() const {
     return tokens_[std::min(pos_, tokens_.size() - 1)];
   }
-  Token next() {
-    Token tok = peek();
+  const Token& next() {
+    const Token& tok = peek();
     if (pos_ < tokens_.size() - 1) ++pos_;
     return tok;
   }
@@ -394,21 +400,21 @@ class BlockParser {
     }
     return false;
   }
-  Token expectPunct(std::string_view punct) {
-    Token tok = next();
+  const Token& expectPunct(std::string_view punct) {
+    const Token& tok = next();
     if (!tok.isPunct(punct))
       throw Error(tok.loc, "expected '" + std::string(punct) + "', got " +
                                tok.describe());
     return tok;
   }
-  Token expectIdent() {
-    Token tok = next();
+  const Token& expectIdent() {
+    const Token& tok = next();
     if (!tok.is(Token::Kind::kIdent))
       throw Error(tok.loc, "expected identifier, got " + tok.describe());
     return tok;
   }
   void expectIdentKeyword(std::string_view keyword) {
-    Token tok = next();
+    const Token& tok = next();
     if (!tok.isIdent(keyword))
       throw Error(tok.loc, "expected '" + std::string(keyword) + "', got " +
                                tok.describe());
@@ -421,7 +427,7 @@ class BlockParser {
     recordDiag(Diagnostic{loc, std::move(message)});
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token> tokens_;
   size_t pos_ = 0;
   std::string sourceName_;
   std::vector<Diagnostic> diags_;

@@ -4,65 +4,6 @@
 
 namespace aviv {
 
-namespace {
-
-void feedLoc(Hasher& h, const Loc& loc) {
-  h.u8(static_cast<uint8_t>(loc.kind));
-  h.u16(loc.index);
-}
-
-}  // namespace
-
-Hash128 fingerprintMachine(const Machine& machine) {
-  Hasher h;
-  h.str("machine");
-  h.str(machine.name());
-
-  h.u64(machine.regFiles().size());
-  for (const RegFile& rf : machine.regFiles()) {
-    h.str(rf.name);
-    h.i64(rf.numRegs);
-  }
-  h.u64(machine.memories().size());
-  for (const Memory& mem : machine.memories()) {
-    h.str(mem.name);
-    h.i64(mem.sizeWords);
-    h.boolean(mem.isDataMemory);
-  }
-  h.u64(machine.buses().size());
-  for (const Bus& bus : machine.buses()) {
-    h.str(bus.name);
-    h.i64(bus.capacity);
-  }
-  h.u64(machine.units().size());
-  for (const FunctionalUnit& unit : machine.units()) {
-    h.str(unit.name);
-    h.u16(unit.regFile);
-    h.u64(unit.ops.size());
-    for (const UnitOp& op : unit.ops) {
-      h.u8(static_cast<uint8_t>(op.op));
-      h.str(op.mnemonic);
-      h.i64(op.latency);
-    }
-  }
-  h.u64(machine.transfers().size());
-  for (const TransferPath& path : machine.transfers()) {
-    feedLoc(h, path.from);
-    feedLoc(h, path.to);
-    h.u16(path.bus);
-  }
-  h.u64(machine.constraints().size());
-  for (const Constraint& constraint : machine.constraints()) {
-    // The note is diagnostic-only and intentionally excluded.
-    h.u64(constraint.together.size());
-    for (const OpSel& sel : constraint.together) {
-      h.u16(sel.unit);
-      h.u8(static_cast<uint8_t>(sel.op));
-    }
-  }
-  return h.digest();
-}
-
 Hash128 fingerprintDag(const BlockDag& dag) {
   Hasher h;
   h.str("dag");
@@ -113,9 +54,7 @@ Hash128 compileFingerprint(const CodegenContext& ctx, const BlockDag& dag,
                            const CodegenOptions& core, bool runPeephole,
                            bool outputsToMemoryFallback,
                            uint32_t verifierSalt) {
-  const Hash128 machineFp = ctx.machineFingerprint()
-                                ? *ctx.machineFingerprint()
-                                : fingerprintMachine(ctx.machine());
+  const Hash128& machineFp = ctx.machineFingerprint();
   const Hash128 dagFp = fingerprintDag(dag);
   const Hash128 optionsFp =
       fingerprintOptions(core, runPeephole, outputsToMemoryFallback);

@@ -44,17 +44,16 @@ namespace aviv {
 // "search" child gained candidatesCut.
 inline constexpr uint32_t kFingerprintVersion = 4;
 
-[[nodiscard]] Hash128 fingerprintMachine(const Machine& machine);
+// fingerprintMachine (core/resolved_machine.h, via core/context.h) hashes
+// the machine once per resolved machine; the session carries the result.
 [[nodiscard]] Hash128 fingerprintDag(const BlockDag& dag);
 [[nodiscard]] Hash128 fingerprintOptions(const CodegenOptions& core,
                                          bool runPeephole,
                                          bool outputsToMemoryFallback);
 
-// The cache key: version salt + the three component fingerprints. Uses the
-// CodegenContext's machine-fingerprint memo when present (the driver sets
-// it once per session, before any parallel region) and computes the
-// machine hash locally otherwise — so concurrent block compiles never
-// write shared state.
+// The cache key: version salt + the three component fingerprints. The
+// machine component is the one the session's resolved machine carries, so
+// concurrent block compiles only read immutable shared state.
 //
 // `verifierSalt` partitions the key space by verification regime: 0 when
 // differential output verification is off, the verifier version when it is

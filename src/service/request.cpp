@@ -1,13 +1,18 @@
 #include "service/request.h"
 
 #include <cctype>
+#include <list>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "frontend/minic.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
+#include "obs/metrics.h"
 #include "service/cache.h"
 #include "support/failpoint.h"
+#include "support/hash.h"
 #include "support/io.h"
 #include "support/retry.h"
 #include "support/strings.h"
@@ -16,9 +21,100 @@ namespace aviv {
 
 namespace {
 
-Machine resolveMachine(const std::string& spec) {
-  if (endsWith(spec, ".isdl")) return parseMachine(readFile(spec));
-  return loadMachine(spec);
+// The process's resolved machines (DESIGN.md §6.3): (machine spec, regs
+// override, hash of the machine file's bytes) -> one shared, immutable
+// ResolvedMachine, so parse, validation, the databases and the machine
+// fingerprint run once per distinct file instead of once per request. LRU
+// over kMachineMemoCapacity entries behind one mutex; the critical section
+// is a map lookup and a shared_ptr copy, resolving runs outside it. Only
+// successful resolves are inserted, so a broken file is re-read and
+// re-diagnosed on every request until it is fixed.
+class MachineMemo {
+ public:
+  struct Key {
+    std::string spec;
+    int regsOverride = 0;
+    Hash128 fileHash;
+
+    auto operator<=>(const Key&) const = default;
+  };
+
+  std::shared_ptr<const ResolvedMachine> find(const Key& key) {
+    std::shared_ptr<const ResolvedMachine> found;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = index_.find(key);
+      if (it != index_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        found = it->second->second;
+      }
+    }
+    count(found != nullptr ? "service.machineMemoHits"
+                           : "service.machineMemoMisses");
+    return found;
+  }
+
+  // Inserts `machine` under `key` and returns it, or, when a racing miss
+  // inserted first, returns that entry (built from the same bytes, so
+  // equal).
+  std::shared_ptr<const ResolvedMachine> insert(
+      const Key& key, std::shared_ptr<const ResolvedMachine> machine) {
+    bool evicted = false;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = index_.find(key);
+      if (it != index_.end()) return it->second->second;
+      lru_.emplace_front(key, machine);
+      index_.emplace(key, lru_.begin());
+      if (lru_.size() > kMachineMemoCapacity) {
+        index_.erase(lru_.back().first);
+        lru_.pop_back();
+        evicted = true;
+      }
+    }
+    if (evicted) count("service.machineMemoEvictions");
+    return machine;
+  }
+
+ private:
+  using Lru =
+      std::list<std::pair<Key, std::shared_ptr<const ResolvedMachine>>>;
+
+  static void count(const char* name) {
+    if (metrics::on()) metrics::Registry::instance().counter(name).add(1);
+  }
+
+  std::mutex mu_;
+  Lru lru_;  // most recently used first
+  std::map<Key, Lru::iterator> index_;
+};
+
+MachineMemo& machineMemo() {
+  static MachineMemo memo;
+  return memo;
+}
+
+// The request's machine, from the memo or resolved now. The file is read
+// and hashed on every request, so an edited file is never served from the
+// memo. A miss parses with the source names loadMachine / parseMachine give
+// their diagnostics; the parser validates, and the regs override stays
+// within the validated limits, so every failure is the parser's, raised
+// before the block is read, as it always was.
+std::shared_ptr<const ResolvedMachine> resolveMachine(
+    const ParsedRequest& request) {
+  const std::string& spec = request.machineSpec;
+  const bool isPath = endsWith(spec, ".isdl");
+  const std::string text = readFile(isPath ? spec : machinePath(spec));
+  const MachineMemo::Key key{spec, request.regsOverride,
+                             Hasher().str(text).digest()};
+  MachineMemo& memo = machineMemo();
+  if (auto hit = memo.find(key)) return hit;
+  Machine machine =
+      isPath ? parseMachine(text) : parseMachine(text, spec + ".isdl");
+  if (request.regsOverride > 0)
+    machine = machine.withRegisterCount(request.regsOverride);
+  return memo.insert(
+      key, std::make_shared<const ResolvedMachine>(std::move(machine)));
 }
 
 Program resolveProgram(const std::string& spec) {
@@ -26,13 +122,6 @@ Program resolveProgram(const std::string& spec) {
   if (endsWith(spec, ".blk")) return parseProgram(readFile(spec), spec);
   const std::string path = blockPath(spec);
   return parseProgram(readFile(path), path);
-}
-
-Machine materializeMachine(const ParsedRequest& request) {
-  Machine machine = resolveMachine(request.machineSpec);
-  if (request.regsOverride > 0)
-    machine = machine.withRegisterCount(request.regsOverride);
-  return machine;
 }
 
 // One whitespace-separated token plus the 1-based column it starts at.
@@ -48,11 +137,13 @@ RequestOutcome runOnce(const ParsedRequest& request,
   // (worker wedged, resource briefly unavailable). Fires before compile
   // work so the retry loop re-runs the whole request.
   FailPoints::instance().maybeThrow("avivd-dispatch");
-  const Machine machine = materializeMachine(request);
+  const std::shared_ptr<const ResolvedMachine> resolved =
+      resolveMachine(request);
+  const Machine& machine = resolved->machine;
   const Program program = resolveProgram(request.blockSpec);
   DriverOptions options = request.options;
   options.cache = config.cache;
-  CodeGenerator generator(machine, options);
+  CodeGenerator generator(resolved, options);
 
   int instrs = 0;
   std::string asmText;

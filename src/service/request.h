@@ -19,7 +19,9 @@
 // daemon. Transient faults re-run the whole request under the one retry
 // policy (support/retry.h); a retried success appends " retries=N" to its
 // status detail (crash-retried requests additionally carry " crashed=K",
-// appended by the src/proc supervisor).
+// appended by the src/proc supervisor). The target machine resolves
+// through a per-process memo keyed by the machine file's bytes, which are
+// re-read on every request (kMachineMemoCapacity, DESIGN.md §6.3).
 // toResponse maps an outcome onto the wire's typed answer, and
 // serveRequestLine chains all three — the one dispatch every avivd path
 // (batch, server, isolated worker) runs.
@@ -37,6 +39,11 @@
 namespace aviv {
 
 class ResultCache;  // src/service/cache.h
+
+// Distinct resolved machines one process keeps for its requests (LRU;
+// DESIGN.md §6.3). A constant, not a setting: a deployment serves a handful
+// of machine files (perfbench sends 11).
+inline constexpr size_t kMachineMemoCapacity = 32;
 
 struct ParsedRequest {
   int line = 0;  // 1-based line number in the batch (0 = network request)

@@ -121,13 +121,23 @@ TEST(CompileFingerprint, SeedIsExcludedAndMemoAgreesWithLocal) {
 
   CodegenContext plain(machine, opts, /*seed=*/1);
   CodegenContext seeded(machine, opts, /*seed=*/999);
-  CodegenContext memoized(machine, opts, /*seed=*/1);
-  memoized.setMachineFingerprint(fingerprintMachine(memoized.machine()));
+  // A session sharing a resolved machine keys exactly like one that
+  // resolved a private copy.
+  const auto shared = std::make_shared<const ResolvedMachine>(machine);
+  CodegenContext memoized(shared, opts, /*seed=*/1);
+  EXPECT_EQ(&memoized.machine(), &shared->machine);
+  EXPECT_EQ(memoized.machineFingerprint(), fingerprintMachine(machine));
 
   const Hash128 a = compileFingerprint(plain, dag, opts, true, true);
   EXPECT_EQ(a, compileFingerprint(seeded, dag, opts, true, true));
   EXPECT_EQ(a, compileFingerprint(memoized, dag, opts, true, true));
   EXPECT_FALSE(a.isZero());
+
+  // The retained setter only checks agreement with the resolved machine.
+  memoized.setMachineFingerprint(fingerprintMachine(machine));
+  EXPECT_THROW(
+      memoized.setMachineFingerprint(fingerprintMachine(loadMachine("arch2"))),
+      InternalError);
 }
 
 TEST(CompileFingerprint, ComponentsAreNotInterchangeable) {

@@ -6,10 +6,20 @@
 #include "service/request.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "isdl/parser.h"
+#include "obs/metrics.h"
+#include "service/cache.h"
 #include "support/failpoint.h"
+#include "support/io.h"
+#include "support/strings.h"
 #include "support/telemetry.h"
 
 namespace aviv {
@@ -284,6 +294,211 @@ TEST(Request, ServeRequestLineCompilesColdWithoutACache) {
   EXPECT_EQ(response.type, net::FrameType::kOk) << response.detail;
   EXPECT_NE(response.detail.find("cache=off"), std::string::npos);
   EXPECT_FALSE(response.body.empty());
+}
+
+// --- the per-process machine memo -------------------------------------
+
+namespace fs = std::filesystem;
+
+// A scratch directory for machine files, removed with the test.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag) {
+    static std::atomic<int> counter{0};
+    path_ = (fs::temp_directory_path() /
+             ("aviv_request_test_" + std::to_string(::getpid()) + "_" + tag +
+              "_" + std::to_string(++counter)))
+                .string();
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  // Writes `text` to <dir>/<name> and returns its path.
+  [[nodiscard]] std::string write(const std::string& name,
+                                  const std::string& text) const {
+    const std::string path = path_ + "/" + name;
+    writeFile(path, text);
+    return path;
+  }
+
+ private:
+  std::string path_;
+};
+
+// Turns the metrics registry on for one test and restores it afterwards.
+class MetricsOn {
+ public:
+  MetricsOn() : was_(metrics::on()) { metrics::Registry::instance().enable(); }
+  ~MetricsOn() {
+    if (!was_) metrics::Registry::instance().disable();
+  }
+
+ private:
+  bool was_;
+};
+
+int64_t memoCount(const char* name) {
+  return metrics::Registry::instance().counter(name).value();
+}
+
+std::string replaceAll(std::string text, const std::string& from,
+                       const std::string& to) {
+  for (size_t pos = 0; (pos = text.find(from, pos)) != std::string::npos;
+       pos += to.size())
+    text.replace(pos, from.size(), to);
+  return text;
+}
+
+net::NetResponse serveAsm(const std::string& line,
+                          const std::shared_ptr<ResultCache>& cache = {}) {
+  RequestExecConfig config;
+  config.cache = cache;
+  config.wantAsm = true;
+  TelemetryNode tel("test");
+  return serveRequestLine(line, defaults(), config, tel);
+}
+
+// The memo keys on the file's bytes, which every request re-reads: an edit
+// between two requests in one process is served, never the old machine.
+TEST(Request, MachineMemoServesAnEditedMachineFile) {
+  const TempDir dir("edit");
+  const std::string arch2 = readFile(machinePath("arch2"));
+  const std::string path = dir.write("m.isdl", arch2);
+  const std::string line = "machine=" + path + " block=ex1";
+
+  const net::NetResponse before = serveAsm(line);
+  ASSERT_EQ(before.type, net::FrameType::kOk) << before.detail;
+  EXPECT_NE(before.body.find("RF2.r0"), std::string::npos) << before.body;
+
+  const std::string renamed = replaceAll(arch2, "RF2", "RX2");
+  (void)dir.write("m.isdl", renamed);
+  const net::NetResponse after = serveAsm(line);
+  ASSERT_EQ(after.type, net::FrameType::kOk) << after.detail;
+  EXPECT_EQ(after.body.find("RF2"), std::string::npos) << after.body;
+  EXPECT_EQ(after.body, replaceAll(before.body, "RF2", "RX2"));
+  // The same bytes under another path resolve to the same output.
+  EXPECT_EQ(after.body,
+            serveAsm("machine=" + dir.write("copy.isdl", renamed) +
+                     " block=ex1")
+                .body);
+}
+
+TEST(Request, MachineMemoKeepsRegsOverrideSeparate) {
+  const MetricsOn metricsOn;
+  const net::NetResponse plain = serveAsm("machine=arch2 block=ex1");
+  const net::NetResponse two = serveAsm("machine=arch2 block=ex1 regs=2");
+  ASSERT_EQ(plain.type, net::FrameType::kOk) << plain.detail;
+  ASSERT_EQ(two.type, net::FrameType::kOk) << two.detail;
+  EXPECT_NE(plain.body, two.body);
+
+  // Both are resolved now: a second round is two memo hits, same bytes.
+  const int64_t hits = memoCount("service.machineMemoHits");
+  const int64_t misses = memoCount("service.machineMemoMisses");
+  EXPECT_EQ(serveAsm("machine=arch2 block=ex1 regs=2").body, two.body);
+  EXPECT_EQ(serveAsm("machine=arch2 block=ex1").body, plain.body);
+  EXPECT_EQ(memoCount("service.machineMemoHits") - hits, 2);
+  EXPECT_EQ(memoCount("service.machineMemoMisses") - misses, 0);
+}
+
+// A resolve that throws is never memoized, and answers with exactly the
+// message the parser or validator produced for those bytes.
+TEST(Request, MachineMemoNeverKeepsAFailedResolve) {
+  const TempDir dir("broken");
+  const std::string arch2 = readFile(machinePath("arch2"));
+  const std::string path = dir.write("m.isdl", "machine Broken { regfile }");
+  const std::string line = "machine=" + path + " block=ex1";
+
+  std::string parseMessage;
+  try {
+    (void)parseMachine(readFile(path));
+  } catch (const Error& e) {
+    parseMessage = e.what();
+  }
+  ASSERT_FALSE(parseMessage.empty());
+  const net::NetResponse unparsable = serveAsm(line);
+  EXPECT_EQ(unparsable.type, net::FrameType::kError);
+  EXPECT_EQ(unparsable.detail, parseMessage);
+
+  // Parses, but fails validation (the covering engine needs latency 1).
+  (void)dir.write("m.isdl", replaceAll(arch2, "op MUL \"mul\";",
+                                       "op MUL \"mul\" latency 2;"));
+  std::string validateMessage;
+  try {
+    (void)CodeGenerator(parseMachine(readFile(path)));
+  } catch (const Error& e) {
+    validateMessage = e.what();
+  }
+  ASSERT_FALSE(validateMessage.empty());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const net::NetResponse invalid = serveAsm(line);
+    EXPECT_EQ(invalid.type, net::FrameType::kError);
+    EXPECT_EQ(invalid.detail, validateMessage);
+  }
+
+  (void)dir.write("m.isdl", arch2);
+  const net::NetResponse fixed = serveAsm(line);
+  EXPECT_EQ(fixed.type, net::FrameType::kOk) << fixed.detail;
+  EXPECT_EQ(fixed.body, serveAsm("machine=arch2 block=ex1").body);
+}
+
+TEST(Request, MachineMemoConcurrentHitsAreByteIdentical) {
+  CacheConfig cacheConfig;
+  const auto cache = std::make_shared<ResultCache>(cacheConfig);
+  const std::string line = "machine=arch1 block=fig2";
+  const net::NetResponse cold = serveAsm(line, cache);
+  ASSERT_EQ(cold.type, net::FrameType::kOk) << cold.detail;
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 25;
+  std::vector<std::vector<net::NetResponse>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r)
+        answers[static_cast<size_t>(t)].push_back(serveAsm(line, cache));
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& perThread : answers)
+    for (const net::NetResponse& answer : perThread) {
+      EXPECT_EQ(answer.type, net::FrameType::kHit) << answer.detail;
+      EXPECT_EQ(answer.body, cold.body);
+    }
+}
+
+TEST(Request, MachineMemoEvictsPastCapacityAndStillServesCorrectly) {
+  const MetricsOn metricsOn;
+  const TempDir dir("evict");
+  const std::string arch2 = readFile(machinePath("arch2"));
+  // Distinct bytes per file; the machine name lands in the listing header.
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < kMachineMemoCapacity + 2; ++i) {
+    const std::string name = "Arch2v" + std::to_string(i);
+    lines.push_back("machine=" +
+                    dir.write(name + ".isdl",
+                              replaceAll(arch2, "machine Arch2",
+                                         "machine " + name)) +
+                    " block=ex1");
+  }
+  const int64_t evictions = memoCount("service.machineMemoEvictions");
+  std::vector<std::string> bodies;
+  for (const std::string& line : lines) {
+    const net::NetResponse answer = serveAsm(line);
+    ASSERT_EQ(answer.type, net::FrameType::kOk) << answer.detail;
+    bodies.push_back(answer.body);
+  }
+  EXPECT_GE(memoCount("service.machineMemoEvictions") - evictions, 2);
+
+  // The oldest entries were evicted: they resolve again, to the same code.
+  const int64_t misses = memoCount("service.machineMemoMisses");
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(serveAsm(lines[i]).body, bodies[i]);
+    EXPECT_NE(bodies[i].find("Arch2v" + std::to_string(i) + " "),
+              std::string::npos);
+  }
+  EXPECT_EQ(memoCount("service.machineMemoMisses") - misses, 2);
 }
 
 }  // namespace
