@@ -124,15 +124,86 @@ CoreResult CodeGenerator::baselineCore(const BlockDag& ir,
   return core;
 }
 
-CompiledBlock CodeGenerator::compileBlockWith(
-    const BlockDag& ir, SymbolScope& symbols,
-    const CodegenOptions& coreOptions, TelemetryNode& tel) {
-  trace::Span compileSpan("driver", "compile:", ir.name());
+ResultCache* CodeGenerator::resultCache() const {
   // The baseline engine's output is not the covering flow's: it must never
   // populate (or be served from) the shared result cache.
-  ResultCache* cache = options_.engine == Engine::kBaseline
-                           ? nullptr
-                           : options_.cache.get();
+  return options_.engine == Engine::kBaseline ? nullptr
+                                              : options_.cache.get();
+}
+
+Hash128 CodeGenerator::cacheKey(const Hash128& dagDigest,
+                                const CodegenOptions& coreOptions) const {
+  // Verifying sessions live in their own key space (salted with the
+  // verifier version): entries produced with verification off are never
+  // mistaken for checked ones, and a verifier bump forces a recompile.
+  const uint32_t verifierSalt = options_.verify.level == VerifyLevel::kOff
+                                    ? 0
+                                    : options_.verify.verifierVersion;
+  return compileFingerprint(ctx_, dagDigest, coreOptions,
+                            options_.runPeephole,
+                            options_.outputsToMemoryFallback, verifierSalt);
+}
+
+bool CodeGenerator::entryServesAsIs(const CacheEntry& entry,
+                                    bool verifyThis) const {
+  // A warm hit whose entry carries a current verified bit skips the
+  // simulator entirely; an unverified or stale-verifier entry is re-checked
+  // once and upgraded in place so the next hit is free.
+  return !verifyThis ||
+         (entry.verified &&
+          entry.verifierVersion == options_.verify.verifierVersion);
+}
+
+CompiledBlock CodeGenerator::serveCachedEntry(const CacheEntry& entry,
+                                              const std::string& blockName,
+                                              SymbolScope& symbols,
+                                              TelemetryNode& tel) {
+  // Hydrate: replay the scope-independent image into the consumer's symbol
+  // scope. No covering/regalloc/encode work happens, so with verification
+  // off the block's telemetry subtree stays free of pipeline phases — the
+  // acceptance check for "zero covering work".
+  CompiledBlock block;
+  block.image = entry.image;
+  rebindSymbols(block.image, entry.symbolNames, symbols);
+  checkDataMemoryFits(block.image, symbols, ctx_.machine());
+  block.fromCache = true;
+  if (options_.recordSymbolNames) {
+    block.symbolNames = entry.symbolNames;
+    block.portableImage = entry.image;
+  }
+  tel.addCounter("cacheHits", 1);
+  trace::instant("driver", "cache.hit:", blockName);
+  if (metrics::on())
+    metrics::Registry::instance().counter("driver.cacheHits").add(1);
+  return block;
+}
+
+std::optional<CompiledBlock> CodeGenerator::compileCachedBlock(
+    const std::string& blockName, const Hash128& dagDigest,
+    SymbolTable& symbols, CacheProbe& probe) {
+  ResultCache* cache = resultCache();
+  if (cache == nullptr) return std::nullopt;
+  trace::Span compileSpan("driver", "compile:", blockName);
+  probe.looked = true;
+  probe.key = cacheKey(dagDigest, options_.core);
+  probe.entry = cache->lookup(probe.key);
+  if (probe.entry == nullptr ||
+      !entryServesAsIs(*probe.entry,
+                       shouldVerifyBlock(options_.verify, blockName))) {
+    compileSpan.cancel();  // the fallback compileBlock spans the block
+    return std::nullopt;
+  }
+  SymbolScope scope(symbols);
+  return serveCachedEntry(*probe.entry, blockName, scope,
+                          ctx_.telemetry().child("block:" + blockName));
+}
+
+CompiledBlock CodeGenerator::compileBlockWith(
+    const BlockDag& ir, SymbolScope& symbols,
+    const CodegenOptions& coreOptions, TelemetryNode& tel,
+    const CacheProbe* probe) {
+  trace::Span compileSpan("driver", "compile:", ir.name());
+  ResultCache* cache = resultCache();
   const bool verifyThis = shouldVerifyBlock(options_.verify, ir.name());
 
   // One differential verification, counted under the block's "verify"
@@ -168,59 +239,34 @@ CompiledBlock CodeGenerator::compileBlockWith(
       dumpFlightRecord(artifactDir, kBundleFlightFile);
   };
 
-  Hash128 cacheKey;
+  Hash128 key;
   if (cache != nullptr) {
-    // Verifying sessions live in their own key space (salted with the
-    // verifier version): entries produced with verification off are never
-    // mistaken for checked ones, and a verifier bump forces a recompile.
-    const uint32_t verifierSalt = options_.verify.level == VerifyLevel::kOff
-                                      ? 0
-                                      : options_.verify.verifierVersion;
-    cacheKey = compileFingerprint(ctx_, ir, coreOptions, options_.runPeephole,
-                                  options_.outputsToMemoryFallback,
-                                  verifierSalt);
-    if (const auto entry = cache->lookup(cacheKey)) {
-      // A warm hit whose entry carries a current verified bit skips the
-      // simulator entirely; an unverified or stale-verifier entry is
-      // re-checked once and upgraded in place so the next hit is free.
-      bool usable = true;
-      if (verifyThis &&
-          !(entry->verified &&
-            entry->verifierVersion == options_.verify.verifierVersion)) {
+    std::shared_ptr<const CacheEntry> entry;
+    if (probe != nullptr && probe->looked) {
+      key = probe->key;
+      entry = probe->entry;
+    } else {
+      key = cacheKey(fingerprintDag(ir), coreOptions);
+      entry = cache->lookup(key);
+    }
+    if (entry != nullptr) {
+      bool usable = entryServesAsIs(*entry, verifyThis);
+      if (!usable) {
         const VerifyReport report =
             runVerify(entry->image, entry->symbolNames);
         if (report.passed) {
           CacheEntry upgraded = *entry;
           upgraded.verified = true;
           upgraded.verifierVersion = options_.verify.verifierVersion;
-          cache->store(cacheKey, std::move(upgraded));
+          cache->store(key, std::move(upgraded));
+          usable = true;
         } else {
           // A cached miscompile. Quarantine it and fall through to a cold
           // compile, which verifies before anything is trusted or stored.
           quarantine(entry->image, entry->symbolNames, report);
-          usable = false;
         }
       }
-      if (usable) {
-        // Hydrate: replay the scope-independent image into the consumer's
-        // symbol scope. No covering/regalloc/encode work happens, so with
-        // verification off the block's telemetry subtree stays free of
-        // pipeline phases — the acceptance check for "zero covering work".
-        CompiledBlock block;
-        block.image = entry->image;
-        rebindSymbols(block.image, entry->symbolNames, symbols);
-        checkDataMemoryFits(block.image, symbols, ctx_.machine());
-        block.fromCache = true;
-        if (options_.recordSymbolNames) {
-          block.symbolNames = entry->symbolNames;
-          block.portableImage = entry->image;
-        }
-        tel.addCounter("cacheHits", 1);
-        trace::instant("driver", "cache.hit:", ir.name());
-        if (metrics::on())
-          metrics::Registry::instance().counter("driver.cacheHits").add(1);
-        return block;
-      }
+      if (usable) return serveCachedEntry(*entry, ir.name(), symbols, tel);
     }
     trace::instant("driver", "cache.miss:", ir.name());
     if (metrics::on())
@@ -373,7 +419,7 @@ CompiledBlock CodeGenerator::compileBlockWith(
     entry.verified = verifyThis;
     entry.verifierVersion = verifyThis ? options_.verify.verifierVersion : 0;
     entry.image = block.image;
-    cache->store(cacheKey, std::move(entry));
+    cache->store(key, std::move(entry));
   }
   if (options_.recordSymbolNames) {
     block.symbolNames = recording.recorded();
@@ -390,13 +436,14 @@ CompiledBlock CodeGenerator::compileBlock(const BlockDag& ir) {
 }
 
 CompiledBlock CodeGenerator::compileBlock(const BlockDag& ir,
-                                          SymbolTable& symbols) {
+                                          SymbolTable& symbols,
+                                          const CacheProbe* probe) {
   // Each compile entry gets a fresh budget: the session deadline's clock
   // starts now, not at generator construction.
   ctx_.deadline().arm(options_.core.timeLimitSeconds);
   SymbolScope scope(symbols);
   return compileBlockWith(ir, scope, options_.core,
-                          ctx_.telemetry().child("block:" + ir.name()));
+                          ctx_.telemetry().child("block:" + ir.name()), probe);
 }
 
 CompiledProgram CodeGenerator::compileProgram(const Program& program) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "asmgen/encode.h"
@@ -22,11 +23,13 @@
 #include "ir/program.h"
 #include "regalloc/peephole.h"
 #include "regalloc/regalloc.h"
+#include "support/hash.h"
 #include "verify/verify.h"
 
 namespace aviv {
 
 class ResultCache;  // src/service/cache.h
+struct CacheEntry;  // src/service/cache.h
 
 // Which code-generation engine the driver runs as rung 1. The heuristic
 // engine is the paper's covering flow; the baseline engine is the
@@ -118,6 +121,17 @@ struct CompiledBlock {
   }
 };
 
+// One result-cache lookup made before the block's DAG exists. The request
+// path looks a standalone block up by its memoized digest
+// (CodeGenerator::compileCachedBlock); when that cannot serve, it parses
+// and hands the probe to compileBlock, which reuses the answer instead of
+// looking the same key up twice.
+struct CacheProbe {
+  bool looked = false;  // false: no lookup ran (the session has no cache)
+  Hash128 key;
+  std::shared_ptr<const CacheEntry> entry;  // null: the cache missed
+};
+
 // Control-flow instruction covering a block terminator (Section III-C's
 // "conventional tree-covering" step — each terminator kind is one pattern).
 struct ControlInstr {
@@ -153,10 +167,22 @@ class CodeGenerator {
   explicit CodeGenerator(Machine machine, DriverOptions options = {});
 
   // Compiles one standalone block. The returned structure references
-  // `ir` and this generator's machine; both must outlive it.
+  // `ir` and this generator's machine; both must outlive it. `probe`, when
+  // set and looked, is the result-cache lookup a compileCachedBlock call
+  // already made for this block; the compile uses it instead of a lookup.
   [[nodiscard]] CompiledBlock compileBlock(const BlockDag& ir);
   [[nodiscard]] CompiledBlock compileBlock(const BlockDag& ir,
-                                           SymbolTable& symbols);
+                                           SymbolTable& symbols,
+                                           const CacheProbe* probe = nullptr);
+
+  // Serves one standalone block from the result cache by its name and its
+  // fingerprintDag digest alone: no DAG, no pipeline phase. Returns the
+  // block exactly as compileBlock's cache hit would, or nullopt when the
+  // session has no cache, the cache misses, or the entry must be verified
+  // first; `probe` then holds the lookup for compileBlock.
+  [[nodiscard]] std::optional<CompiledBlock> compileCachedBlock(
+      const std::string& blockName, const Hash128& dagDigest,
+      SymbolTable& symbols, CacheProbe& probe);
 
   // Compiles a whole program; forces outputs-to-memory so inter-block
   // dataflow works. `program` must outlive the result.
@@ -178,7 +204,21 @@ class CodeGenerator {
  private:
   CompiledBlock compileBlockWith(const BlockDag& ir, SymbolScope& symbols,
                                  const CodegenOptions& coreOptions,
-                                 TelemetryNode& tel);
+                                 TelemetryNode& tel,
+                                 const CacheProbe* probe = nullptr);
+  // The session's result cache; null when off or under the baseline engine.
+  [[nodiscard]] ResultCache* resultCache() const;
+  [[nodiscard]] Hash128 cacheKey(const Hash128& dagDigest,
+                                 const CodegenOptions& coreOptions) const;
+  // The verified-bit rule: an entry serves as is unless this block is
+  // verified and the entry lacks a current verified bit.
+  [[nodiscard]] bool entryServesAsIs(const CacheEntry& entry,
+                                     bool verifyThis) const;
+  // The one cache-hit routine: replays `entry` into `symbols` and counts
+  // the hit.
+  CompiledBlock serveCachedEntry(const CacheEntry& entry,
+                                 const std::string& blockName,
+                                 SymbolScope& symbols, TelemetryNode& tel);
   CoreResult baselineCore(const BlockDag& ir,
                           const CodegenOptions& coreOptions,
                           TelemetryNode& tel, const std::string& why);

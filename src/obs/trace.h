@@ -174,6 +174,9 @@ class Span {
     Tracer::instance().emit(event_);
   }
 
+  // Drops the span: nothing is emitted at scope exit.
+  void cancel() { active_ = false; }
+
   void arg(const char* key, int64_t value) {
     if (!active_ || event_.numArgs >= Event::kMaxArgs) return;
     event_.argName[event_.numArgs] = key;

@@ -54,8 +54,15 @@ Hash128 compileFingerprint(const CodegenContext& ctx, const BlockDag& dag,
                            const CodegenOptions& core, bool runPeephole,
                            bool outputsToMemoryFallback,
                            uint32_t verifierSalt) {
+  return compileFingerprint(ctx, fingerprintDag(dag), core, runPeephole,
+                            outputsToMemoryFallback, verifierSalt);
+}
+
+Hash128 compileFingerprint(const CodegenContext& ctx, const Hash128& dagFp,
+                           const CodegenOptions& core, bool runPeephole,
+                           bool outputsToMemoryFallback,
+                           uint32_t verifierSalt) {
   const Hash128& machineFp = ctx.machineFingerprint();
-  const Hash128 dagFp = fingerprintDag(dag);
   const Hash128 optionsFp =
       fingerprintOptions(core, runPeephole, outputsToMemoryFallback);
   Hasher h;

@@ -68,4 +68,15 @@ inline constexpr uint32_t kFingerprintVersion = 4;
                                          bool outputsToMemoryFallback,
                                          uint32_t verifierSalt = 0);
 
+// The same key from the DAG's fingerprintDag digest, for callers that
+// memoized the digest instead of keeping the DAG (the request path's block
+// memo, service/request.cpp). The BlockDag overload is this one applied to
+// fingerprintDag(dag).
+[[nodiscard]] Hash128 compileFingerprint(const CodegenContext& ctx,
+                                         const Hash128& dagDigest,
+                                         const CodegenOptions& core,
+                                         bool runPeephole,
+                                         bool outputsToMemoryFallback,
+                                         uint32_t verifierSalt = 0);
+
 }  // namespace aviv

@@ -4,13 +4,16 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "frontend/minic.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/cache.h"
+#include "service/fingerprint.h"
 #include "support/failpoint.h"
 #include "support/hash.h"
 #include "support/io.h"
@@ -21,76 +24,120 @@ namespace aviv {
 
 namespace {
 
-// The process's resolved machines (DESIGN.md §6.3): (machine spec, regs
-// override, hash of the machine file's bytes) -> one shared, immutable
-// ResolvedMachine, so parse, validation, the databases and the machine
-// fingerprint run once per distinct file instead of once per request. LRU
-// over kMachineMemoCapacity entries behind one mutex; the critical section
-// is a map lookup and a shared_ptr copy, resolving runs outside it. Only
-// successful resolves are inserted, so a broken file is re-read and
-// re-diagnosed on every request until it is fixed.
-class MachineMemo {
+// One small LRU memo behind one mutex: the request path's per-process
+// memos (DESIGN.md §6.3). The critical section is a map lookup and a value
+// copy; the work a miss pays for runs outside it. Values are immutable once
+// inserted, and only successful work is inserted, so a broken file is
+// re-read and re-diagnosed on every request until it is fixed. Each memo
+// counts its hits, misses and evictions under its own metric names.
+template <typename Key, typename Value>
+class LruMemo {
  public:
-  struct Key {
-    std::string spec;
-    int regsOverride = 0;
-    Hash128 fileHash;
-
-    auto operator<=>(const Key&) const = default;
+  struct CounterNames {
+    const char* hits;
+    const char* misses;
+    const char* evictions;
   };
 
-  std::shared_ptr<const ResolvedMachine> find(const Key& key) {
-    std::shared_ptr<const ResolvedMachine> found;
+  LruMemo(size_t capacity, CounterNames names)
+      : capacity_(capacity), names_(names) {}
+
+  std::optional<Value> find(const Key& key) {
+    std::optional<Value> found;
     {
       const std::lock_guard<std::mutex> lock(mu_);
       const auto it = index_.find(key);
       if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        found = it->second->second;
+        lru_.splice(lru_.begin(), lru_, it->second.use);
+        found = it->second.value;
       }
     }
-    count(found != nullptr ? "service.machineMemoHits"
-                           : "service.machineMemoMisses");
+    count(found.has_value() ? names_.hits : names_.misses);
     return found;
   }
 
-  // Inserts `machine` under `key` and returns it, or, when a racing miss
+  // Inserts `value` under `key` and returns it, or, when a racing miss
   // inserted first, returns that entry (built from the same bytes, so
   // equal).
-  std::shared_ptr<const ResolvedMachine> insert(
-      const Key& key, std::shared_ptr<const ResolvedMachine> machine) {
+  Value insert(const Key& key, Value value) {
     bool evicted = false;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = index_.find(key);
-      if (it != index_.end()) return it->second->second;
-      lru_.emplace_front(key, machine);
-      index_.emplace(key, lru_.begin());
-      if (lru_.size() > kMachineMemoCapacity) {
-        index_.erase(lru_.back().first);
+      const auto [it, inserted] = index_.try_emplace(key, Slot{value, {}});
+      if (!inserted) return it->second.value;
+      lru_.push_front(&it->first);
+      it->second.use = lru_.begin();
+      if (lru_.size() > capacity_) {
+        index_.erase(index_.find(*lru_.back()));
         lru_.pop_back();
         evicted = true;
       }
     }
-    if (evicted) count("service.machineMemoEvictions");
-    return machine;
+    if (evicted) count(names_.evictions);
+    return value;
   }
 
  private:
-  using Lru =
-      std::list<std::pair<Key, std::shared_ptr<const ResolvedMachine>>>;
+  // Each key is stored once, in its map node; the recency list points at
+  // it (map nodes never move).
+  using Lru = std::list<const Key*>;
+  struct Slot {
+    Value value;
+    typename Lru::iterator use;
+  };
 
   static void count(const char* name) {
     if (metrics::on()) metrics::Registry::instance().counter(name).add(1);
   }
 
+  const size_t capacity_;
+  const CounterNames names_;
   std::mutex mu_;
   Lru lru_;  // most recently used first
-  std::map<Key, Lru::iterator> index_;
+  std::map<Key, Slot> index_;
 };
 
+// The process's resolved machines: (machine spec, regs override, hash of
+// the machine file's bytes) -> one shared, immutable ResolvedMachine, so
+// parse, validation, the databases and the machine fingerprint run once
+// per distinct file instead of once per request.
+struct MachineKey {
+  std::string spec;
+  int regsOverride = 0;
+  Hash128 fileHash;
+
+  auto operator<=>(const MachineKey&) const = default;
+};
+using MachineMemo = LruMemo<MachineKey, std::shared_ptr<const ResolvedMachine>>;
+
 MachineMemo& machineMemo() {
-  static MachineMemo memo;
+  static MachineMemo memo(
+      kMachineMemoCapacity,
+      {"service.machineMemoHits", "service.machineMemoMisses",
+       "service.machineMemoEvictions"});
+  return memo;
+}
+
+// The process's parsed blocks, reduced to what a cache hit needs: (block
+// spec, hash of the block file's bytes) -> the block's fingerprintDag
+// digest and name. Only single-block programs are inserted; the memo holds
+// no Program, DAG or token.
+struct BlockKey {
+  std::string spec;
+  Hash128 fileHash;
+
+  auto operator<=>(const BlockKey&) const = default;
+};
+struct BlockDigest {
+  Hash128 dag;
+  std::string name;
+};
+using BlockMemo = LruMemo<BlockKey, BlockDigest>;
+
+BlockMemo& blockMemo() {
+  static BlockMemo memo(kBlockMemoCapacity,
+                        {"service.blockMemoHits", "service.blockMemoMisses",
+                         "service.blockMemoEvictions"});
   return memo;
 }
 
@@ -105,10 +152,10 @@ std::shared_ptr<const ResolvedMachine> resolveMachine(
   const std::string& spec = request.machineSpec;
   const bool isPath = endsWith(spec, ".isdl");
   const std::string text = readFile(isPath ? spec : machinePath(spec));
-  const MachineMemo::Key key{spec, request.regsOverride,
-                             Hasher().str(text).digest()};
+  const MachineKey key{spec, request.regsOverride,
+                       Hasher().str(text).digest()};
   MachineMemo& memo = machineMemo();
-  if (auto hit = memo.find(key)) return hit;
+  if (auto hit = memo.find(key)) return *hit;
   Machine machine =
       isPath ? parseMachine(text) : parseMachine(text, spec + ".isdl");
   if (request.regsOverride > 0)
@@ -117,11 +164,27 @@ std::shared_ptr<const ResolvedMachine> resolveMachine(
       key, std::make_shared<const ResolvedMachine>(std::move(machine)));
 }
 
-Program resolveProgram(const std::string& spec) {
-  if (endsWith(spec, ".c")) return parseMiniC(readFile(spec)).program;
-  if (endsWith(spec, ".blk")) return parseProgram(readFile(spec), spec);
-  const std::string path = blockPath(spec);
-  return parseProgram(readFile(path), path);
+// The request's block file: the path it names, its bytes (read on every
+// request, so an edit is never served from the memo) and the memo key.
+struct BlockFile {
+  std::string path;
+  std::string text;
+  BlockKey key;
+};
+
+BlockFile readBlockFile(const std::string& spec) {
+  const bool isPath = endsWith(spec, ".c") || endsWith(spec, ".blk");
+  BlockFile file;
+  file.path = isPath ? spec : blockPath(spec);
+  file.text = readFile(file.path);
+  file.key = {spec, Hasher().str(file.text).digest()};
+  return file;
+}
+
+Program parseBlockFile(const BlockFile& file) {
+  trace::Span span("service", "block.parse:", file.key.spec);
+  if (endsWith(file.path, ".c")) return parseMiniC(file.text).program;
+  return parseProgram(file.text, file.path);
 }
 
 // One whitespace-separated token plus the 1-based column it starts at.
@@ -140,15 +203,48 @@ RequestOutcome runOnce(const ParsedRequest& request,
   const std::shared_ptr<const ResolvedMachine> resolved =
       resolveMachine(request);
   const Machine& machine = resolved->machine;
-  const Program program = resolveProgram(request.blockSpec);
+  const BlockFile file = readBlockFile(request.blockSpec);
+  std::optional<Program> program;  // parsed at most once, only when needed
+  auto parsed = [&]() -> const Program& {
+    if (!program) program = parseBlockFile(file);
+    return *program;
+  };
+  // A standalone block is looked up in the result cache by its digest
+  // first: from the memo without parsing, or from the parse on a memo
+  // miss. Without a cache there is nothing to look up.
+  std::optional<BlockDigest> digest;
+  if (config.cache != nullptr) {
+    digest = blockMemo().find(file.key);
+    if (!digest && parsed().numBlocks() == 1) {
+      const BlockDag& ir = parsed().block(0);
+      digest = blockMemo().insert(file.key, {fingerprintDag(ir), ir.name()});
+    }
+  }
   DriverOptions options = request.options;
   options.cache = config.cache;
   CodeGenerator generator(resolved, options);
 
+  SymbolTable symbols;
+  CacheProbe probe;
+  std::optional<CompiledBlock> single;
+  if (digest)
+    single = generator.compileCachedBlock(digest->name, digest->dag, symbols,
+                                          probe);
+  if (!single && parsed().numBlocks() == 1)
+    single = generator.compileBlock(parsed().block(0), symbols, &probe);
+
   int instrs = 0;
   std::string asmText;
-  if (program.numBlocks() > 1) {
-    const CompiledProgram compiled = generator.compileProgram(program);
+  if (single) {
+    const CompiledBlock& block = *single;
+    instrs = block.numInstructions();
+    result.blocks = 1;
+    if (block.fromCache) ++result.cachedBlocks;
+    if (block.degraded) result.degraded = true;
+    if (block.quarantined) result.quarantined = true;
+    if (config.wantAsm) asmText = block.image.asmText(machine) + "\n";
+  } else {
+    const CompiledProgram compiled = generator.compileProgram(parsed());
     instrs = compiled.totalInstructions();
     result.blocks = compiled.blocks.size();
     for (const CompiledBlock& block : compiled.blocks) {
@@ -157,16 +253,6 @@ RequestOutcome runOnce(const ParsedRequest& request,
       if (block.quarantined) result.quarantined = true;
       if (config.wantAsm) asmText += block.image.asmText(machine) + "\n";
     }
-  } else {
-    SymbolTable symbols;
-    const CompiledBlock block =
-        generator.compileBlock(program.block(0), symbols);
-    instrs = block.numInstructions();
-    result.blocks = 1;
-    if (block.fromCache) ++result.cachedBlocks;
-    if (block.degraded) result.degraded = true;
-    if (block.quarantined) result.quarantined = true;
-    if (config.wantAsm) asmText = block.image.asmText(machine) + "\n";
   }
   tel.merge(generator.telemetry());
 

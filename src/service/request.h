@@ -21,7 +21,10 @@
 // status detail (crash-retried requests additionally carry " crashed=K",
 // appended by the src/proc supervisor). The target machine resolves
 // through a per-process memo keyed by the machine file's bytes, which are
-// re-read on every request (kMachineMemoCapacity, DESIGN.md §6.3).
+// re-read on every request (kMachineMemoCapacity, DESIGN.md §6.3). A
+// standalone block's cache hit is served by the digest a second memo keeps
+// per block file, again keyed by bytes re-read on every request, so it
+// never parses the block (kBlockMemoCapacity).
 // toResponse maps an outcome onto the wire's typed answer, and
 // serveRequestLine chains all three — the one dispatch every avivd path
 // (batch, server, isolated worker) runs.
@@ -44,6 +47,11 @@ class ResultCache;  // src/service/cache.h
 // DESIGN.md §6.3). A constant, not a setting: a deployment serves a handful
 // of machine files (perfbench sends 11).
 inline constexpr size_t kMachineMemoCapacity = 32;
+// Distinct block files (spec + bytes) whose digest one process keeps, so a
+// warm hit on a standalone block skips the parse (LRU; DESIGN.md §6.3).
+// The default --mem-entries: a working set the result cache's memory tier
+// holds is one the memo holds too.
+inline constexpr size_t kBlockMemoCapacity = 1024;
 
 struct ParsedRequest {
   int line = 0;  // 1-based line number in the batch (0 = network request)

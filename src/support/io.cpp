@@ -1,8 +1,12 @@
 #include "support/io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "support/error.h"
 
@@ -16,11 +20,30 @@
 namespace aviv {
 
 std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw Error("cannot open file: " + path);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) throw Error("cannot read file: " + path);
+  // A regular file is read into one buffer of its size plus the byte that
+  // observes end of file; anything else grows as it reads. A directory
+  // opens fine but fails its first read (EISDIR).
+  std::string data(
+      S_ISREG(st.st_mode) ? static_cast<size_t>(st.st_size) + 1 : 4096, '\0');
+  size_t used = 0;
+  for (;;) {
+    if (used == data.size()) data.resize(data.size() * 2);
+    const ssize_t n = ::read(fd, data.data() + used, data.size() - used);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw Error("cannot read file: " + path);
+    if (n == 0) break;
+    used += static_cast<size_t>(n);
+  }
+  data.resize(used);
+  return data;
 }
 
 void writeFile(const std::string& path, const std::string& content) {

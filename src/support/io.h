@@ -7,7 +7,9 @@
 
 namespace aviv {
 
-// Whole-file read; throws aviv::Error on failure.
+// Whole-file read. Throws aviv::Error "cannot open file: <path>" when the
+// path does not open, "cannot read file: <path>" when it opens but does not
+// read (a directory, an I/O error).
 [[nodiscard]] std::string readFile(const std::string& path);
 
 void writeFile(const std::string& path, const std::string& content);

@@ -157,5 +157,21 @@ TEST(CompileFingerprint, ComponentsAreNotInterchangeable) {
                                true));
 }
 
+// The request path keys a memoized block by its fingerprintDag digest:
+// the digest overload must be the BlockDag overload, salt for salt.
+TEST(CompileFingerprint, DigestOverloadEqualsDagOverload) {
+  const CodegenOptions opts = CodegenOptions::heuristicsOn();
+  CodegenContext ctx(loadMachine("dsp16"), opts, 1);
+  for (const char* name : {"ex1", "fig2", "dct4"}) {
+    const BlockDag dag = loadBlock(name);
+    for (const uint32_t salt : {0u, 7u}) {
+      EXPECT_EQ(compileFingerprint(ctx, fingerprintDag(dag), opts, true, false,
+                                   salt),
+                compileFingerprint(ctx, dag, opts, true, false, salt))
+          << name << " salt " << salt;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aviv

@@ -10,12 +10,15 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ir/parser.h"
 #include "isdl/parser.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/cache.h"
 #include "support/failpoint.h"
 #include "support/io.h"
@@ -316,6 +319,7 @@ class TempDir {
     std::error_code ec;
     fs::remove_all(path_, ec);
   }
+  [[nodiscard]] const std::string& path() const { return path_; }
   // Writes `text` to <dir>/<name> and returns its path.
   [[nodiscard]] std::string write(const std::string& name,
                                   const std::string& text) const {
@@ -353,12 +357,15 @@ std::string replaceAll(std::string text, const std::string& from,
 }
 
 net::NetResponse serveAsm(const std::string& line,
-                          const std::shared_ptr<ResultCache>& cache = {}) {
+                          const std::shared_ptr<ResultCache>& cache = {},
+                          const RequestDefaults& lineDefaults = defaults(),
+                          TelemetryNode* telOut = nullptr) {
   RequestExecConfig config;
   config.cache = cache;
   config.wantAsm = true;
   TelemetryNode tel("test");
-  return serveRequestLine(line, defaults(), config, tel);
+  return serveRequestLine(line, lineDefaults, config,
+                          telOut != nullptr ? *telOut : tel);
 }
 
 // The memo keys on the file's bytes, which every request re-reads: an edit
@@ -499,6 +506,276 @@ TEST(Request, MachineMemoEvictsPastCapacityAndStillServesCorrectly) {
               std::string::npos);
   }
   EXPECT_EQ(memoCount("service.machineMemoMisses") - misses, 2);
+}
+
+// --- the per-process block memo ---------------------------------------
+
+std::shared_ptr<ResultCache> memoryCache() {
+  return std::make_shared<ResultCache>(CacheConfig{});
+}
+
+// Runs `serve` with the tracer recording and returns the exported trace.
+std::string traceOf(const std::function<void()>& serve) {
+  trace::Tracer& tracer = trace::Tracer::instance();
+  const bool was = trace::on();
+  tracer.enable();
+  tracer.clear();
+  serve();
+  const std::string json = tracer.exportJson();
+  if (!was) tracer.disable();
+  tracer.clear();
+  return json;
+}
+
+// The request path's one parse site spans every block parse it runs.
+bool parsesBlock(const std::string& traceJson) {
+  return traceJson.find("block.parse:") != std::string::npos;
+}
+
+// A memo hit on a standalone block is served by its digest: no parse, the
+// hit's telemetry only, and the bytes the parsed path produces.
+TEST(Request, BlockMemoHitServesWithoutParsing) {
+  const MetricsOn metricsOn;
+  const auto cache = memoryCache();
+  const std::string line = "machine=arch3 block=ex4";
+  const net::NetResponse parsedPath = serveAsm(line);  // no cache
+  ASSERT_EQ(parsedPath.type, net::FrameType::kOk) << parsedPath.detail;
+
+  net::NetResponse cold;
+  EXPECT_TRUE(parsesBlock(traceOf([&] { cold = serveAsm(line, cache); })));
+  ASSERT_EQ(cold.type, net::FrameType::kOk) << cold.detail;
+
+  const int64_t hits = memoCount("service.blockMemoHits");
+  const int64_t lookups = cache->stats().lookups;
+  net::NetResponse warm;
+  TelemetryNode tel("test");
+  const std::string warmTrace =
+      traceOf([&] { warm = serveAsm(line, cache, defaults(), &tel); });
+  EXPECT_FALSE(parsesBlock(warmTrace)) << warmTrace;
+  EXPECT_NE(warmTrace.find("cache.hit:ex4"), std::string::npos);
+  EXPECT_EQ(memoCount("service.blockMemoHits") - hits, 1);
+  EXPECT_EQ(cache->stats().lookups - lookups, 1);
+  ASSERT_EQ(warm.type, net::FrameType::kHit) << warm.detail;
+  EXPECT_EQ(warm.body, parsedPath.body);
+  EXPECT_EQ(warm.body, cold.body);
+  ASSERT_EQ(tel.children().size(), 1u);
+  const TelemetryNode* block = tel.findChild("block:ex4");
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(block->counter("cacheHits"), 1);
+  EXPECT_TRUE(block->children().empty());
+}
+
+// The memo keys on the file's bytes, which every request re-reads: an
+// edited block is compiled and served, never the old block's entry.
+TEST(Request, BlockMemoServesAnEditedBlockFile) {
+  const TempDir dir("block-edit");
+  const auto cache = memoryCache();
+  const std::string ex1 = readFile(blockPath("ex1"));
+  const std::string line = "machine=arch1 block=" + dir.write("b.blk", ex1);
+  const net::NetResponse before = serveAsm(line, cache);
+  ASSERT_EQ(before.type, net::FrameType::kOk) << before.detail;
+  EXPECT_EQ(serveAsm(line, cache).type, net::FrameType::kHit);
+
+  const std::string edited = replaceAll(ex1, "(d + t) - b", "(d + t) - a");
+  ASSERT_NE(edited, ex1);
+  (void)dir.write("b.blk", edited);
+  const net::NetResponse after = serveAsm(line, cache);
+  ASSERT_EQ(after.type, net::FrameType::kOk) << after.detail;
+  EXPECT_NE(after.body, before.body);
+  EXPECT_EQ(after.body,
+            serveAsm("machine=arch1 block=" + dir.write("copy.blk", edited))
+                .body);
+  EXPECT_EQ(serveAsm(line, cache).body, after.body);
+}
+
+// A parse that throws is never memoized, and answers with exactly the
+// message the parser produced for those bytes.
+TEST(Request, BlockMemoNeverKeepsAFailedParse) {
+  const MetricsOn metricsOn;
+  const TempDir dir("block-broken");
+  const auto cache = memoryCache();
+  const std::string path =
+      dir.write("b.blk", "block broken {\n  input a;\n  output y;\n  y = a +;\n}\n");
+  const std::string line = "machine=arch1 block=" + path;
+  std::string parseMessage;
+  try {
+    (void)parseProgram(readFile(path), path);
+  } catch (const Error& e) {
+    parseMessage = e.what();
+  }
+  ASSERT_FALSE(parseMessage.empty());
+
+  const int64_t hits = memoCount("service.blockMemoHits");
+  const int64_t misses = memoCount("service.blockMemoMisses");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const net::NetResponse answer = serveAsm(line, cache);
+    EXPECT_EQ(answer.type, net::FrameType::kError);
+    EXPECT_EQ(answer.detail, parseMessage);
+  }
+  EXPECT_EQ(memoCount("service.blockMemoHits") - hits, 0);
+  EXPECT_EQ(memoCount("service.blockMemoMisses") - misses, 2);
+
+  // Fixed, the block parses once and is memoized from then on.
+  (void)dir.write("b.blk", readFile(blockPath("ex1")));
+  const net::NetResponse fixed = serveAsm(line, cache);
+  ASSERT_EQ(fixed.type, net::FrameType::kOk) << fixed.detail;
+  EXPECT_EQ(fixed.body, serveAsm("machine=arch1 block=ex1").body);
+  EXPECT_EQ(serveAsm(line, cache).type, net::FrameType::kHit);
+  EXPECT_EQ(memoCount("service.blockMemoHits") - hits, 1);
+}
+
+// The memo is machine-independent: the same block on a second machine is a
+// memo hit and a result-cache miss, compiled cold after one lookup.
+TEST(Request, BlockMemoHitWithACacheMissCompiles) {
+  const MetricsOn metricsOn;
+  const auto cache = memoryCache();
+  ASSERT_EQ(serveAsm("machine=arch1 block=biquad", cache).type,
+            net::FrameType::kOk);
+  const int64_t hits = memoCount("service.blockMemoHits");
+  const int64_t lookups = cache->stats().lookups;
+  const std::string line = "machine=arch4 block=biquad";
+  net::NetResponse other;
+  EXPECT_TRUE(parsesBlock(traceOf([&] { other = serveAsm(line, cache); })));
+  ASSERT_EQ(other.type, net::FrameType::kOk) << other.detail;
+  EXPECT_EQ(memoCount("service.blockMemoHits") - hits, 1);
+  EXPECT_EQ(cache->stats().lookups - lookups, 1);
+  EXPECT_EQ(other.body, serveAsm(line).body);
+  EXPECT_EQ(serveAsm(line, cache).type, net::FrameType::kHit);
+}
+
+// A verifying line on an entry stored without the verified bit still
+// verifies it (parsing the block, which the verifier needs) and upgrades
+// the entry, after which the hit is served by digest alone.
+TEST(Request, BlockMemoHitOnAnUnverifiedEntryVerifiesAndUpgrades) {
+  const auto cache = memoryCache();
+  RequestDefaults sampled;
+  sampled.verify.level = VerifyLevel::kSampled;
+  sampled.verify.sampleRate = 0.0;  // never drawn: stores unverified entries
+  const std::string line = "machine=arch2 block=fig6";
+  const net::NetResponse cold = serveAsm(line, cache, sampled);
+  ASSERT_EQ(cold.type, net::FrameType::kOk) << cold.detail;
+  EXPECT_EQ(serveAsm(line, cache, sampled).type, net::FrameType::kHit);
+
+  const auto verifyRuns = [](const TelemetryNode& tel) -> int64_t {
+    const TelemetryNode* block = tel.findChild("block:fig6");
+    const TelemetryNode* verify =
+        block == nullptr ? nullptr : block->findChild("verify");
+    return verify == nullptr ? 0 : verify->counter("blocksChecked");
+  };
+  const int64_t lookups = cache->stats().lookups;
+  TelemetryNode first("test");
+  net::NetResponse upgraded;
+  EXPECT_TRUE(parsesBlock(traceOf([&] {
+    upgraded = serveAsm(line + " verify=all", cache, sampled, &first);
+  })));
+  ASSERT_EQ(upgraded.type, net::FrameType::kHit) << upgraded.detail;
+  EXPECT_EQ(upgraded.body, cold.body);
+  EXPECT_EQ(verifyRuns(first), 1);
+  EXPECT_EQ(cache->stats().lookups - lookups, 1);
+
+  TelemetryNode second("test");
+  net::NetResponse verified;
+  EXPECT_FALSE(parsesBlock(traceOf([&] {
+    verified = serveAsm(line + " verify=all", cache, sampled, &second);
+  })));
+  ASSERT_EQ(verified.type, net::FrameType::kHit) << verified.detail;
+  EXPECT_EQ(verified.body, cold.body);
+  EXPECT_EQ(verifyRuns(second), 0);
+}
+
+// A program of several blocks is never memoized: every request parses it.
+TEST(Request, MultiBlockProgramsAlwaysParse) {
+  const MetricsOn metricsOn;
+  const auto cache = memoryCache();
+  const std::string line = "machine=arch1 block=" + blockDir() + "/gcd.c";
+  const net::NetResponse cold = serveAsm(line, cache);
+  ASSERT_EQ(cold.type, net::FrameType::kOk) << cold.detail;
+  const int64_t hits = memoCount("service.blockMemoHits");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    net::NetResponse warm;
+    EXPECT_TRUE(parsesBlock(traceOf([&] { warm = serveAsm(line, cache); })));
+    EXPECT_EQ(warm.type, net::FrameType::kHit) << warm.detail;
+    EXPECT_EQ(warm.body, cold.body);
+  }
+  EXPECT_EQ(memoCount("service.blockMemoHits") - hits, 0);
+}
+
+TEST(Request, BlockMemoConcurrentHitsAreByteIdentical) {
+  const auto cache = memoryCache();
+  // Two specs for the same bytes: two memo entries, one cache entry.
+  const std::vector<std::string> lines = {
+      "machine=arch4 block=ex5",
+      "machine=arch4 block=" + blockPath("ex5")};
+  const net::NetResponse cold = serveAsm(lines[0], cache);
+  ASSERT_EQ(cold.type, net::FrameType::kOk) << cold.detail;
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 25;
+  std::vector<std::vector<net::NetResponse>> answers(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r)
+        answers[static_cast<size_t>(t)].push_back(
+            serveAsm(lines[static_cast<size_t>(t + r) % 2], cache));
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& perThread : answers)
+    for (const net::NetResponse& answer : perThread) {
+      EXPECT_EQ(answer.type, net::FrameType::kHit) << answer.detail;
+      EXPECT_EQ(answer.body, cold.body);
+    }
+}
+
+TEST(Request, BlockMemoEvictsPastCapacityAndStillServesCorrectly) {
+  const MetricsOn metricsOn;
+  const TempDir dir("block-evict");
+  const auto cache = memoryCache();
+  const std::string ex1 = readFile(blockPath("ex1"));
+  // Two distinct blocks (the block name lands in the listing header) ...
+  std::vector<std::string> lines;
+  std::vector<std::string> bodies;
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = "ex1v" + std::to_string(i);
+    lines.push_back(
+        "machine=arch1 block=" +
+        dir.write(name + ".blk", replaceAll(ex1, "block ex1", "block " + name)));
+    const net::NetResponse answer = serveAsm(lines.back(), cache);
+    ASSERT_EQ(answer.type, net::FrameType::kOk) << answer.detail;
+    EXPECT_NE(answer.body.find(name), std::string::npos);
+    bodies.push_back(answer.body);
+  }
+  // ... then a full memo of newer keys: one file under distinct specs.
+  const int64_t evictions = memoCount("service.blockMemoEvictions");
+  (void)dir.write("filler.blk", ex1);
+  std::string prefix = dir.path() + "/";
+  for (size_t i = 0; i < kBlockMemoCapacity; ++i, prefix += "./")
+    ASSERT_NE(serveAsm("machine=arch1 block=" + prefix + "filler.blk", cache)
+                  .type,
+              net::FrameType::kError);
+  EXPECT_GE(memoCount("service.blockMemoEvictions") - evictions, 2);
+
+  // The two blocks were evicted: they parse again, to the same code.
+  const int64_t misses = memoCount("service.blockMemoMisses");
+  for (size_t i = 0; i < 2; ++i) {
+    const net::NetResponse again = serveAsm(lines[i], cache);
+    EXPECT_EQ(again.type, net::FrameType::kHit) << again.detail;
+    EXPECT_EQ(again.body, bodies[i]);
+  }
+  EXPECT_EQ(memoCount("service.blockMemoMisses") - misses, 2);
+}
+
+// A block spec naming a directory is a read failure, not an empty block.
+TEST(Request, DirectoryBlockSpecAnswersAnErrorNamingThePath) {
+  const TempDir dir("block-dir");
+  const std::string path = dir.path() + "/x.blk";
+  fs::create_directories(path);
+  for (const auto& cache : {std::shared_ptr<ResultCache>(), memoryCache()}) {
+    const net::NetResponse answer =
+        serveAsm("machine=arch1 block=" + path, cache);
+    EXPECT_EQ(answer.type, net::FrameType::kError);
+    EXPECT_EQ(answer.detail, "cannot read file: " + path);
+  }
 }
 
 }  // namespace

@@ -42,6 +42,31 @@ TEST(Io, MissingFileThrows) {
   EXPECT_THROW((void)readFile("/nonexistent/definitely/missing"), Error);
 }
 
+// A directory opens but does not read: readFile must say so instead of
+// returning an empty file.
+TEST(Io, DirectoryThrowsCannotRead) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  try {
+    (void)readFile(dir);
+    FAIL() << "readFile of a directory returned";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot read file: " + dir);
+  }
+}
+
+TEST(Io, ReadsEmptyAndMultiBufferFiles) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "aviv_io_sizes_test.bin")
+          .string();
+  writeFile(path, "");
+  EXPECT_EQ(readFile(path), "");
+  std::string big;
+  for (int i = 0; i < 20000; ++i) big += static_cast<char>(i * 7 % 251);
+  writeFile(path, big);
+  EXPECT_EQ(readFile(path), big);
+  std::remove(path.c_str());
+}
+
 TEST(Io, DataDirsResolveShippedFiles) {
   // The compiled-in defaults (or env overrides in CI) must point at real
   // directories containing the shipped data.
