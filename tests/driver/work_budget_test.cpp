@@ -1,10 +1,12 @@
 // Exact search-work budget: for every shipped block × shipped machine, the
 // covering search's deterministic work counters (clique recursions, clique
 // ∩ ready sets scored, candidates covered to completion, candidates cut by
-// the bound — totals over all candidates) must equal tests/golden/
-// work_budget.txt. The counters are jobs-invariant and free of wall-clock
-// noise, so any change that makes the search do more (or less) work fails
-// here; an intended change regenerates the file (see tests/golden/README).
+// the bound, abandoned probes, backtracks, visited and pruned search nodes,
+// and the workspace arena's calls and bytes — totals over all candidates)
+// must equal tests/golden/work_budget.txt. The counters are jobs-invariant
+// and free of wall-clock noise, so any change that makes the search do more
+// (or less) work fails here; an intended change regenerates the file (see
+// tests/golden/README).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,7 +25,8 @@ namespace {
 namespace fs = std::filesystem;
 
 // Reads the search totals from the metrics registry, which coverBlock
-// feeds with every candidate's clique recursions and scored sets.
+// feeds with every candidate's clique recursions, scored sets and arena
+// traffic.
 std::string budgetLine(const std::string& block, const std::string& machine) {
   const Machine m = loadMachine(machine);
   const MachineDatabases dbs(m);
@@ -40,6 +43,13 @@ std::string budgetLine(const std::string& block, const std::string& machine) {
          << registry.counter("search.candidatesEvaluated").value()
          << " assignmentsCovered=" << result.stats.assignmentsCovered
          << " candidatesCut=" << result.stats.search.candidatesCut;
+    for (const char* name :
+         {"candidatesAbandoned", "backtracks", "nodesVisited",
+          "prunedByBound"})
+      line << ' ' << name << '='
+           << registry.counter(std::string("search.") + name).value();
+    for (const char* name : {"alloc.arena.calls", "alloc.arena.bytes"})
+      line << ' ' << name << '=' << registry.counter(name).value();
   } catch (const Error&) {
     line << " error";
   }
