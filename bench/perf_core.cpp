@@ -17,6 +17,7 @@
 #include "core/clique.h"
 #include "core/codegen.h"
 #include "core/parallel_matrix.h"
+#include "core/workspace.h"
 #include "ir/random_dag.h"
 #include "isdl/parser.h"
 #include "obs/metrics.h"
@@ -113,7 +114,14 @@ void BM_SplitNodeBuild(benchmark::State& state) {
   heap.report(state);
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SplitNodeBuild)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity();
+BENCHMARK(BM_SplitNodeBuild)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Complexity();
 
 void BM_AssignmentExploration(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
@@ -125,7 +133,13 @@ void BM_AssignmentExploration(benchmark::State& state) {
     benchmark::DoNotOptimize(explorer.explore());
   }
 }
-BENCHMARK(BM_AssignmentExploration)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_AssignmentExploration)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256);
 
 void BM_CliqueGeneration(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
@@ -159,7 +173,40 @@ void BM_CliqueGenerationLevelWindow(benchmark::State& state) {
         generateMaximalCliques(matrix, active, 1u << 20));
   }
 }
-BENCHMARK(BM_CliqueGenerationLevelWindow)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_CliqueGenerationLevelWindow)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256);
+
+// Parallelism-matrix rebuild (paper Fig 7) in a warm workspace, as the
+// covering engine runs it once per clique round; Args = (ops, level
+// window). Graphs of 128 ops and more pass 128 nodes, so their rows,
+// masks and descendant sets live on the heap: allocs/op shows that a warm
+// workspace reuses them.
+void BM_MatrixRebuild(benchmark::State& state) {
+  const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
+  const CodegenOptions options;
+  const SplitNodeDag snd =
+      SplitNodeDag::build(dag, arch1(), arch1Dbs(), options);
+  const auto assignment = AssignmentExplorer(snd, options).explore().front();
+  const AssignedGraph graph =
+      AssignedGraph::materialize(snd, assignment, options);
+  const int window = static_cast<int>(state.range(1));
+  CoverWorkspace ws;
+  ws.matrix.rebuild(graph, window, ws);
+  const HeapMeter heap;
+  for (auto _ : state) {
+    ws.matrix.rebuild(graph, window, ws);
+    benchmark::DoNotOptimize(ws.matrix.row(0).wordData());
+  }
+  heap.report(state);
+  state.counters["nodes"] = static_cast<double>(graph.size());
+}
+BENCHMARK(BM_MatrixRebuild)
+    ->ArgsProduct({{8, 16, 32, 64, 128, 256}, {-1, 2}});
 
 void BM_FullCoverHeuristicsOn(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));

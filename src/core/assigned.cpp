@@ -23,11 +23,6 @@ void AssignedGraph::addDep(AgId from, AgId to) {
     preds.push_back(from);
 }
 
-const AgNode& AssignedGraph::node(AgId id) const {
-  AVIV_CHECK(id < nodes_.size());
-  return nodes_[id];
-}
-
 namespace {
 
 // Section IV-B: among several minimal routes pick the one whose buses are
@@ -492,12 +487,6 @@ std::vector<int> AssignedGraph::levelsFromBottom() const {
     level[id] = lvl;
   }
   return level;
-}
-
-BusId AssignedGraph::busOf(AgId id) const {
-  const AgNode& n = node(id);
-  AVIV_CHECK(n.isTransferish());
-  return machine_->transfers()[static_cast<size_t>(n.pathId)].bus;
 }
 
 std::string AssignedGraph::describe(AgId id) const {

@@ -28,6 +28,7 @@
 #include "core/splitnode.h"
 #include "support/arena.h"
 #include "support/bitset.h"
+#include "support/error.h"
 #include "support/smallvec.h"
 
 namespace aviv {
@@ -130,7 +131,10 @@ class AssignedGraph {
   [[nodiscard]] const Machine& machine() const { return *machine_; }
 
   [[nodiscard]] size_t size() const { return nodes_.size(); }
-  [[nodiscard]] const AgNode& node(AgId id) const;
+  [[nodiscard]] const AgNode& node(AgId id) const {
+    AVIV_CHECK(id < nodes_.size());
+    return nodes_[id];
+  }
 
   // Output bindings: block output name -> AgNode producing its value.
   [[nodiscard]] const std::vector<std::pair<std::string, AgId>>& outputDefs()
@@ -182,7 +186,11 @@ class AssignedGraph {
   [[nodiscard]] std::vector<int> levelsFromTop() const;
   [[nodiscard]] std::vector<int> levelsFromBottom() const;
   // Bus of a transfer-ish node.
-  [[nodiscard]] BusId busOf(AgId id) const;
+  [[nodiscard]] BusId busOf(AgId id) const {
+    const AgNode& n = node(id);
+    AVIV_CHECK(n.isTransferish());
+    return machine_->transfers()[static_cast<size_t>(n.pathId)].bus;
+  }
 
   [[nodiscard]] std::string describe(AgId id) const;
   void verify() const;

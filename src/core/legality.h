@@ -23,6 +23,10 @@ namespace aviv {
 // Splits every illegal clique into legal sub-cliques (dropping the specific
 // node whose removal repairs the violation, recursively), dedups, and
 // removes cliques that are strict subsets of other cliques in the result.
+// The result is sorted by member count (largest first), then lexLess; the
+// covering engine's tie-breaks depend on that order. The input must be
+// distinct and pairwise non-nested, as maximal cliques are: when no clique
+// needs a split, the dedup and subset pass is skipped.
 [[nodiscard]] std::vector<DynBitset> enforceLegality(
     std::vector<DynBitset> cliques, const AssignedGraph& graph,
     const ConstraintDatabase& constraints);

@@ -1,6 +1,6 @@
 #include "core/parallel_matrix.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <utility>
 
 #include "core/workspace.h"
@@ -23,43 +23,128 @@ ParallelismMatrix::ParallelismMatrix(std::vector<DynBitset> rows)
   }
 }
 
+namespace {
+
+// Levels over the active nodes from one topological order: `top` is the
+// longest path down to a sink (AssignedGraph::levelsFromTop), `bottom` the
+// longest path up from a source (levelsFromBottom). Deleted nodes get 0.
+void levelsFromOrder(const AssignedGraph& graph,
+                     const std::vector<uint32_t>& order, std::vector<int>& top,
+                     std::vector<int>& bottom) {
+  top.assign(graph.size(), 0);
+  bottom.assign(graph.size(), 0);
+  for (size_t i = order.size(); i-- > 0;) {
+    int lvl = 0;
+    for (AgId succ : graph.node(order[i]).succs)
+      lvl = std::max(lvl, top[succ] + 1);
+    top[order[i]] = lvl;
+  }
+  for (const AgId id : order) {
+    int lvl = 0;
+    for (AgId pred : graph.node(id).preds)
+      lvl = std::max(lvl, bottom[pred] + 1);
+    bottom[id] = lvl;
+  }
+}
+
+// ANDs into every active node's row the set of nodes whose level is within
+// `window` of its own. Nodes are bucketed by level (ids in `order`, so each
+// bucket is a contiguous run after a counting sort), and one window set
+// slides across the levels: each bucket enters and leaves it once.
+void applyLevelWindow(const std::vector<int>& level,
+                      const std::vector<uint32_t>& order, int window,
+                      std::vector<DynBitset>& rows, CoverWorkspace& ws) {
+  int maxLevel = 0;
+  for (const AgId id : order) maxLevel = std::max(maxLevel, level[id]);
+  std::vector<uint32_t>& start = ws.levelStart;
+  start.assign(static_cast<size_t>(maxLevel) + 2, 0);
+  for (const AgId id : order) start[static_cast<size_t>(level[id]) + 1] += 1;
+  for (size_t l = 1; l < start.size(); ++l) start[l] += start[l - 1];
+  std::vector<uint32_t>& ids = ws.levelIds;
+  ids.resize(order.size());
+  for (const AgId id : order)
+    ids[start[static_cast<size_t>(level[id])]++] = id;
+  // The fill advanced every start to the next bucket's; shift them back.
+  for (size_t l = start.size() - 1; l > 0; --l) start[l] = start[l - 1];
+  start[0] = 0;
+
+  auto bucket = [&](int l) {
+    return Span<const uint32_t>(ids.data() + start[static_cast<size_t>(l)],
+                                start[static_cast<size_t>(l) + 1] -
+                                    start[static_cast<size_t>(l)]);
+  };
+  DynBitset& inWindow = ws.inWindow;
+  inWindow.clearAndResize(rows.size());
+  int hi = -1;  // highest level in the window
+  for (int l = 0; l <= maxLevel; ++l) {
+    for (; hi < std::min(l + window, maxLevel); ++hi)
+      for (const uint32_t id : bucket(hi + 1)) inWindow.set(id);
+    if (l - window - 1 >= 0)
+      for (const uint32_t id : bucket(l - window - 1)) inWindow.reset(id);
+    for (const uint32_t id : bucket(l)) rows[id] &= inWindow;
+  }
+}
+
+}  // namespace
+
 void ParallelismMatrix::rebuild(const AssignedGraph& graph, int levelWindow,
                                 CoverWorkspace& ws) {
   const size_t n = graph.size();
-  rows_.resize(n);
-  for (DynBitset& row : rows_) row.clearAndResize(n);
-  const std::vector<DynBitset>& desc = graph.computeDescendantsInto(ws);
-  std::vector<int> top;
-  std::vector<int> bottom;
-  if (levelWindow >= 0) {
-    top = graph.levelsFromTop();
-    bottom = graph.levelsFromBottom();
-  }
-
   const Machine& machine = graph.machine();
+  // One topological order (ws.topoOrder) serves the descendants and both
+  // level vectors.
+  const std::vector<DynBitset>& desc = graph.computeDescendantsInto(ws);
+
+  // Resource masks: the active nodes, the operations on each unit, and the
+  // transfers on each bus.
+  ws.alive.clearAndResize(n);
+  if (ws.unitMask.size() < machine.units().size())
+    ws.unitMask.resize(machine.units().size());
+  for (size_t u = 0; u < machine.units().size(); ++u)
+    ws.unitMask[u].clearAndResize(n);
+  if (ws.busMask.size() < machine.buses().size())
+    ws.busMask.resize(machine.buses().size());
+  for (size_t b = 0; b < machine.buses().size(); ++b)
+    ws.busMask[b].clearAndResize(n);
   for (AgId a = 0; a < n; ++a) {
     const AgNode& na = graph.node(a);
     if (na.deleted()) continue;
-    for (AgId b = a + 1; b < n; ++b) {
-      const AgNode& nb = graph.node(b);
-      if (nb.deleted()) continue;
-      if (desc[a].test(b) || desc[b].test(a)) continue;
-      if (na.kind == AgKind::kOp && nb.kind == AgKind::kOp &&
-          na.unit == nb.unit)
-        continue;
-      if (na.isTransferish() && nb.isTransferish()) {
-        const BusId busA = graph.busOf(a);
-        const BusId busB = graph.busOf(b);
-        if (busA == busB && machine.bus(busA).capacity <= 1) continue;
-      }
-      if (levelWindow >= 0) {
-        if (std::abs(top[a] - top[b]) > levelWindow ||
-            std::abs(bottom[a] - bottom[b]) > levelWindow)
-          continue;
-      }
-      rows_[a].set(b);
-      rows_[b].set(a);
+    ws.alive.set(a);
+    if (na.kind == AgKind::kOp)
+      ws.unitMask[na.unit].set(a);
+    else
+      ws.busMask[graph.busOf(a)].set(a);
+  }
+
+  // Row a: the active nodes that are not a, not a descendant of a, not on
+  // a's unit, and not on a's bus when that bus carries one transfer per
+  // cycle. Deleted nodes get empty rows.
+  rows_.resize(n);
+  for (AgId a = 0; a < n; ++a) {
+    DynBitset& row = rows_[a];
+    const AgNode& na = graph.node(a);
+    if (na.deleted()) {
+      row.clearAndResize(n);
+      continue;
     }
+    row = ws.alive;
+    row.andNot(desc[a]);
+    if (na.kind == AgKind::kOp) {
+      row.andNot(ws.unitMask[na.unit]);
+    } else {
+      const BusId bus = graph.busOf(a);
+      if (machine.bus(bus).capacity <= 1) row.andNot(ws.busMask[bus]);
+    }
+    row.reset(a);
+  }
+  // Close under symmetry: a node's ancestors are not parallel with it.
+  for (AgId a = 0; a < n; ++a)
+    desc[a].forEach([&](size_t b) { rows_[b].reset(a); });
+
+  if (levelWindow >= 0) {
+    levelsFromOrder(graph, ws.topoOrder, ws.levelTop, ws.levelBottom);
+    applyLevelWindow(ws.levelTop, ws.topoOrder, levelWindow, rows_, ws);
+    applyLevelWindow(ws.levelBottom, ws.topoOrder, levelWindow, rows_, ws);
   }
 #if AVIV_DCHECKS_ENABLED
   // A deleted node participates in no instruction: its row must stay empty,

@@ -7,8 +7,11 @@
 //     materialization maps) — rewound via ArenaScope after each candidate,
 //     chunks retained;
 //   * reusable DynBitsets and vectors for the covering engine's per-round
-//     and per-clique sets, sized via clearAndResize so their heap storage
-//     survives across candidates.
+//     and per-clique sets, sized via clearAndResize. A DynBitset of up to
+//     128 bits (every graph real blocks produce without spilling) holds its
+//     words inline and never allocates; a larger one keeps its exact-size
+//     heap buffer across candidates, so only a graph bigger than any seen
+//     before by this workspace reallocates.
 //
 // Core headers that only need a CoverWorkspace* use a forward declaration
 // (`struct CoverWorkspace;`) instead of this header, keeping include cycles
@@ -66,6 +69,21 @@ struct CoverWorkspace {
   std::vector<DynBitset> desc;
   std::vector<uint32_t> topoOrder;
   std::vector<uint32_t> topoPending;
+
+  // ParallelismMatrix::rebuild scratch, all O(n) per set: the active
+  // nodes, the operations on each unit and the transfers on each bus (the
+  // masks a row subtracts), both level vectors from the shared topological
+  // order, and the level-bucketed id lists (counting-sort offsets + ids)
+  // behind the sliding level-window set. With `desc` and the matrix rows
+  // these are the only per-graph sets: no n×n scratch beyond those two.
+  DynBitset alive;
+  std::vector<DynBitset> unitMask;
+  std::vector<DynBitset> busMask;
+  std::vector<int> levelTop;
+  std::vector<int> levelBottom;
+  std::vector<uint32_t> levelStart;
+  std::vector<uint32_t> levelIds;
+  DynBitset inWindow;
 
   // Parallelism matrix reused across clique rounds and candidates (row
   // storage persists; rebuild() resizes in place).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 
 #include "support/error.h"
 
@@ -142,13 +141,14 @@ ConstraintDatabase::ConstraintDatabase(const Machine& machine)
     : constraints_(machine.constraints()) {}
 
 const Constraint* ConstraintDatabase::firstViolated(
-    const std::vector<OpSel>& sels) const {
-  if (constraints_.empty()) return nullptr;
-  const std::set<OpSel> present(sels.begin(), sels.end());
+    Span<const OpSel> sels) const {
+  // Instructions hold a handful of operations, so a linear membership scan
+  // beats building a set per call.
   for (const Constraint& c : constraints_) {
-    const bool violated =
-        std::all_of(c.together.begin(), c.together.end(),
-                    [&](const OpSel& sel) { return present.count(sel) > 0; });
+    const bool violated = std::all_of(
+        c.together.begin(), c.together.end(), [&](const OpSel& sel) {
+          return std::find(sels.begin(), sels.end(), sel) != sels.end();
+        });
     if (violated) return &c;
   }
   return nullptr;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "isdl/machine.h"
+#include "support/arena.h"
 
 namespace aviv {
 
@@ -88,8 +89,11 @@ class ConstraintDatabase {
   // Returns the first constraint violated by an instruction containing
   // exactly the given op-selections, or nullptr if the grouping is legal.
   // Duplicate OpSels in `sels` are allowed and treated as present-once.
+  [[nodiscard]] const Constraint* firstViolated(Span<const OpSel> sels) const;
   [[nodiscard]] const Constraint* firstViolated(
-      const std::vector<OpSel>& sels) const;
+      const std::vector<OpSel>& sels) const {
+    return firstViolated(Span<const OpSel>(sels.data(), sels.size()));
+  }
 
   [[nodiscard]] bool allows(const std::vector<OpSel>& sels) const {
     return firstViolated(sels) == nullptr;

@@ -1,102 +1,41 @@
 #include "support/bitset.h"
 
-#include <algorithm>
-
 namespace aviv {
 
 void DynBitset::resize(size_t size, bool value) {
   const size_t oldSize = size_;
-  size_ = size;
-  words_.resize(numWords(size), value ? ~uint64_t{0} : uint64_t{0});
+  const size_t oldWords = wordCount();
+  const size_t nw = reserveFor(size);
+  uint64_t* w = words();
+  const uint64_t fill = value ? ~uint64_t{0} : uint64_t{0};
+  for (size_t i = oldWords; i < nw; ++i) w[i] = fill;
   if (value && size > oldSize && oldSize % 64 != 0) {
     // Fill the tail of the previously-last word.
-    words_[oldSize >> 6] |= ~uint64_t{0} << (oldSize & 63);
+    w[oldSize >> 6] |= ~uint64_t{0} << (oldSize & 63);
   }
+  size_ = static_cast<uint32_t>(size);
   trimTail();
-}
-
-void DynBitset::trimTail() {
-  if (size_ % 64 != 0 && !words_.empty()) {
-    words_.back() &= (uint64_t{1} << (size_ & 63)) - 1;
-  }
-}
-
-void DynBitset::setAll() {
-  std::fill(words_.begin(), words_.end(), ~uint64_t{0});
-  trimTail();
-}
-
-void DynBitset::resetAll() {
-  std::fill(words_.begin(), words_.end(), uint64_t{0});
-}
-
-size_t DynBitset::count() const {
-  size_t n = 0;
-  for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-  return n;
-}
-
-bool DynBitset::any() const {
-  for (uint64_t w : words_)
-    if (w != 0) return true;
-  return false;
-}
-
-DynBitset& DynBitset::operator|=(const DynBitset& o) {
-  AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
-  return *this;
-}
-
-DynBitset& DynBitset::operator&=(const DynBitset& o) {
-  AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
-  return *this;
 }
 
 DynBitset& DynBitset::operator^=(const DynBitset& o) {
   AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] ^= o.words_[i];
+  uint64_t* w = words();
+  const uint64_t* ow = o.words();
+  for (size_t i = 0, nw = wordCount(); i < nw; ++i) w[i] ^= ow[i];
   return *this;
-}
-
-DynBitset& DynBitset::andNot(const DynBitset& o) {
-  AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~o.words_[i];
-  return *this;
-}
-
-bool DynBitset::intersects(const DynBitset& o) const {
-  AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i)
-    if ((words_[i] & o.words_[i]) != 0) return true;
-  return false;
-}
-
-bool DynBitset::isSubsetOf(const DynBitset& o) const {
-  AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i)
-    if ((words_[i] & ~o.words_[i]) != 0) return false;
-  return true;
-}
-
-size_t DynBitset::intersectCount(const DynBitset& o) const {
-  AVIV_CHECK(size_ == o.size_);
-  size_t n = 0;
-  for (size_t i = 0; i < words_.size(); ++i)
-    n += static_cast<size_t>(__builtin_popcountll(words_[i] & o.words_[i]));
-  return n;
 }
 
 size_t DynBitset::findFirst(size_t from) const {
   if (from >= size_) return size_;
-  size_t w = from >> 6;
-  uint64_t bits = words_[w] & (~uint64_t{0} << (from & 63));
+  const uint64_t* w = words();
+  const size_t nw = wordCount();
+  size_t i = from >> 6;
+  uint64_t bits = w[i] & (~uint64_t{0} << (from & 63));
   while (true) {
     if (bits != 0)
-      return w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-    if (++w >= words_.size()) return size_;
-    bits = words_[w];
+      return i * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+    if (++i >= nw) return size_;
+    bits = w[i];
   }
 }
 
@@ -105,13 +44,6 @@ std::vector<size_t> DynBitset::toIndices() const {
   out.reserve(count());
   forEach([&](size_t i) { out.push_back(i); });
   return out;
-}
-
-bool DynBitset::lexLess(const DynBitset& o) const {
-  AVIV_CHECK(size_ == o.size_);
-  for (size_t i = 0; i < words_.size(); ++i)
-    if (words_[i] != o.words_[i]) return words_[i] < o.words_[i];
-  return false;
 }
 
 }  // namespace aviv

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <optional>
+
 #include "core/assign_explore.h"
 #include "core/clique.h"
 #include "core/legality.h"
@@ -7,6 +12,7 @@
 #include "core/spill.h"
 #include "core/workspace.h"
 #include "ir/parser.h"
+#include "ir/random_dag.h"
 #include "isdl/parser.h"
 
 namespace aviv {
@@ -288,6 +294,286 @@ TEST(Legality, LegalCliquesPassThroughUnchanged) {
   const auto legal =
       enforceLegality(std::move(cliques), m.graph, m.dbs.constraints);
   EXPECT_EQ(legal.size(), before);
+}
+
+// --- reference equivalence ----------------------------------------------
+//
+// The matrix rows are built from masks (active, descendants, unit and bus
+// masks, level windows) and legality counts bus loads without a map. The
+// oracles below are the pairwise and map-based definitions those replaced;
+// the tests compare both on every shipped block × machine, on spilled
+// graphs with deleted nodes, and on graphs past the 128-bit inline size.
+
+// The pairwise definition of paper Fig 7: a and b are parallel iff both are
+// active, neither reaches the other, they do not share a unit (operations)
+// or a single-capacity bus (transfers), and their levels from the top and
+// from the bottom differ by at most the window.
+std::vector<DynBitset> referenceRows(const AssignedGraph& graph,
+                                     int levelWindow) {
+  const size_t n = graph.size();
+  std::vector<DynBitset> rows(n, DynBitset(n));
+  const std::vector<DynBitset> desc = graph.computeDescendants();
+  const std::vector<int> top = graph.levelsFromTop();
+  const std::vector<int> bottom = graph.levelsFromBottom();
+  for (AgId a = 0; a < n; ++a) {
+    const AgNode& na = graph.node(a);
+    if (na.deleted()) continue;
+    for (AgId b = a + 1; b < n; ++b) {
+      const AgNode& nb = graph.node(b);
+      if (nb.deleted()) continue;
+      if (desc[a].test(b) || desc[b].test(a)) continue;
+      if (na.kind == AgKind::kOp && nb.kind == AgKind::kOp &&
+          na.unit == nb.unit)
+        continue;
+      if (na.isTransferish() && nb.isTransferish() &&
+          graph.busOf(a) == graph.busOf(b) &&
+          graph.machine().bus(graph.busOf(a)).capacity <= 1)
+        continue;
+      if (levelWindow >= 0 && (std::abs(top[a] - top[b]) > levelWindow ||
+                               std::abs(bottom[a] - bottom[b]) > levelWindow))
+        continue;
+      rows[a].set(b);
+      rows[b].set(a);
+    }
+  }
+  return rows;
+}
+
+// Rebuilds `ws.matrix` (one workspace reused across every graph, so stale
+// storage from a larger or smaller graph would show) at windows -1, 0 and 2
+// and compares each row with the reference.
+void expectMatchesReference(const AssignedGraph& graph, CoverWorkspace& ws,
+                            const std::string& what) {
+  for (const int window : {-1, 0, 2}) {
+    ws.matrix.rebuild(graph, window, ws);
+    const std::vector<DynBitset> expected = referenceRows(graph, window);
+    ASSERT_EQ(ws.matrix.size(), expected.size()) << what;
+    size_t mismatches = 0;
+    for (AgId a = 0; a < expected.size(); ++a)
+      mismatches += ws.matrix.row(a) == expected[a] ? 0 : 1;
+    EXPECT_EQ(mismatches, 0u) << what << " window " << window;
+  }
+}
+
+// The map-based bus count and ISDL check legality had before per-bus
+// counters.
+bool referenceLegal(const DynBitset& clique, const AssignedGraph& graph,
+                    const ConstraintDatabase& constraints) {
+  std::map<BusId, int> load;
+  std::vector<OpSel> sels;
+  clique.forEach([&](size_t i) {
+    const AgNode& n = graph.node(static_cast<AgId>(i));
+    if (n.isTransferish()) load[graph.busOf(static_cast<AgId>(i))] += 1;
+    if (n.kind == AgKind::kOp) sels.push_back({n.unit, n.machineOp});
+  });
+  for (const auto& [bus, users] : load)
+    if (users > graph.machine().bus(bus).capacity) return false;
+  return constraints.allows(sels);
+}
+
+// The dedup + subset pass enforceLegality runs after a split: sort by
+// (count desc, lexLess), drop duplicates, drop sets contained in an
+// earlier kept set.
+std::vector<DynBitset> dedupAndDropSubsets(std::vector<DynBitset> cliques) {
+  std::sort(cliques.begin(), cliques.end(),
+            [](const DynBitset& a, const DynBitset& b) {
+              if (a.count() != b.count()) return a.count() > b.count();
+              return a.lexLess(b);
+            });
+  cliques.erase(std::unique(cliques.begin(), cliques.end()), cliques.end());
+  std::vector<DynBitset> kept;
+  for (const DynBitset& clique : cliques)
+    if (std::none_of(kept.begin(), kept.end(), [&](const DynBitset& k) {
+          return clique.isSubsetOf(k);
+        }))
+      kept.push_back(clique);
+  return kept;
+}
+
+// Checks legality on the maximal cliques of `graph` (all nodes active, then
+// every other node): per-clique verdicts against the map-based reference,
+// and enforceLegality's output against the full dedup path.
+void expectLegalityMatchesReference(const AssignedGraph& graph,
+                                    const ConstraintDatabase& constraints,
+                                    CoverWorkspace& ws,
+                                    const std::string& what) {
+  ws.matrix.rebuild(graph, -1, ws);
+  DynBitset alive(graph.size());
+  for (AgId id = 0; id < graph.size(); ++id)
+    if (!graph.node(id).deleted()) alive.set(id);
+  DynBitset sparse = alive;
+  for (AgId id = 0; id < graph.size(); id += 2) sparse.reset(id);
+  for (const DynBitset* active : {&alive, &sparse}) {
+    std::vector<DynBitset> cliques =
+        generateMaximalCliques(ws.matrix, *active, 1u << 16);
+    bool allLegal = true;
+    for (const DynBitset& clique : cliques) {
+      const bool legal = cliqueIsLegal(clique, graph, constraints);
+      EXPECT_EQ(legal, referenceLegal(clique, graph, constraints)) << what;
+      allLegal &= legal;
+    }
+    const std::vector<DynBitset> input = cliques;
+    const std::vector<DynBitset> result =
+        enforceLegality(std::move(cliques), graph, constraints);
+    EXPECT_TRUE(result == dedupAndDropSubsets(result)) << what;
+    if (allLegal) {
+      EXPECT_TRUE(result == dedupAndDropSubsets(input)) << what;
+    }
+    for (const DynBitset& clique : result)
+      EXPECT_TRUE(referenceLegal(clique, graph, constraints)) << what;
+  }
+}
+
+const char* const kShippedBlocks[] = {"biquad", "dct4", "ex1",  "ex2",
+                                      "ex3",    "ex4",  "ex5",  "fig2",
+                                      "fig6",   "matvec2"};
+const char* const kShippedMachines[] = {
+    "arch1",    "arch2",           "arch3",       "arch4",
+    "dsp16",    "zoo/asym",        "zoo/buffered", "zoo/constrained",
+    "zoo/minimal", "zoo/tiny",     "zoo/wide"};
+
+// Calls fn(graph, dbs, label) on the graphs of up to `perPair` assignments
+// of every shipped block × machine the SND builder accepts.
+template <typename Fn>
+void forEachShippedGraph(size_t perPair, Fn&& fn) {
+  const CodegenOptions options = CodegenOptions::heuristicsOn();
+  for (const char* blockName : kShippedBlocks) {
+    const BlockDag dag = loadBlock(blockName);
+    for (const char* machineName : kShippedMachines) {
+      const Machine machine = loadMachine(machineName);
+      const MachineDatabases dbs(machine);
+      std::optional<SplitNodeDag> snd;
+      try {
+        snd.emplace(SplitNodeDag::build(dag, machine, dbs, options));
+      } catch (const Error&) {
+        continue;  // an op no unit performs
+      }
+      const std::vector<Assignment> assignments =
+          AssignmentExplorer(*snd, options).explore();
+      for (size_t i = 0; i < std::min(perPair, assignments.size()); ++i) {
+        std::optional<AssignedGraph> graph;
+        try {
+          graph.emplace(
+              AssignedGraph::materialize(*snd, assignments[i], options));
+        } catch (const Error&) {
+          continue;
+        }
+        fn(*graph, dbs,
+           std::string(blockName) + "/" + machineName + " #" +
+               std::to_string(i));
+      }
+    }
+  }
+}
+
+// Covers a predecessor-closed set of about half the active nodes (deleted
+// nodes count as covered, as in the covering engine).
+DynBitset halfCovered(const AssignedGraph& graph) {
+  DynBitset covered(graph.size());
+  size_t active = 0;
+  for (AgId id = 0; id < graph.size(); ++id) {
+    if (graph.node(id).deleted())
+      covered.set(id);
+    else
+      ++active;
+  }
+  size_t added = 0;
+  for (bool grew = true; grew && 2 * added < active;) {
+    grew = false;
+    for (AgId id = 0; id < graph.size() && 2 * added < active; ++id) {
+      if (covered.test(id)) continue;
+      const auto& preds = graph.node(id).preds;
+      if (std::all_of(preds.begin(), preds.end(),
+                      [&](AgId p) { return covered.test(p); })) {
+        covered.set(id);
+        ++added;
+        grew = true;
+      }
+    }
+  }
+  return covered;
+}
+
+TEST(ParallelismMatrix, MatchesPairwiseReferenceOnShippedGraphs) {
+  CoverWorkspace ws;
+  size_t graphs = 0;
+  forEachShippedGraph(4, [&](const AssignedGraph& graph,
+                             const MachineDatabases&, const std::string& what) {
+    expectMatchesReference(graph, ws, what);
+    ++graphs;
+  });
+  EXPECT_GT(graphs, 200u);
+}
+
+// Spills append store/reload chains, delete redundant transfers and rewire
+// consumers, so the graph is no longer in topological id order and has
+// deleted nodes; zoo/asym and zoo/wide add capacity-2 buses.
+TEST(ParallelismMatrix, MatchesPairwiseReferenceAfterSpills) {
+  CoverWorkspace ws;
+  size_t spills = 0;
+  size_t deletedSeen = 0;
+  forEachShippedGraph(1, [&](const AssignedGraph& original,
+                             const MachineDatabases& dbs,
+                             const std::string& what) {
+    AssignedGraph graph = original.clone();
+    SpillState state;
+    for (int round = 0; round < 6; ++round) {
+      try {
+        (void)performSpill(graph, dbs.transfers, halfCovered(graph), state);
+      } catch (const Error&) {
+        break;  // nothing spillable left
+      }
+      ++spills;
+      for (AgId id = 0; id < graph.size(); ++id)
+        deletedSeen += graph.node(id).deleted() ? 1 : 0;
+      expectMatchesReference(graph, ws,
+                             what + " spill " + std::to_string(round));
+    }
+  });
+  EXPECT_GT(spills, 50u);
+  EXPECT_GT(deletedSeen, 0u);
+}
+
+// Synthetic blocks whose graphs pass 128 nodes, so rows, masks and
+// descendant sets take the heap path; rebuilt alternately with small
+// shipped graphs in the same workspace.
+TEST(ParallelismMatrix, MatchesPairwiseReferenceAcrossInlineHeapSeam) {
+  CoverWorkspace ws;
+  CodegenOptions options = CodegenOptions::heuristicsOn();
+  options.outputsToMemory = true;
+  const Materialized small("block t { input a, b; output y; y = a * b; }",
+                           "arch1");
+  size_t largest = 0;
+  for (const char* machineName : {"arch1", "zoo/wide"}) {
+    const Machine machine = loadMachine(machineName);
+    const MachineDatabases dbs(machine);
+    for (const int ops : {40, 90}) {
+      RandomDagSpec spec;
+      spec.numOps = ops;
+      spec.numInputs = ops / 3;
+      spec.seed = 7;
+      const BlockDag dag = makeRandomDag(spec);
+      const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, options);
+      const AssignedGraph graph = AssignedGraph::materialize(
+          snd, AssignmentExplorer(snd, options).explore().front(), options);
+      largest = std::max(largest, graph.size());
+      const std::string what =
+          std::string(machineName) + " ops=" + std::to_string(ops);
+      expectMatchesReference(graph, ws, what);
+      expectMatchesReference(small.graph, ws, what + " then small");
+      expectMatchesReference(graph, ws, what + " again");
+    }
+  }
+  EXPECT_GT(largest, 128u);
+}
+
+TEST(Legality, MatchesReferenceOnShippedGraphs) {
+  CoverWorkspace ws;
+  forEachShippedGraph(2, [&](const AssignedGraph& graph,
+                             const MachineDatabases& dbs,
+                             const std::string& what) {
+    expectLegalityMatchesReference(graph, dbs.constraints, ws, what);
+  });
 }
 
 }  // namespace

@@ -273,5 +273,136 @@ TEST_P(DynBitsetBoundary, RawWordHelpersMatchDynBitset) {
   EXPECT_EQ(bits::findFirst(both.wordData(), n, n), n);
 }
 
+// --- inline / heap storage seam ------------------------------------------
+//
+// Sets of up to 128 bits keep their words inside the object; larger ones
+// own an exact-size heap buffer. Every copy, move and resize must carry the
+// bits across that seam in both directions and leave no stale words.
+
+static_assert(sizeof(DynBitset) <= 24);
+
+constexpr size_t kSeamSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 256, 1400};
+
+DynBitset patterned(size_t n, size_t salt) {
+  DynBitset bits(n);
+  for (size_t i = 0; i < n; ++i)
+    if ((i * 7 + salt) % 3 == 0) bits.set(i);
+  return bits;
+}
+
+class DynBitsetStorage : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(InlineHeapSeam, DynBitsetStorage,
+                         ::testing::ValuesIn(kSeamSizes));
+
+TEST_P(DynBitsetStorage, CopyAndMoveConstruct) {
+  const size_t n = GetParam();
+  const DynBitset src = patterned(n, 1);
+  DynBitset copy(src);
+  EXPECT_EQ(copy, src);
+  if (n > 0) {
+    copy.setTo(n - 1, !copy.test(n - 1));  // the copy owns its words
+    EXPECT_NE(copy, src);
+    copy.setTo(n - 1, src.test(n - 1));
+  }
+  DynBitset moved(std::move(copy));
+  EXPECT_EQ(moved, src);
+  // Moved-from: empty, and usable again.
+  EXPECT_EQ(copy.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.wordCount(), 0u);
+  EXPECT_TRUE(copy.none());
+  copy.clearAndResize(n);
+  copy |= src;
+  EXPECT_EQ(copy, src);
+}
+
+TEST_P(DynBitsetStorage, AssignAcrossEverySizeBothWays) {
+  const size_t n = GetParam();
+  const DynBitset src = patterned(n, 1);
+  for (const size_t m : kSeamSizes) {
+    const DynBitset other = patterned(m, 2);
+    DynBitset dst = other;
+    dst = src;
+    EXPECT_EQ(dst, src) << m << " <- " << n;
+    EXPECT_EQ(dst.count(), src.count());
+    dst = other;  // and back
+    EXPECT_EQ(dst, other) << n << " <- " << m;
+
+    DynBitset moveDst = other;
+    DynBitset moveSrc = src;
+    moveDst = std::move(moveSrc);
+    EXPECT_EQ(moveDst, src) << m << " <- " << n;
+    EXPECT_EQ(moveSrc.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(moveSrc.none());
+    moveSrc = other;  // a moved-from set takes a new value
+    EXPECT_EQ(moveSrc, other);
+  }
+}
+
+TEST_P(DynBitsetStorage, SelfAssignKeepsContents) {
+  const size_t n = GetParam();
+  DynBitset bits = patterned(n, 1);
+  const DynBitset expect = bits;
+  DynBitset& alias = bits;
+  bits = alias;
+  EXPECT_EQ(bits, expect);
+  bits = std::move(alias);
+  EXPECT_EQ(bits, expect);
+}
+
+TEST_P(DynBitsetStorage, VectorGrowthMovesEveryRow) {
+  const size_t n = GetParam();
+  std::vector<DynBitset> rows;
+  for (size_t salt = 0; salt < 9; ++salt) rows.push_back(patterned(n, salt));
+  rows.resize(40);  // reallocates, moving the rows
+  for (size_t salt = 0; salt < 9; ++salt)
+    EXPECT_EQ(rows[salt], patterned(n, salt));
+  EXPECT_EQ(rows.back().size(), 0u);
+}
+
+TEST(DynBitset, ResizeWithValueAcrossInlineLimit) {
+  DynBitset bits(100);
+  bits.set(3);
+  bits.set(99);
+  bits.resize(200, true);  // inline -> heap, new bits set
+  EXPECT_EQ(bits.count(), 2u + 100u);
+  EXPECT_TRUE(bits.test(3));
+  EXPECT_FALSE(bits.test(4));
+  for (size_t i = 99; i < 200; ++i) EXPECT_TRUE(bits.test(i)) << i;
+  bits.resize(60);  // shrink below the inline limit; buffer kept
+  EXPECT_EQ(bits.count(), 1u);
+  bits.resize(150, true);  // regrow: old tail must not resurface
+  EXPECT_EQ(bits.count(), 1u + 90u);
+  for (size_t i = 0; i < 60; ++i) EXPECT_EQ(bits.test(i), i == 3) << i;
+  bits.resize(300);  // past the buffer, new bits clear
+  EXPECT_EQ(bits.count(), 91u);
+  EXPECT_EQ(bits.findFirst(150), 300u);
+}
+
+TEST(DynBitset, ShrinkThenGrowLeavesNoStaleBits) {
+  for (const size_t big : {129u, 256u, 1400u}) {
+    for (const size_t small : {1u, 65u, 128u}) {
+      DynBitset cleared(big, true);
+      cleared.clearAndResize(small);
+      EXPECT_TRUE(cleared.none());
+      cleared.setAll();
+      EXPECT_EQ(cleared.count(), small);
+      cleared.clearAndResize(big);
+      EXPECT_EQ(cleared.size(), big);
+      EXPECT_TRUE(cleared.none()) << small << " -> " << big;
+
+      DynBitset resized(big, true);
+      resized.resize(small);
+      resized.resize(big);
+      EXPECT_EQ(resized.count(), small) << small << " -> " << big;
+
+      DynBitset assigned(big, true);
+      assigned = DynBitset(small);
+      assigned.resize(big);
+      EXPECT_TRUE(assigned.none()) << small << " -> " << big;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aviv
