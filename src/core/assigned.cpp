@@ -468,25 +468,36 @@ std::vector<DynBitset>& AssignedGraph::computeDescendantsInto(
 }
 
 std::vector<int> AssignedGraph::levelsFromTop() const {
-  std::vector<int> level(nodes_.size(), 0);
-  const auto order = topoOrder(nodes_);
+  std::vector<int> level;
+  levelsFromTopInto(topoOrder(nodes_), level);
+  return level;
+}
+
+std::vector<int> AssignedGraph::levelsFromBottom() const {
+  std::vector<int> level;
+  levelsFromBottomInto(topoOrder(nodes_), level);
+  return level;
+}
+
+void AssignedGraph::levelsFromTopInto(const std::vector<AgId>& order,
+                                      std::vector<int>& level) const {
+  level.assign(nodes_.size(), 0);
   for (size_t i = order.size(); i-- > 0;) {
     const AgId id = order[i];
     int lvl = 0;
     for (AgId succ : nodes_[id].succs) lvl = std::max(lvl, level[succ] + 1);
     level[id] = lvl;
   }
-  return level;
 }
 
-std::vector<int> AssignedGraph::levelsFromBottom() const {
-  std::vector<int> level(nodes_.size(), 0);
-  for (const AgId id : topoOrder(nodes_)) {
+void AssignedGraph::levelsFromBottomInto(const std::vector<AgId>& order,
+                                         std::vector<int>& level) const {
+  level.assign(nodes_.size(), 0);
+  for (const AgId id : order) {
     int lvl = 0;
     for (AgId pred : nodes_[id].preds) lvl = std::max(lvl, level[pred] + 1);
     level[id] = lvl;
   }
-  return level;
 }
 
 std::string AssignedGraph::describe(AgId id) const {

@@ -185,6 +185,12 @@ class AssignedGraph {
   // Levels over active nodes (deleted nodes get 0).
   [[nodiscard]] std::vector<int> levelsFromTop() const;
   [[nodiscard]] std::vector<int> levelsFromBottom() const;
+  // The same from a topological order the caller already holds (the
+  // matrix rebuild's ws.topoOrder), into reused storage.
+  void levelsFromTopInto(const std::vector<AgId>& order,
+                         std::vector<int>& level) const;
+  void levelsFromBottomInto(const std::vector<AgId>& order,
+                            std::vector<int>& level) const;
   // Bus of a transfer-ish node.
   [[nodiscard]] BusId busOf(AgId id) const {
     const AgNode& n = node(id);

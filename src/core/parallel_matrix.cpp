@@ -25,28 +25,6 @@ ParallelismMatrix::ParallelismMatrix(std::vector<DynBitset> rows)
 
 namespace {
 
-// Levels over the active nodes from one topological order: `top` is the
-// longest path down to a sink (AssignedGraph::levelsFromTop), `bottom` the
-// longest path up from a source (levelsFromBottom). Deleted nodes get 0.
-void levelsFromOrder(const AssignedGraph& graph,
-                     const std::vector<uint32_t>& order, std::vector<int>& top,
-                     std::vector<int>& bottom) {
-  top.assign(graph.size(), 0);
-  bottom.assign(graph.size(), 0);
-  for (size_t i = order.size(); i-- > 0;) {
-    int lvl = 0;
-    for (AgId succ : graph.node(order[i]).succs)
-      lvl = std::max(lvl, top[succ] + 1);
-    top[order[i]] = lvl;
-  }
-  for (const AgId id : order) {
-    int lvl = 0;
-    for (AgId pred : graph.node(id).preds)
-      lvl = std::max(lvl, bottom[pred] + 1);
-    bottom[id] = lvl;
-  }
-}
-
 // ANDs into every active node's row the set of nodes whose level is within
 // `window` of its own. Nodes are bucketed by level (ids in `order`, so each
 // bucket is a contiguous run after a counting sort), and one window set
@@ -142,7 +120,8 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph, int levelWindow,
     desc[a].forEach([&](size_t b) { rows_[b].reset(a); });
 
   if (levelWindow >= 0) {
-    levelsFromOrder(graph, ws.topoOrder, ws.levelTop, ws.levelBottom);
+    graph.levelsFromTopInto(ws.topoOrder, ws.levelTop);
+    graph.levelsFromBottomInto(ws.topoOrder, ws.levelBottom);
     applyLevelWindow(ws.levelTop, ws.topoOrder, levelWindow, rows_, ws);
     applyLevelWindow(ws.levelBottom, ws.topoOrder, levelWindow, rows_, ws);
   }

@@ -89,20 +89,8 @@ class DynBitset {
     fillResize(size, value ? ~uint64_t{0} : uint64_t{0});
     trimTail();
   }
-  DynBitset(const DynBitset& o) : size_(o.size_) {
-    const size_t nw = o.wordCount();
-    if (nw > kInlineWords) reallocate(nw, 0);
-    bits::copy(words(), o.words(), nw);
-  }
-  DynBitset(DynBitset&& o) noexcept : size_(o.size_), cap_(o.cap_) {
-    if (o.onHeap()) {
-      heap_ = o.heap_;
-    } else {
-      inline_[0] = o.inline_[0];
-      inline_[1] = o.inline_[1];
-    }
-    o.becomeEmptyInline();
-  }
+  DynBitset(const DynBitset& o) { *this = o; }
+  DynBitset(DynBitset&& o) noexcept { steal(o); }
   DynBitset& operator=(const DynBitset& o) {
     if (this == &o) return *this;
     const size_t nw = o.wordCount();
@@ -114,15 +102,7 @@ class DynBitset {
   DynBitset& operator=(DynBitset&& o) noexcept {
     if (this == &o) return *this;
     if (onHeap()) delete[] heap_;
-    size_ = o.size_;
-    cap_ = o.cap_;
-    if (o.onHeap()) {
-      heap_ = o.heap_;
-    } else {
-      inline_[0] = o.inline_[0];
-      inline_[1] = o.inline_[1];
-    }
-    o.becomeEmptyInline();
+    steal(o);
     return *this;
   }
   ~DynBitset() {
@@ -350,11 +330,20 @@ class DynBitset {
     heap_ = fresh;
     cap_ = static_cast<uint32_t>(nw);
   }
-  void becomeEmptyInline() {
-    size_ = 0;
-    cap_ = kInlineWords;
-    inline_[0] = 0;
-    inline_[1] = 0;
+  // Takes o's bits and storage; o is left empty, with inline storage.
+  void steal(DynBitset& o) noexcept {
+    size_ = o.size_;
+    cap_ = o.cap_;
+    if (o.onHeap()) {
+      heap_ = o.heap_;
+    } else {
+      inline_[0] = o.inline_[0];
+      inline_[1] = o.inline_[1];
+    }
+    o.size_ = 0;
+    o.cap_ = kInlineWords;
+    o.inline_[0] = 0;
+    o.inline_[1] = 0;
   }
   void trimTail() {
     if (size_ % 64 != 0)
