@@ -60,8 +60,8 @@ int main() {
 
     {
       std::vector<Config> configs;
-      Config pruned{"prune=min (paper)", CodegenOptions::heuristicsOn()};
-      Config slack1{"prune=min+1", CodegenOptions::heuristicsOn()};
+      Config pruned{"prune=min (paper)", CodegenOptions{}};
+      Config slack1{"prune=min+1", CodegenOptions{}};
       slack1.options.assignPruneSlack = 1.0;
       Config off{"prune off (exhaustive)", CodegenOptions::heuristicsOff()};
       configs.push_back(pruned);
@@ -72,8 +72,7 @@ int main() {
     {
       std::vector<Config> configs;
       for (int keep : {1, 4, 16}) {
-        Config c{"keep-best=" + std::to_string(keep),
-                 CodegenOptions::heuristicsOn()};
+        Config c{"keep-best=" + std::to_string(keep), CodegenOptions{}};
         c.options.assignKeepBest = keep;
         configs.push_back(c);
       }
@@ -84,7 +83,7 @@ int main() {
       for (int window : {0, 1, 2, 4, -1}) {
         Config c{window < 0 ? "level window off"
                             : "level window=" + std::to_string(window),
-                 CodegenOptions::heuristicsOn()};
+                 CodegenOptions{}};
         c.options.cliqueLevelWindow = window;
         configs.push_back(c);
       }
@@ -92,8 +91,8 @@ int main() {
     }
     {
       std::vector<Config> configs;
-      Config on{"lookahead on (paper)", CodegenOptions::heuristicsOn()};
-      Config off{"lookahead off", CodegenOptions::heuristicsOn()};
+      Config on{"lookahead on (paper)", CodegenOptions{}};
+      Config off{"lookahead off", CodegenOptions{}};
       off.options.coverLookahead = false;
       configs.push_back(on);
       configs.push_back(off);
@@ -101,9 +100,8 @@ int main() {
     }
     {
       std::vector<Config> configs;
-      Config off{"register-blind (paper)", CodegenOptions::heuristicsOn()};
-      Config on{"register-aware (paper's ongoing work)",
-                CodegenOptions::heuristicsOn()};
+      Config off{"register-blind (paper)", CodegenOptions{}};
+      Config on{"register-aware (paper's ongoing work)", CodegenOptions{}};
       on.options.registerAwareAssignment = true;
       configs.push_back(off);
       configs.push_back(on);

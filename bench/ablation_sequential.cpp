@@ -23,8 +23,7 @@ int main() {
       const MachineDatabases dbs(machine);
       for (const char* block : {"ex1", "ex2", "ex3", "ex4", "ex5"}) {
         const BlockDag dag = loadBlock(block);
-        const CoreResult aviv =
-            coverBlock(dag, machine, dbs, CodegenOptions::heuristicsOn());
+        const CoreResult aviv = coverBlock(dag, machine, dbs, CodegenOptions{});
         std::string seqCell = "infeasible";
         int seqInstr = -1;
         try {

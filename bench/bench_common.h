@@ -59,7 +59,6 @@ inline TableRow runTableRow(const std::string& label, const std::string& block,
   // main column.
   {
     DriverOptions options;
-    options.core = CodegenOptions::heuristicsOn();
     options.core.jobs = jobs;
     CodeGenerator generator(machine, options);
     WallTimer timer;

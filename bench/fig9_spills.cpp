@@ -82,8 +82,7 @@ int main() {
     const Machine machine = loadMachine("arch1").withRegisterCount(2);
     const MachineDatabases dbs(machine);
 
-    const CoreResult result =
-        coverBlock(dag, machine, dbs, CodegenOptions::heuristicsOn());
+    const CoreResult result = coverBlock(dag, machine, dbs, CodegenOptions{});
 
     std::printf("Figure 9 — load/spill insertion (block ex4 on arch1 with "
                 "2 registers per file)\n\n");
@@ -129,7 +128,7 @@ int main() {
     const Machine machine4 = loadMachine("arch1");
     const MachineDatabases dbs4(machine4);
     const CoreResult result4 =
-        coverBlock(dag, machine4, dbs4, CodegenOptions::heuristicsOn());
+        coverBlock(dag, machine4, dbs4, CodegenOptions{});
     std::printf("\nSame block with 4 registers per file: %d instructions, "
                 "%d spills.\n",
                 result4.schedule.numInstructions(),

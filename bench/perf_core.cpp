@@ -125,7 +125,7 @@ BENCHMARK(BM_SplitNodeBuild)
 
 void BM_AssignmentExploration(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
-  const CodegenOptions options = CodegenOptions::heuristicsOn();
+  const CodegenOptions options;
   const SplitNodeDag snd =
       SplitNodeDag::build(dag, arch1(), arch1Dbs(), options);
   for (auto _ : state) {
@@ -181,11 +181,11 @@ BENCHMARK(BM_CliqueGenerationLevelWindow)
     ->Arg(128)
     ->Arg(256);
 
-// Parallelism-matrix rebuild (paper Fig 7) in a warm workspace, as the
-// covering engine runs it once per clique round; Args = (ops, level
-// window). Graphs of 128 ops and more pass 128 nodes, so their rows,
-// masks and descendant sets live on the heap: allocs/op shows that a warm
-// workspace reuses them.
+// Parallelism-matrix rebuild (paper Fig 7), with the topological order
+// and levels it reads, in a warm workspace, as the covering engine runs
+// them once per clique round; Args = (ops, level window). Graphs of 128
+// ops and more pass 128 nodes, so their rows, masks and descendant sets
+// live on the heap: allocs/op shows that a warm workspace reuses them.
 void BM_MatrixRebuild(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
   const CodegenOptions options;
@@ -196,10 +196,12 @@ void BM_MatrixRebuild(benchmark::State& state) {
       AssignedGraph::materialize(snd, assignment, options);
   const int window = static_cast<int>(state.range(1));
   CoverWorkspace ws;
-  ws.matrix.rebuild(graph, window, ws);
+  graph.orderAndLevelsInto(ws);
+  ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop, window, ws);
   const HeapMeter heap;
   for (auto _ : state) {
-    ws.matrix.rebuild(graph, window, ws);
+    graph.orderAndLevelsInto(ws);
+    ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop, window, ws);
     benchmark::DoNotOptimize(ws.matrix.row(0).wordData());
   }
   heap.report(state);
@@ -212,7 +214,7 @@ void BM_FullCoverHeuristicsOn(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));
   // Synthetic DAGs mark every sink as an output; store outputs to memory so
   // arbitrary output counts stay register-feasible.
-  CodegenOptions options = CodegenOptions::heuristicsOn();
+  CodegenOptions options;
   options.outputsToMemory = true;
   for (auto _ : state) {
     benchmark::DoNotOptimize(coverBlock(dag, arch1(), arch1Dbs(), options));
@@ -226,7 +228,7 @@ BENCHMARK(BM_FullCoverHeuristicsOn)->Arg(8)->Arg(16)->Arg(32);
 // this measures the wall-clock payoff.
 void BM_CoverSelectedAssignments(benchmark::State& state) {
   const BlockDag dag = syntheticDag(26);
-  CodegenOptions options = CodegenOptions::heuristicsOn();
+  CodegenOptions options;
   // Synthetic sinks are all outputs; memory placement keeps them feasible.
   options.outputsToMemory = true;
   // Widen the candidate pool so there is enough independent covering work.

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     const std::string heuristics = flags.getString("heuristics", "on");
     DriverOptions options;
     options.core = heuristics == "off" ? CodegenOptions::heuristicsOff()
-                                       : CodegenOptions::heuristicsOn();
+                                       : CodegenOptions{};
     options.runPeephole = !flags.getBool("no-peephole", false);
     options.core.constantsInMemory = flags.getBool("const-pool", false);
     options.core.outputsToMemory = flags.getBool("outputs-mem", false);

@@ -14,6 +14,10 @@ namespace aviv {
 
 namespace {
 
+// Cap on the functional-unit assignments enumerated (heuristics off grows
+// them multiplicatively, Section IV-A); a capped space is not proven.
+constexpr size_t kMaxAssignments = 1u << 20;
+
 struct BitsetLess {
   bool operator()(const DynBitset& a, const DynBitset& b) const {
     return a.lexLess(b);
@@ -31,16 +35,8 @@ class ScheduleSearch {
         timer_(timer),
         deadline_(deadline),
         best_(best),
-        states_(statesVisited) {
-    heights_ = graph.levelsFromTop();
-    for (AgId id = 0; id < graph.size(); ++id) {
-      const AgNode& n = graph.node(id);
-      if (n.deleted()) continue;
-      ++active_;
-      if (n.kind == AgKind::kOp) unitWork_[n.unit] += 1;
-      if (n.isTransferish()) busWork_[graph.busOf(id)] += 1;
-    }
-  }
+        states_(statesVisited),
+        heights_(graph.levelsFromTop()) {}
 
   // True when the search space was exhausted (not cut by the deadline).
   bool run() {
@@ -158,9 +154,6 @@ class ScheduleSearch {
   int* best_;
   size_t* states_;
   std::vector<int> heights_;
-  std::map<UnitId, int> unitWork_;
-  std::map<BusId, int> busWork_;
-  size_t active_ = 0;
   bool expired_ = false;
   std::map<DynBitset, int, BitsetLess> memo_;
 };
@@ -174,9 +167,7 @@ OptimalResult optimalCodeSize(const BlockDag& ir, const Machine& machine,
   OptimalResult result;
 
   CodegenOptions coreOptions = CodegenOptions::heuristicsOff();
-  coreOptions.enableComplexPatterns = options.enableComplexPatterns;
-  coreOptions.outputsToMemory = options.outputsToMemory;
-  coreOptions.maxAssignments = options.maxAssignments;
+  coreOptions.maxAssignments = kMaxAssignments;
 
   const SplitNodeDag snd = SplitNodeDag::build(ir, machine, dbs, coreOptions);
   AssignmentExplorer explorer(snd, coreOptions);

@@ -21,12 +21,9 @@ namespace aviv {
 
 struct OptimalOptions {
   double timeLimitSeconds = 120.0;
-  size_t maxAssignments = 1u << 20;
   // Prime the bound with a known-achievable count (e.g. AVIV's own result);
   // INT32_MAX means unprimed.
   int incumbent = INT32_MAX;
-  bool enableComplexPatterns = true;
-  bool outputsToMemory = false;
 };
 
 struct OptimalResult {

@@ -30,6 +30,14 @@ AssignmentExplorer::AssignmentExplorer(const SplitNodeDag& snd,
 
 namespace {
 
+// Incremental-cost weights (Section IV-A): the paper's 1 per transfer and
+// per precluded parallel pair, 1 per extra IR node a complex alternative
+// covers, and 2 per producer over a bank's size (register-aware cost).
+constexpr double kTransferCostWeight = 1.0;
+constexpr double kParallelismCostWeight = 1.0;
+constexpr double kComplexCoverBonus = 1.0;
+constexpr double kRegisterPressurePenalty = 2.0;
+
 // Exploration states hold their per-node arrays in the scratch arena; a
 // State is two (pointer, length) views plus a cost, so the frontier vectors
 // shuffle 40-byte values instead of deep-copying heap vectors. Branching
@@ -116,7 +124,7 @@ std::vector<Assignment> AssignmentExplorer::explore(
       for (NodeId operand : consumerAlt.operandIr) uses += operand == n;
       if (uses == 0) continue;  // n only feeds the fused-away interior
       const Loc consLoc = machine.unitLoc(consumerAlt.unit);
-      cost += options_.transferCostWeight *
+      cost += kTransferCostWeight *
               static_cast<double>(xferDb.cost(myLoc, consLoc));
     }
 
@@ -135,7 +143,7 @@ std::vector<Assignment> AssignmentExplorer::explore(
           std::find(rootOperands.begin(), rootOperands.end(), operand) ==
               rootOperands.end())
         continue;
-      cost += options_.transferCostWeight *
+      cost += kTransferCostWeight *
               static_cast<double>(xferDb.cost(dataMem, myLoc));
     }
 
@@ -146,12 +154,11 @@ std::vector<Assignment> AssignmentExplorer::explore(
       if (other == kNoSnd || m == n) continue;
       if (snd_.node(other).unit != alt.unit) continue;
       const bool dependent = reach[m].test(n) || reach[n].test(m);
-      if (!dependent) cost += options_.parallelismCostWeight;
+      if (!dependent) cost += kParallelismCostWeight;
     }
 
     // (d) complex instructions cover extra nodes with the same instruction.
-    cost -= options_.complexCoverBonus *
-            static_cast<double>(alt.covers.size() - 1);
+    cost -= kComplexCoverBonus * static_cast<double>(alt.covers.size() - 1);
 
     // (e) optional register-pressure awareness (paper Section VI, ongoing
     // work): a crude per-bank producer count against the bank size.
@@ -166,7 +173,7 @@ std::vector<Assignment> AssignmentExplorer::explore(
       }
       const int excess = producers - machine.regFile(bank).numRegs;
       if (excess > 0)
-        cost += options_.registerPressurePenalty * static_cast<double>(excess);
+        cost += kRegisterPressurePenalty * static_cast<double>(excess);
     }
     return cost;
   };

@@ -452,19 +452,23 @@ std::vector<DynBitset> AssignedGraph::computeDescendants() const {
 }
 
 std::vector<DynBitset>& AssignedGraph::computeDescendantsInto(
-    CoverWorkspace& ws) const {
+    const std::vector<AgId>& order, CoverWorkspace& ws) const {
   const size_t n = nodes_.size();
   if (ws.desc.size() < n) ws.desc.resize(n);
   for (size_t i = 0; i < n; ++i) ws.desc[i].clearAndResize(n);
-  topoOrderInto(nodes_, ws.topoPending, ws.topoOrder);
-  for (size_t i = ws.topoOrder.size(); i-- > 0;) {
-    const AgId id = ws.topoOrder[i];
+  for (size_t i = order.size(); i-- > 0;) {
+    const AgId id = order[i];
     for (AgId succ : nodes_[id].succs) {
       ws.desc[id].set(succ);
       ws.desc[id] |= ws.desc[succ];
     }
   }
   return ws.desc;
+}
+
+void AssignedGraph::orderAndLevelsInto(CoverWorkspace& ws) const {
+  topoOrderInto(nodes_, ws.topoPending, ws.topoOrder);
+  levelsFromTopInto(ws.topoOrder, ws.levelTop);
 }
 
 std::vector<int> AssignedGraph::levelsFromTop() const {

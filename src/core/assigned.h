@@ -179,14 +179,19 @@ class AssignedGraph {
   // descendants[i].test(j) == a dependency path i -> j exists. Recomputed on
   // demand after mutations.
   [[nodiscard]] std::vector<DynBitset> computeDescendants() const;
-  // Workspace variant: reuses ws.desc's bitset storage (and ws.topoOrder /
-  // ws.topoPending) instead of allocating fresh vectors each call.
-  std::vector<DynBitset>& computeDescendantsInto(CoverWorkspace& ws) const;
+  // Workspace variant: from a topological order the caller already holds,
+  // into ws.desc's reused bitset storage.
+  std::vector<DynBitset>& computeDescendantsInto(
+      const std::vector<AgId>& order, CoverWorkspace& ws) const;
+  // A topological order of the active nodes into ws.topoOrder and their
+  // levels from the top into ws.levelTop: once per clique round, for the
+  // covering bound and the parallelism-matrix rebuild.
+  void orderAndLevelsInto(CoverWorkspace& ws) const;
   // Levels over active nodes (deleted nodes get 0).
   [[nodiscard]] std::vector<int> levelsFromTop() const;
   [[nodiscard]] std::vector<int> levelsFromBottom() const;
-  // The same from a topological order the caller already holds (the
-  // matrix rebuild's ws.topoOrder), into reused storage.
+  // The same from a topological order the caller already holds, into
+  // reused storage.
   void levelsFromTopInto(const std::vector<AgId>& order,
                          std::vector<int>& level) const;
   void levelsFromBottomInto(const std::vector<AgId>& order,

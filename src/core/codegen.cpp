@@ -100,18 +100,16 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
 
   // Adaptive shortcut: enumerate tiny assignment spaces outright.
   CodegenOptions exploreOptions = options;
-  if (options.smallSpaceExhaustive > 0) {
-    size_t space = 1;
-    for (NodeId id = 0; id < ir.size(); ++id) {
-      if (isLeafOp(ir.node(id).op)) continue;
-      space *= snd.altsOf(id).size();
-      if (space > options.smallSpaceExhaustive) break;
-    }
-    if (space <= options.smallSpaceExhaustive) {
-      exploreOptions.assignPruneIncremental = false;
-      exploreOptions.assignBeamWidth = 0;
-      exploreOptions.assignKeepBest = 1 << 30;
-    }
+  size_t space = 1;
+  for (NodeId id = 0; id < ir.size(); ++id) {
+    if (isLeafOp(ir.node(id).op)) continue;
+    space *= snd.altsOf(id).size();
+    if (space > CodegenOptions::smallSpaceExhaustive) break;
+  }
+  if (space <= CodegenOptions::smallSpaceExhaustive) {
+    exploreOptions.assignPruneIncremental = false;
+    exploreOptions.assignBeamWidth = 0;
+    exploreOptions.assignKeepBest = 1 << 30;
   }
   const bool parallel = pool != nullptr && options.jobs > 1;
   const int numWorkers = parallel ? pool->parallelism() : 1;

@@ -41,6 +41,10 @@ CoveringEngine::CoveringEngine(AssignedGraph& graph,
 
 namespace {
 
+// Safety cap on generated cliques per covering round; a capped round keeps
+// a subset and adds singletons for the nodes it left out.
+constexpr size_t kMaxCliquesPerRound = 250'000;
+
 // Live-out values (block outputs) never die.
 DynBitset liveOutSet(const AssignedGraph& graph) {
   DynBitset liveOut(graph.size());
@@ -56,7 +60,7 @@ DynBitset liveOutSet(const AssignedGraph& graph) {
 //   * the longest dependency chain starting at an uncovered operation, plus
 //     one when that operation still waits on an uncovered predecessor
 //     (every node on a chain needs its own, later instruction).
-// `heights` is AssignedGraph::levelsFromTop() of the current graph;
+// `heights` holds the current graph's levels from the top;
 // `unitLoad` is scratch. Spills keep the bound valid: they never delete or
 // re-unit an operation and only rewire consumers of covered values (onto
 // reload chains, deleting those values' transfers). Every descendant of an
@@ -113,7 +117,8 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
 
   SpillState spillState;
   std::vector<DynBitset> cliques;
-  std::vector<int> heights;  // level from top: critical-path priority
+  // Level from top (critical-path priority), refreshed at every rebuild.
+  const std::vector<int>& heights = ws.levelTop;
   bool rebuild = true;
   const size_t spillGuard = 4 * graph_.size() + 64;
 
@@ -126,7 +131,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       deadline_->check("covering");
     }
 
-    if (rebuild) heights = graph_.levelsFromTop();
+    if (rebuild) graph_.orderAndLevelsInto(ws);
     // The bound is checked before the first round and after every emitted
     // instruction or spill; without a cutoff only the round-0 value is
     // recorded.
@@ -146,16 +151,16 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
 
     if (rebuild) {
       trace::Span roundSpan("search", "cover.clique-round");
-      ws.matrix.rebuild(graph_, options_.cliqueLevelWindow, ws);
+      ws.matrix.rebuild(graph_, ws.topoOrder, heights,
+                        options_.cliqueLevelWindow, ws);
       DynBitset& active = ws.active;
       active.clearAndResize(graph_.size());
       active.setAll();
       active.andNot(covered);
       CliqueGenStats genStats;
       cliques = enforceLegality(
-          generateMaximalCliques(ws.matrix, active,
-                                 options_.maxCliquesPerRound, &genStats,
-                                 &ws.arena),
+          generateMaximalCliques(ws.matrix, active, kMaxCliquesPerRound,
+                                 &genStats, &ws.arena),
           graph_, constraints_);
       st.cliqueRecursions += genStats.recursions;
       roundSpan.arg("cliques", static_cast<int64_t>(genStats.emitted));
@@ -462,8 +467,9 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
                    st.spillsInserted, "covered",
                    static_cast<int64_t>(covered.count()), "ready",
                    static_cast<int64_t>(ready.count()));
-    performSpill(graph_, xferDb_, covered, spillState);
+    const AgId victim = performSpill(graph_, xferDb_, covered, spillState);
     st.spillsInserted += 1;
+    if (graph_.node(victim).kind == AgKind::kSpillLoad) st.reloadsEvicted += 1;
 
     // Graph grew: extend the bookkeeping (scheduled bits are preserved by
     // the resize; new nodes start uncovered; deletions become covered).

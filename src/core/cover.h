@@ -43,6 +43,7 @@ struct CoverStats {
   size_t candidatesAbandoned = 0;   // candidates abandoned with no fitting
                                     // member subset (register pressure)
   int spillsInserted = 0;  // victim values spilled (Table I "#Spills")
+  int reloadsEvicted = 0;  // of those, reloads evicted: no store added
   int lowerBound = 0;      // round-0 lower bound on the instruction count
 };
 

@@ -1,7 +1,14 @@
-// Knobs for the AVIV covering flow. Defaults match the paper's
-// "heuristics on" configuration; the Table I/II benches flip them to
-// reproduce the parenthesized heuristics-off columns, and the ablation bench
-// sweeps them.
+// Knobs for the AVIV covering flow. The paper's two configurations
+// (Section VI) are the struct defaults, "heuristics on" (served requests,
+// avivc, the Table I/II main columns), and heuristicsOff(), the
+// parenthesised Table I/II column. A field exists only where a caller sets
+// a second value: an ablation_heuristics row (assignPruneSlack,
+// assignKeepBest, cliqueLevelWindow, coverLookahead,
+// registerAwareAssignment), heuristicsOff(), Fig 6 and perfbench
+// (assignPruneIncremental, assignBeamWidth), the exact search
+// (maxAssignments), tests of Section III-B (enableComplexPatterns), or
+// requests, avivc and the driver's fallback (the rest). Values nothing
+// varies are constants where they are used.
 #pragma once
 
 #include <cstddef>
@@ -30,19 +37,11 @@ struct CodegenOptions {
   // When the total number of possible assignments (product of per-node
   // alternative counts) is at most this, skip the pruning and enumerate
   // them all — the pruning exists to curb multiplicative growth, and
-  // covering a few hundred assignments is cheaper than mispruning. 0
-  // disables the shortcut (strict paper behavior).
-  size_t smallSpaceExhaustive = 512;
-  // Cost weight for one required data transfer (paper uses 1).
-  double transferCostWeight = 1.0;
-  // Cost weight for one precluded parallel-execution pair (paper uses 1).
-  double parallelismCostWeight = 1.0;
-  // Bonus per extra IR node covered by a complex instruction alternative.
-  double complexCoverBonus = 1.0;
+  // covering a few hundred assignments is cheaper than mispruning.
+  static constexpr size_t smallSpaceExhaustive = 512;
   // Paper Section VI "ongoing work" extension: penalize assignments likely
   // to exceed register resources already during assignment exploration.
   bool registerAwareAssignment = false;
-  double registerPressurePenalty = 2.0;
 
   // --- Section III-B: complex instruction pattern matching ---
   bool enableComplexPatterns = true;
@@ -50,9 +49,7 @@ struct CodegenOptions {
   // --- Section IV-C: maximal clique generation ---
   // Level-window heuristic (IV-C.2): only merge nodes whose levels from top
   // AND bottom differ by at most this much. < 0 disables the heuristic.
-  int cliqueLevelWindow = -1;
-  // Safety cap on generated cliques per covering round.
-  size_t maxCliquesPerRound = 250'000;
+  int cliqueLevelWindow = 2;
 
   // --- Section IV-D: covering ---
   // Lookahead tie-break among equally-covering cliques.
@@ -96,7 +93,7 @@ struct CodegenOptions {
   // plus their covers/operand payloads).
   size_t maxSndBytes = 512ull << 20;
   // Hard cap on cliques generated across all rounds of one covering (the
-  // per-round maxCliquesPerRound cap truncates softly; this one stops a
+  // per-round cap in core/cover.cpp truncates softly; this one stops a
   // covering whose rounds keep regenerating huge clique sets).
   size_t maxTotalCliques = 5'000'000;
 
@@ -122,15 +119,9 @@ struct CodegenOptions {
     sink("assignBeamWidth", assignBeamWidth);
     sink("assignKeepBest", assignKeepBest);
     sink("maxAssignments", maxAssignments);
-    sink("smallSpaceExhaustive", smallSpaceExhaustive);
-    sink("transferCostWeight", transferCostWeight);
-    sink("parallelismCostWeight", parallelismCostWeight);
-    sink("complexCoverBonus", complexCoverBonus);
     sink("registerAwareAssignment", registerAwareAssignment);
-    sink("registerPressurePenalty", registerPressurePenalty);
     sink("enableComplexPatterns", enableComplexPatterns);
     sink("cliqueLevelWindow", cliqueLevelWindow);
-    sink("maxCliquesPerRound", maxCliquesPerRound);
     sink("coverLookahead", coverLookahead);
     sink("timeLimitSeconds", timeLimitSeconds);
     sink("constantsInMemory", constantsInMemory);
@@ -150,14 +141,6 @@ struct CodegenOptions {
     opts.assignBeamWidth = 0;
     opts.assignKeepBest = 1 << 30;
     opts.cliqueLevelWindow = -1;
-    return opts;
-  }
-
-  // The paper's default heuristic configuration with the clique
-  // level-window reduction enabled.
-  [[nodiscard]] static CodegenOptions heuristicsOn() {
-    CodegenOptions opts;
-    opts.cliqueLevelWindow = 2;
     return opts;
   }
 };

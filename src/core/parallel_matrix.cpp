@@ -12,7 +12,8 @@ namespace aviv {
 ParallelismMatrix::ParallelismMatrix(const AssignedGraph& graph,
                                      int levelWindow) {
   CoverWorkspace ws;
-  rebuild(graph, levelWindow, ws);
+  graph.orderAndLevelsInto(ws);
+  rebuild(graph, ws.topoOrder, ws.levelTop, levelWindow, ws);
 }
 
 ParallelismMatrix::ParallelismMatrix(std::vector<DynBitset> rows)
@@ -65,13 +66,14 @@ void applyLevelWindow(const std::vector<int>& level,
 
 }  // namespace
 
-void ParallelismMatrix::rebuild(const AssignedGraph& graph, int levelWindow,
-                                CoverWorkspace& ws) {
+void ParallelismMatrix::rebuild(const AssignedGraph& graph,
+                                const std::vector<AgId>& order,
+                                const std::vector<int>& levelTop,
+                                int levelWindow, CoverWorkspace& ws) {
   const size_t n = graph.size();
   const Machine& machine = graph.machine();
-  // One topological order (ws.topoOrder) serves the descendants and both
-  // level vectors.
-  const std::vector<DynBitset>& desc = graph.computeDescendantsInto(ws);
+  // One topological order serves the descendants and both level vectors.
+  const std::vector<DynBitset>& desc = graph.computeDescendantsInto(order, ws);
 
   // Resource masks: the active nodes, the operations on each unit, and the
   // transfers on each bus.
@@ -120,10 +122,9 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph, int levelWindow,
     desc[a].forEach([&](size_t b) { rows_[b].reset(a); });
 
   if (levelWindow >= 0) {
-    graph.levelsFromTopInto(ws.topoOrder, ws.levelTop);
-    graph.levelsFromBottomInto(ws.topoOrder, ws.levelBottom);
-    applyLevelWindow(ws.levelTop, ws.topoOrder, levelWindow, rows_, ws);
-    applyLevelWindow(ws.levelBottom, ws.topoOrder, levelWindow, rows_, ws);
+    graph.levelsFromBottomInto(order, ws.levelBottom);
+    applyLevelWindow(levelTop, order, levelWindow, rows_, ws);
+    applyLevelWindow(ws.levelBottom, order, levelWindow, rows_, ws);
   }
 #if AVIV_DCHECKS_ENABLED
   // A deleted node participates in no instruction: its row must stay empty,

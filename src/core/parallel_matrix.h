@@ -33,8 +33,10 @@ class ParallelismMatrix {
   explicit ParallelismMatrix(std::vector<DynBitset> rows);
 
   // Recomputes the matrix in place, reusing row storage and the workspace's
-  // descendant/topo scratch instead of allocating per round.
-  void rebuild(const AssignedGraph& graph, int levelWindow,
+  // scratch. `order` and `levelTop` are the graph's topological order and
+  // levels from the top (AssignedGraph::orderAndLevelsInto).
+  void rebuild(const AssignedGraph& graph, const std::vector<AgId>& order,
+               const std::vector<int>& levelTop, int levelWindow,
                CoverWorkspace& ws);
 
   [[nodiscard]] size_t size() const { return rows_.size(); }

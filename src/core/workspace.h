@@ -65,21 +65,22 @@ struct CoverWorkspace {
   std::vector<uint32_t> tryOrder;
   std::vector<int> unitLoad;  // remainingInstructionsBound scratch
 
-  // Graph-analysis scratch (descendants, topological order).
+  // Graph-analysis scratch: descendants, and the per-round topological
+  // order and levels from the top (AssignedGraph::orderAndLevelsInto).
   std::vector<DynBitset> desc;
   std::vector<uint32_t> topoOrder;
   std::vector<uint32_t> topoPending;
+  std::vector<int> levelTop;
 
   // ParallelismMatrix::rebuild scratch, all O(n) per set: the active
   // nodes, the operations on each unit and the transfers on each bus (the
-  // masks a row subtracts), both level vectors from the shared topological
-  // order, and the level-bucketed id lists (counting-sort offsets + ids)
-  // behind the sliding level-window set. With `desc` and the matrix rows
-  // these are the only per-graph sets: no n×n scratch beyond those two.
+  // masks a row subtracts), the levels from the bottom, and the
+  // level-bucketed id lists (counting-sort offsets + ids) behind the
+  // sliding level-window set. With `desc` and the matrix rows these are
+  // the only per-graph sets: no n×n scratch beyond those two.
   DynBitset alive;
   std::vector<DynBitset> unitMask;
   std::vector<DynBitset> busMask;
-  std::vector<int> levelTop;
   std::vector<int> levelBottom;
   std::vector<uint32_t> levelStart;
   std::vector<uint32_t> levelIds;

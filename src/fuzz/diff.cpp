@@ -57,7 +57,6 @@ SideImage compileOn(Engine engine, const Machine& machine,
   // ladder's recovery of it.
   dopts.baselineFallback = false;
   dopts.verify.level = VerifyLevel::kOff;
-  dopts.core = CodegenOptions::heuristicsOn();
   dopts.core.timeLimitSeconds = options.timeLimitSeconds;
   // Tighter ceilings than production: a hostile generated input should
   // reject in milliseconds, not grind through the default gigabyte budget.

@@ -285,7 +285,6 @@ RequestParse parseRequestLine(std::string_view text, int line,
 
   ParsedRequest request;
   request.line = line;
-  request.options.core = CodegenOptions::heuristicsOn();
   request.options.core.timeLimitSeconds = defaults.timeoutSeconds;
   request.options.verify = defaults.verify;
 
@@ -324,7 +323,7 @@ RequestParse parseRequestLine(std::string_view text, int line,
       const int jobs = request.options.core.jobs;
       const double timeout = request.options.core.timeLimitSeconds;
       request.options.core = value == "off" ? CodegenOptions::heuristicsOff()
-                                            : CodegenOptions::heuristicsOn();
+                                            : CodegenOptions{};
       request.options.core.jobs = jobs;
       request.options.core.timeLimitSeconds = timeout;
     } else if (key == "timeout") {

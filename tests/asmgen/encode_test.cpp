@@ -94,8 +94,9 @@ TEST(Encode, RegisterIndicesWithinBankBounds) {
       }
     }
     for (const EncXfer& xfer : instr.xfers) {
-      if (xfer.from.isMemory() || xfer.to.isMemory())
+      if (xfer.from.isMemory() || xfer.to.isMemory()) {
         EXPECT_GE(xfer.memAddr, 0);
+      }
     }
   }
 }

@@ -47,9 +47,11 @@ TEST(AssignExplore, EveryAssignmentCoversEveryOpNode) {
       if (a.chosenAlt[id] == kNoSnd) continue;
       for (NodeId c : snd.node(a.chosenAlt[id]).covers) covered[c] = true;
     }
-    for (NodeId id = 0; id < dag.size(); ++id)
-      if (isMachineOp(dag.node(id).op))
+    for (NodeId id = 0; id < dag.size(); ++id) {
+      if (isMachineOp(dag.node(id).op)) {
         EXPECT_TRUE(covered[id]) << dag.describe(id);
+      }
+    }
   }
 }
 

@@ -115,7 +115,7 @@ TEST(CliqueGen, MatchesBruteForceOnKernelCoveringSteps) {
       const BlockDag dag = loadBlock(block);
       CoreResult result;
       try {
-        result = coverBlock(dag, machine, dbs, CodegenOptions::heuristicsOn());
+        result = coverBlock(dag, machine, dbs, CodegenOptions{});
       } catch (const Error&) {
         continue;  // the machine cannot implement the block
       }

@@ -196,7 +196,8 @@ TEST(ParallelismMatrix, DeletedNodeRowsStayEmptyAfterSpill) {
   const ParallelismMatrix fresh(graph, -1);
   CoverWorkspace ws;
   ParallelismMatrix rebuilt;
-  rebuilt.rebuild(graph, /*levelWindow=*/-1, ws);
+  graph.orderAndLevelsInto(ws);
+  rebuilt.rebuild(graph, ws.topoOrder, ws.levelTop, /*levelWindow=*/-1, ws);
   for (AgId dead : deleted) {
     for (AgId other = 0; other < graph.size(); ++other) {
       EXPECT_FALSE(fresh.parallel(dead, other)) << dead << " " << other;
@@ -344,8 +345,9 @@ std::vector<DynBitset> referenceRows(const AssignedGraph& graph,
 // and compares each row with the reference.
 void expectMatchesReference(const AssignedGraph& graph, CoverWorkspace& ws,
                             const std::string& what) {
+  graph.orderAndLevelsInto(ws);
   for (const int window : {-1, 0, 2}) {
-    ws.matrix.rebuild(graph, window, ws);
+    ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop, window, ws);
     const std::vector<DynBitset> expected = referenceRows(graph, window);
     ASSERT_EQ(ws.matrix.size(), expected.size()) << what;
     size_t mismatches = 0;
@@ -397,7 +399,8 @@ void expectLegalityMatchesReference(const AssignedGraph& graph,
                                     const ConstraintDatabase& constraints,
                                     CoverWorkspace& ws,
                                     const std::string& what) {
-  ws.matrix.rebuild(graph, -1, ws);
+  graph.orderAndLevelsInto(ws);
+  ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop, -1, ws);
   DynBitset alive(graph.size());
   for (AgId id = 0; id < graph.size(); ++id)
     if (!graph.node(id).deleted()) alive.set(id);
@@ -436,7 +439,7 @@ const char* const kShippedMachines[] = {
 // of every shipped block × machine the SND builder accepts.
 template <typename Fn>
 void forEachShippedGraph(size_t perPair, Fn&& fn) {
-  const CodegenOptions options = CodegenOptions::heuristicsOn();
+  const CodegenOptions options;
   for (const char* blockName : kShippedBlocks) {
     const BlockDag dag = loadBlock(blockName);
     for (const char* machineName : kShippedMachines) {
@@ -539,7 +542,7 @@ TEST(ParallelismMatrix, MatchesPairwiseReferenceAfterSpills) {
 // shipped graphs in the same workspace.
 TEST(ParallelismMatrix, MatchesPairwiseReferenceAcrossInlineHeapSeam) {
   CoverWorkspace ws;
-  CodegenOptions options = CodegenOptions::heuristicsOn();
+  CodegenOptions options;
   options.outputsToMemory = true;
   const Materialized small("block t { input a, b; output y; y = a * b; }",
                            "arch1");

@@ -124,8 +124,9 @@ TEST(SplitNodeDag, ConstantsNeedNoTransfers) {
   ASSERT_NE(constNode, kNoNode);
   // Constants are immediates: no transfer node ever moves their value.
   for (SndId id = 0; id < snd.size(); ++id) {
-    if (snd.node(id).kind == SndKind::kTransfer)
+    if (snd.node(id).kind == SndKind::kTransfer) {
       EXPECT_NE(snd.node(id).ir, constNode);
+    }
   }
 }
 

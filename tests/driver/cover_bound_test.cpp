@@ -123,7 +123,7 @@ Outcome unboundedOutcome(const BlockDag& ir, const Machine& machine,
 size_t expectSameOutcome(const BlockDag& ir, const Machine& machine,
                          const std::string& where) {
   const MachineDatabases dbs(machine);
-  const CodegenOptions options = CodegenOptions::heuristicsOn();
+  const CodegenOptions options;
   const Outcome bounded = boundedOutcome(ir, machine, dbs, options);
   const Outcome unbounded = unboundedOutcome(ir, machine, dbs, options, where);
   EXPECT_EQ(bounded.ok, unbounded.ok) << where;

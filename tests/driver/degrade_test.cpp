@@ -39,7 +39,6 @@ TEST_F(DegradeTest, DeadlineExpiryFallsBackToBaselineBitIdentical) {
   const BlockDag dag = loadBlock("ex1");
 
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.core.timeLimitSeconds = 1e-9;  // expires before any covering
   CodeGenerator generator(machine, options);
   SymbolTable symbols;
@@ -62,7 +61,6 @@ TEST_F(DegradeTest, DegradedCodeSimulatesCorrectly) {
   const Machine machine = loadMachine("arch2");
   const BlockDag dag = loadBlock("biquad");
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.core.timeLimitSeconds = 1e-9;
   CodeGenerator generator(machine, options);
   SymbolTable symbols;

@@ -54,7 +54,6 @@ struct BlockOutcome {
 BlockOutcome compileOutcome(const BlockDag& dag, const Machine& machine,
                             int jobs) {
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.core.jobs = jobs;
   BlockOutcome out;
   try {
@@ -175,7 +174,6 @@ TEST(ParallelDeterminism, ProgramCompilationMatchesSerial) {
 
   auto compileWith = [&](int jobs) {
     DriverOptions options;
-    options.core = CodegenOptions::heuristicsOn();
     options.core.jobs = jobs;
     CodeGenerator generator(machine, options);
     return generator.compileProgram(program);
@@ -209,7 +207,6 @@ TEST(ParallelDeterminism, RepeatedParallelRunsStable) {
   const BlockDag dag = loadBlock("fig2");
   const Machine machine = loadMachine("arch3");
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.core.jobs = 4;
   CodeGenerator generator(machine, options);
   SymbolTable s1;

@@ -111,8 +111,7 @@ TEST_P(QualityOrdering, OptimalLeAvivLeSequential) {
   const Machine machine = loadMachine("arch1");
   const MachineDatabases dbs(machine);
 
-  const CoreResult aviv =
-      coverBlock(dag, machine, dbs, CodegenOptions::heuristicsOn());
+  const CoreResult aviv = coverBlock(dag, machine, dbs, CodegenOptions{});
   const BaselineResult seq =
       sequentialCodegen(dag, machine, dbs, CodegenOptions{});
   OptimalOptions optimalOptions;

@@ -21,7 +21,6 @@ struct MatrixCase {
 
 DriverOptions optionsFor(const std::string& config) {
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   if (config == "constpool") options.core.constantsInMemory = true;
   if (config == "outputsmem") options.core.outputsToMemory = true;
   if (config == "nopeephole") options.runPeephole = false;

@@ -52,7 +52,6 @@ TEST_P(PipelineCorrectness, SimulationMatchesReference) {
   const Machine machine =
       loadMachine(param.machine).withRegisterCount(param.regs);
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   expectBlockCorrect(dag, machine, options);
 }
 

@@ -27,7 +27,6 @@ CompileRun compileWithJobs(const std::string& blockName,
                     const std::string& machineName, int jobs) {
   const BlockDag dag = loadBlock(blockName);
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.core.jobs = jobs;
   CodeGenerator generator(loadMachine(machineName), options);
   SymbolTable symbols;

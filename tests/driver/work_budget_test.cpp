@@ -36,7 +36,7 @@ std::string budgetLine(const std::string& block, const std::string& machine) {
   line << block << ' ' << machine;
   try {
     const CoreResult result = coverBlock(loadBlock(block), m, dbs,
-                                         CodegenOptions::heuristicsOn());
+                                         CodegenOptions{});
     line << " cliqueRecursions="
          << registry.counter("search.cliqueRecursions").value()
          << " candidatesEvaluated="

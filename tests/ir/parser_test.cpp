@@ -136,7 +136,7 @@ TEST(BlockParser, ErrorOnNestedRepeat) {
 
 TEST(BlockParser, ErrorCarriesLineNumber) {
   try {
-    parseBlock("block t {\n  input a;\n  output y;\n  y = @;\n}");
+    (void)parseBlock("block t {\n  input a;\n  output y;\n  y = @;\n}");
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.loc().line, 4u) << e.what();

@@ -148,8 +148,12 @@ TEST(StrengthReduce, NonPowerAndDivLeftAlone) {
   const BlockDag reduced = strengthReduce(dag, [](Op) { return true; });
   for (const auto& [name, id] : reduced.outputs()) {
     const Op op = reduced.node(id).op;
-    if (name == "y") EXPECT_EQ(op, Op::kMul);
-    if (name == "z") EXPECT_EQ(op, Op::kDiv);  // shr != trunc div for < 0
+    if (name == "y") {
+      EXPECT_EQ(op, Op::kMul);
+    }
+    if (name == "z") {
+      EXPECT_EQ(op, Op::kDiv);  // shr != trunc div for < 0
+    }
   }
 }
 

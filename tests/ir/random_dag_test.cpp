@@ -55,7 +55,9 @@ TEST(RandomDag, NoDeadOperations) {
       for (NodeId operand : dag.node(id).operands) live[operand] = true;
     }
     for (NodeId id = 0; id < dag.size(); ++id) {
-      if (isMachineOp(dag.node(id).op)) EXPECT_TRUE(live[id]) << seed;
+      if (isMachineOp(dag.node(id).op)) {
+        EXPECT_TRUE(live[id]) << seed;
+      }
     }
   }
 }

@@ -62,15 +62,9 @@ TEST(FingerprintOptions, EveryEnumeratedFieldChangesTheHash) {
       {"assignBeamWidth", [](auto& o) { o.assignBeamWidth += 1; }},
       {"assignKeepBest", [](auto& o) { o.assignKeepBest += 1; }},
       {"maxAssignments", [](auto& o) { o.maxAssignments += 1; }},
-      {"smallSpaceExhaustive", [](auto& o) { o.smallSpaceExhaustive += 1; }},
-      {"transferCostWeight", [](auto& o) { o.transferCostWeight += 0.25; }},
-      {"parallelismCostWeight", [](auto& o) { o.parallelismCostWeight += 0.25; }},
-      {"complexCoverBonus", [](auto& o) { o.complexCoverBonus += 0.25; }},
       {"registerAwareAssignment", [](auto& o) { o.registerAwareAssignment = !o.registerAwareAssignment; }},
-      {"registerPressurePenalty", [](auto& o) { o.registerPressurePenalty += 1.0; }},
       {"enableComplexPatterns", [](auto& o) { o.enableComplexPatterns = !o.enableComplexPatterns; }},
       {"cliqueLevelWindow", [](auto& o) { o.cliqueLevelWindow += 1; }},
-      {"maxCliquesPerRound", [](auto& o) { o.maxCliquesPerRound += 1; }},
       {"coverLookahead", [](auto& o) { o.coverLookahead = !o.coverLookahead; }},
       {"timeLimitSeconds", [](auto& o) { o.timeLimitSeconds += 1.0; }},
       {"constantsInMemory", [](auto& o) { o.constantsInMemory = !o.constantsInMemory; }},
@@ -117,7 +111,7 @@ TEST(FingerprintOptions, JobsIsExcluded) {
 TEST(CompileFingerprint, SeedIsExcludedAndMemoAgreesWithLocal) {
   const Machine machine = loadMachine("arch1");
   const BlockDag dag = loadBlock("ex1");
-  const CodegenOptions opts = CodegenOptions::heuristicsOn();
+  const CodegenOptions opts;
 
   CodegenContext plain(machine, opts, /*seed=*/1);
   CodegenContext seeded(machine, opts, /*seed=*/999);
@@ -145,7 +139,7 @@ TEST(CompileFingerprint, ComponentsAreNotInterchangeable) {
   const Machine arch2 = loadMachine("arch2");
   const BlockDag ex1 = loadBlock("ex1");
   const BlockDag fig2 = loadBlock("fig2");
-  const CodegenOptions opts = CodegenOptions::heuristicsOn();
+  const CodegenOptions opts;
 
   CodegenContext c1(arch1, opts, 1);
   CodegenContext c2(arch2, opts, 1);
@@ -160,7 +154,7 @@ TEST(CompileFingerprint, ComponentsAreNotInterchangeable) {
 // The request path keys a memoized block by its fingerprintDag digest:
 // the digest overload must be the BlockDag overload, salt for salt.
 TEST(CompileFingerprint, DigestOverloadEqualsDagOverload) {
-  const CodegenOptions opts = CodegenOptions::heuristicsOn();
+  const CodegenOptions opts;
   CodegenContext ctx(loadMachine("dsp16"), opts, 1);
   for (const char* name : {"ex1", "fig2", "dct4"}) {
     const BlockDag dag = loadBlock(name);

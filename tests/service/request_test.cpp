@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/cache.h"
+#include "service/fingerprint.h"
 #include "support/failpoint.h"
 #include "support/io.h"
 #include "support/strings.h"
@@ -89,6 +90,27 @@ TEST(Request, TimeoutSurvivesHeuristicsToken) {
   ASSERT_TRUE(parse.ok());
   EXPECT_DOUBLE_EQ(parse.request->options.core.timeLimitSeconds, 1.5);
   EXPECT_EQ(parse.request->options.core.jobs, 1);
+}
+
+TEST(Request, HeuristicsOnIsTheStructDefault) {
+  // "Heuristics on" exists once: a request without the token and one with
+  // heuristics=on both key like CodegenOptions{} with the session timeout.
+  RequestDefaults d;
+  d.timeoutSeconds = 3.0;
+  CodegenOptions expected;
+  expected.timeLimitSeconds = 3.0;
+  const Hash128 want = fingerprintOptions(expected, true, true);
+  auto keyOf = [&](const char* line) {
+    const RequestParse parse = parseRequestLine(line, 1, d);
+    if (!parse.ok()) {
+      ADD_FAILURE() << line << ": " << parse.diagnostic.message;
+      return Hash128{};
+    }
+    return fingerprintOptions(parse.request->options.core, true, true);
+  };
+  EXPECT_EQ(keyOf("machine=arch1 block=ex1"), want);
+  EXPECT_EQ(keyOf("machine=arch1 block=ex1 heuristics=on"), want);
+  EXPECT_NE(keyOf("machine=arch1 block=ex1 heuristics=off"), want);
 }
 
 TEST(Request, CommentsAndTrailingTokensIgnored) {

@@ -57,7 +57,6 @@ struct Outcome {
 Outcome compileWith(const BlockDag& dag, const Machine& machine, int jobs,
                     std::shared_ptr<ResultCache> cache) {
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.core.jobs = jobs;
   options.cache = std::move(cache);
   Outcome out;
@@ -168,7 +167,6 @@ TEST(CacheReplay, ProgramReplaysFromCache) {
 
   auto compileOnce = [&] {
     DriverOptions options;
-    options.core = CodegenOptions::heuristicsOn();
     options.cache = cache;
     CodeGenerator generator(machine, options);
     return generator.compileProgram(program);
@@ -202,7 +200,6 @@ TEST(CacheReplay, StatsSinksCarryIdenticalCounts) {
   auto cache = std::make_shared<ResultCache>(CacheConfig{});
 
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.cache = cache;
   CodeGenerator generator(machine, options);
   SymbolTable s1, s2;

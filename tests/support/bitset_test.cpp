@@ -161,8 +161,9 @@ TEST_P(DynBitsetBoundary, AllSetPopcountAndTailStaysTrimmed) {
   // The tail bits past n in the last word must be zero, or lexLess /
   // operator== / assignWords would see phantom bits.
   const uint64_t last = bits.wordData()[bits.wordCount() - 1];
-  if (n % 64 != 0)
+  if (n % 64 != 0) {
     EXPECT_EQ(last & ~((uint64_t{1} << (n % 64)) - 1), 0u);
+  }
   bits.setAll();
   EXPECT_EQ(bits.count(), n);
 }

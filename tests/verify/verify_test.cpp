@@ -31,7 +31,6 @@ class VerifyTest : public ::testing::Test {
 
 DriverOptions verifyAllOptions() {
   DriverOptions options;
-  options.core = CodegenOptions::heuristicsOn();
   options.verify.level = VerifyLevel::kAll;
   return options;
 }
