@@ -1,10 +1,12 @@
 #include "core/codegen.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 
+#include "core/workspace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
@@ -32,35 +34,47 @@ void requireNoDeadOps(const BlockDag& ir) {
   }
 }
 
-// One fully-covered candidate assignment, with the keys the winner
-// reduction orders by. The serial loop keeps the first candidate achieving
-// the minimal (instructions, spills); the lexicographic minimum over
-// (instructions, spills, index) reproduces that winner under any execution
-// order, so jobs=1 and jobs=N are bit-identical.
-struct Candidate {
-  int instructions = 0;
-  int spills = 0;
-  size_t index = 0;
-  Assignment assignment;
+// What covering one candidate assignment did. Every candidate of a wave
+// writes its own slot, so workers share nothing; the serial walk after the
+// wave reads the slots in candidate order. A slot's contents depend only on
+// its candidate and the wave's cutoff, never on the worker that filled it.
+struct Outcome {
+  enum class Kind : uint8_t { kSkipped, kCompleted, kCut, kInfeasible };
+  Kind kind = Kind::kSkipped;  // kSkipped: the deadline expired first
+  CoverStats cover;            // the covering's work, partial unless done
+  uint64_t arenaCalls = 0;     // workspace-arena delta of this candidate
+  uint64_t arenaBytes = 0;
+  uint64_t arenaPeak = 0;
+  std::string failure;    // kInfeasible: why the register limits failed
+  double seconds = 0.0;   // kCompleted: wall time since covering started
+  int64_t tsNanos = 0;    // kCompleted: trace timestamp of the finish
+  Assignment assignment;  // kCompleted: the covering itself
   AssignedGraph graph;
   Schedule schedule;
-  CoverStats cover;
 };
 
-bool candidateBetter(const Candidate& a, int instructions, int spills,
-                     size_t index) {
-  if (instructions != a.instructions) return instructions < a.instructions;
-  if (spills != a.spills) return spills < a.spills;
-  return index < a.index;
-}
-
 }  // namespace
+
+CodegenOptions explorationOptions(const SplitNodeDag& snd,
+                                  const CodegenOptions& options) {
+  const BlockDag& ir = snd.ir();
+  size_t space = 1;
+  for (NodeId id = 0; id < ir.size(); ++id) {
+    if (isLeafOp(ir.node(id).op)) continue;
+    space *= snd.altsOf(id).size();
+    if (space > CodegenOptions::smallSpaceExhaustive) return options;
+  }
+  CodegenOptions exhaustive = options;
+  exhaustive.assignPruneIncremental = false;
+  exhaustive.assignBeamWidth = 0;
+  exhaustive.assignKeepBest = 1 << 30;
+  return exhaustive;
+}
 
 CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                       const MachineDatabases& dbs,
                       const CodegenOptions& options, ThreadPool* pool,
-                      TelemetryNode* phase, const Deadline* deadline,
-                      WorkspaceCache* wsCache) {
+                      TelemetryNode* phase, const Deadline* deadline) {
   WallTimer timer;
   TelemetryNode scratch("block:" + ir.name());
   TelemetryNode& tel = phase != nullptr ? *phase : scratch;
@@ -98,44 +112,17 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   stats.irNodes = ir.size();
   stats.sndNodes = snd.size();
 
-  // Adaptive shortcut: enumerate tiny assignment spaces outright.
-  CodegenOptions exploreOptions = options;
-  size_t space = 1;
-  for (NodeId id = 0; id < ir.size(); ++id) {
-    if (isLeafOp(ir.node(id).op)) continue;
-    space *= snd.altsOf(id).size();
-    if (space > CodegenOptions::smallSpaceExhaustive) break;
-  }
-  if (space <= CodegenOptions::smallSpaceExhaustive) {
-    exploreOptions.assignPruneIncremental = false;
-    exploreOptions.assignBeamWidth = 0;
-    exploreOptions.assignKeepBest = 1 << 30;
-  }
   const bool parallel = pool != nullptr && options.jobs > 1;
   const int numWorkers = parallel ? pool->parallelism() : 1;
+  // One covering workspace per worker, shared by exploration (worker 0's
+  // arena) and both covering passes.
+  std::vector<CoverWorkspace> workspaces(static_cast<size_t>(numWorkers));
 
-  // Per-worker covering workspaces, leased from the caller's cache (or a
-  // call-local one) and shared by exploration (worker 0's arena) and both
-  // tryAssignments passes. Returned to the cache on every exit path so a
-  // caller-supplied cache keeps its arena chunks.
-  WorkspaceCache localWsCache;
-  WorkspaceCache& wsPool = wsCache != nullptr ? *wsCache : localWsCache;
-  struct WorkspaceLease {
-    WorkspaceCache& cache;
-    std::vector<std::unique_ptr<CoverWorkspace>> ws;
-    WorkspaceLease(WorkspaceCache& cache, size_t n) : cache(cache), ws(n) {
-      for (auto& w : ws) w = cache.acquire();
-    }
-    ~WorkspaceLease() {
-      for (auto& w : ws) cache.release(std::move(w));
-    }
-  };
-  WorkspaceLease lease(wsPool, static_cast<size_t>(numWorkers));
-
+  const CodegenOptions exploreOptions = explorationOptions(snd, options);
   const std::vector<Assignment> assignments = [&] {
     PhaseScope ph(tel, "explore");
     AssignmentExplorer explorer(snd, exploreOptions, deadline,
-                                &lease.ws[0]->arena);
+                                &workspaces[0].arena);
     return explorer.explore(&stats.explore);
   }();
   AVIV_REQUIRE(!assignments.empty());
@@ -148,223 +135,140 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
         .record(static_cast<int64_t>(ir.size()));
   }
 
-  // Exploration's contribution to the search totals; per-candidate covering
-  // contributions are summed inside tryAssignments.
+  // Exploration's contribution to the search totals; every candidate's
+  // covering adds its own in the walk below.
   stats.search.nodesVisited += stats.explore.statesExpanded;
   stats.search.prunedByBound += stats.explore.prunedByBound;
   stats.search.backtracks += stats.explore.beamDropped;
 
-  std::optional<Candidate> best;
-  // Prefix-minima state for the best-cost trajectory (spans both
-  // tryAssignments calls; indices only collide when the first call produced
-  // no completion at all). It is also the covering cutoff: the best
-  // (instructions, spills) over the candidates of all earlier waves.
-  std::optional<std::pair<int, int>> trajBest;
+  // The winner so far: the candidate of stats.trajectory.back().
+  std::optional<Outcome> best;
   std::string lastFailure;
-  std::atomic<bool> timedOut{false};
-  // Clique ∩ ready sets scored across all candidates — a metrics-registry
-  // total only (search.cliqueRecursions is recorded per clique round).
-  size_t candidatesEvaluated = 0;
 
-  // Covers every selected assignment (the parallel stage): each worker
-  // materializes and covers candidates independently, keeping a worker-
-  // local best; the serial reduction afterwards picks the deterministic
-  // global winner and the highest-index failure message (what the serial
-  // loop's "last failure" ends up being).
-  //
-  // Candidates run in waves — candidate 0 alone, then fixed index ranges of
-  // kCoverWave — and every candidate of a wave is covered against the best
+  // Covers the candidates in waves — candidate 0 alone, then fixed index
+  // ranges of kCoverWave — each candidate of a wave against the best
   // covering of the earlier waves: CoveringEngine cuts it as soon as its
-  // lower bound shows it cannot beat that cutoff. A cut candidate could
-  // neither win the (instructions, spills, index) reduction nor improve the
-  // trajectory, and the cutoff depends only on earlier waves, so output and
-  // every counter are identical at any worker count.
+  // lower bound shows it cannot beat that cutoff. After each wave one
+  // serial walk in candidate order sums the search totals, keeps the last
+  // failure and extends the prefix minimum of (instructions, spills). Each
+  // improvement is at once a trajectory point, the next wave's cutoff and
+  // the winner, so the first candidate reaching the minimum wins, as in a
+  // serial loop. A cut candidate could at best have tied the cutoff, so it
+  // could neither win nor improve the trajectory; the walk reads only the
+  // slots, so output and every counter are identical at any worker count.
   constexpr size_t kCoverWave = 8;
   auto tryAssignments = [&](const std::vector<Assignment>& candidates) {
     PhaseScope ph(tel, "cover");
-    std::vector<std::optional<Candidate>> workerBest(
-        static_cast<size_t>(numWorkers));
-    std::vector<size_t> covered(static_cast<size_t>(numWorkers), 0);
-    std::vector<std::pair<size_t, std::string>> failures(
-        static_cast<size_t>(numWorkers));
-    // Per-worker search-total accumulators (summed serially afterwards, so
-    // the totals are independent of which worker covered which candidate).
-    struct WorkerSearch {
-      size_t cliqueRecursions = 0;
-      size_t candidatesEvaluated = 0;
-      size_t candidatesAbandoned = 0;
-      size_t spills = 0;
-      size_t failed = 0;
-      size_t cut = 0;
-      uint64_t arenaCalls = 0;
-      uint64_t arenaBytes = 0;
-      uint64_t arenaHighWater = 0;
-    };
-    std::vector<WorkerSearch> workerSearch(static_cast<size_t>(numWorkers));
-    // Per-candidate completion records (disjoint slots — no contention);
-    // the serial prefix-minima walk after each wave turns them into the
-    // trajectory.
-    struct Completion {
-      bool completed = false;
-      int instructions = 0;
-      int spills = 0;
-      double seconds = 0.0;
-      int64_t tsNanos = 0;
-    };
-    std::vector<Completion> completions(candidates.size());
+    SearchStats& search = stats.search;
     std::optional<CoverCutoff> cutoff;  // fixed for the running wave
 
-    auto coverOne = [&](size_t index, int workerInt) {
-      const auto worker = static_cast<size_t>(workerInt);
-      if (deadline->expired()) {
-        timedOut.store(true, std::memory_order_relaxed);
-        return;
-      }
+    auto coverOne = [&](size_t index, Outcome& out, CoverWorkspace& ws) {
+      if (deadline->expired()) return;
       trace::Span span("search", "cover.candidate");
       span.arg("index", static_cast<int64_t>(index));
-      const Assignment& assignment = candidates[index];
-      WorkerSearch& search = workerSearch[worker];
-      CoverWorkspace& ws = *lease.ws[worker];
       // Everything a candidate allocates in the workspace arena is released
       // here; the graph's own pools are untouched (the winner escapes).
       const ArenaScope candidateScope(ws.arena);
       ws.arena.resetHighWater();
       const ArenaStats arenaBefore = ws.arena.stats();
       AssignedGraph graph =
-          AssignedGraph::materialize(snd, assignment, options, &ws);
+          AssignedGraph::materialize(snd, candidates[index], options, &ws);
       CoveringEngine engine(graph, dbs.transfers, dbs.constraints, options,
                             deadline, &ws);
-      CoverStats coverStats;
-      // Counts the candidate's covering work — completed, cut, or
-      // register-infeasible alike (not deadline-expired). The partial stats
-      // are deterministic: a candidate stops at the same point regardless
-      // of the worker that ran it. Arena deltas are exact sums/maxima
-      // independent of worker placement (see SearchStats).
-      auto recordWork = [&] {
-        search.cliqueRecursions += coverStats.cliqueRecursions;
-        search.candidatesEvaluated += coverStats.candidatesEvaluated;
-        search.candidatesAbandoned += coverStats.candidatesAbandoned;
-        search.spills += static_cast<size_t>(coverStats.spillsInserted);
-        const ArenaStats& after = ws.arena.stats();
-        search.arenaCalls += after.allocCalls - arenaBefore.allocCalls;
-        search.arenaBytes += after.bytesRequested - arenaBefore.bytesRequested;
-        const uint64_t peak = after.highWater - arenaBefore.inUse;
-        search.arenaHighWater = std::max(search.arenaHighWater, peak);
-      };
       std::optional<Schedule> schedule;
       try {
-        if (cutoff.has_value())
-          schedule = engine.run(&coverStats, *cutoff);
-        else
-          schedule = engine.run(&coverStats);
+        schedule = cutoff.has_value() ? engine.run(&out.cover, *cutoff)
+                                      : engine.run(&out.cover);
+        out.kind = schedule.has_value() ? Outcome::Kind::kCompleted
+                                        : Outcome::Kind::kCut;
       } catch (const DeadlineExceeded&) {
         // Budget ran out mid-covering: the partial schedule is unusable,
         // but an earlier candidate's complete covering (if any) still wins.
-        timedOut.store(true, std::memory_order_relaxed);
         return;
       } catch (const Error& e) {
         // This assignment cannot satisfy the register limits; try others.
-        recordWork();
-        search.failed += 1;
-        auto& fail = failures[worker];
-        if (fail.second.empty() || index > fail.first)
-          fail = {index, e.what()};
-        return;
+        out.kind = Outcome::Kind::kInfeasible;
+        out.failure = e.what();
       }
-      recordWork();
-      if (!schedule.has_value()) {
-        search.cut += 1;
-        return;
-      }
-      ++covered[worker];
-      std::optional<Candidate>& mine = workerBest[worker];
-      const int instructions = schedule->numInstructions();
-      Completion& done = completions[index];
-      done.completed = true;
-      done.instructions = instructions;
-      done.spills = coverStats.spillsInserted;
-      done.seconds = timer.seconds();
-      if (trace::on())
-        done.tsNanos = trace::Tracer::instance().nowNanos();
-      span.arg("instructions", instructions);
-      if (!mine.has_value() ||
-          candidateBetter(*mine, instructions, coverStats.spillsInserted,
-                          index)) {
-        mine.emplace(Candidate{instructions, coverStats.spillsInserted, index,
-                               assignment, std::move(graph),
-                               std::move(*schedule), coverStats});
-      }
+      // Arena deltas are exact sums and peaks independent of worker
+      // placement (see SearchStats).
+      const ArenaStats& after = ws.arena.stats();
+      out.arenaCalls = after.allocCalls - arenaBefore.allocCalls;
+      out.arenaBytes = after.bytesRequested - arenaBefore.bytesRequested;
+      out.arenaPeak = after.highWater - arenaBefore.inUse;
+      if (out.kind != Outcome::Kind::kCompleted) return;
+      out.seconds = timer.seconds();
+      if (trace::on()) out.tsNanos = trace::Tracer::instance().nowNanos();
+      span.arg("instructions", schedule->numInstructions());
+      out.assignment = candidates[index];
+      out.graph = std::move(graph);
+      out.schedule = std::move(*schedule);
     };
 
     for (size_t begin = 0; begin < candidates.size();) {
       const size_t end =
           begin == 0 ? 1 : std::min(candidates.size(), begin + kCoverWave);
-      if (parallel && end - begin > 1) {
-        pool->parallelFor(end - begin, [&](size_t k, int worker) {
-          coverOne(begin + k, worker);
-        });
+      std::vector<Outcome> slots(end - begin);
+      auto coverSlot = [&](size_t k, int worker) {
+        coverOne(begin + k, slots[k],
+                 workspaces[static_cast<size_t>(worker)]);
+      };
+      if (parallel && slots.size() > 1) {
+        pool->parallelFor(slots.size(), coverSlot);
       } else {
-        for (size_t i = begin; i < end; ++i) coverOne(i, 0);
+        for (size_t k = 0; k < slots.size(); ++k) coverSlot(k, 0);
       }
-      // Best-cost trajectory: the deterministic prefix-minima of
-      // (instructions, spills) in candidate-index order. Equals what the
-      // serial loop would have called "best so far" after each improvement;
-      // only the wall-clock seconds differ between runs.
-      for (size_t i = begin; i < end; ++i) {
-        const Completion& done = completions[i];
-        if (!done.completed) continue;
-        const std::pair<int, int> key{done.instructions, done.spills};
-        if (trajBest.has_value() && !(key < *trajBest)) continue;
-        trajBest = key;
-        stats.trajectory.push_back(
-            {i, done.instructions, done.spills, done.seconds});
+
+      for (size_t k = 0; k < slots.size(); ++k) {
+        Outcome& out = slots[k];
+        if (out.kind == Outcome::Kind::kSkipped) {
+          stats.timedOut = true;
+          continue;
+        }
+        // Completed, cut and register-infeasible candidates all count
+        // their covering work.
+        search.cliqueRecursions += out.cover.cliqueRecursions;
+        search.nodesVisited += out.cover.cliqueRecursions;
+        search.candidatesEvaluated += out.cover.candidatesEvaluated;
+        search.candidatesAbandoned += out.cover.candidatesAbandoned;
+        search.backtracks += static_cast<size_t>(out.cover.spillsInserted);
+        search.arenaCalls += out.arenaCalls;
+        search.arenaBytes += out.arenaBytes;
+        search.arenaHighWater = std::max(search.arenaHighWater, out.arenaPeak);
+        if (out.kind == Outcome::Kind::kCut) {
+          search.prunedByBound += 1;
+          search.candidatesCut += 1;
+          continue;
+        }
+        if (out.kind == Outcome::Kind::kInfeasible) {
+          search.backtracks += 1;
+          lastFailure = std::move(out.failure);
+          continue;
+        }
+        stats.assignmentsCovered += 1;
+        const TrajectoryPoint point{begin + k, out.schedule.numInstructions(),
+                                    out.cover.spillsInserted, out.seconds};
+        if (!stats.trajectory.empty() &&
+            !(std::pair{point.instructions, point.spills} <
+              std::pair{stats.trajectory.back().instructions,
+                        stats.trajectory.back().spills}))
+          continue;
+        stats.trajectory.push_back(point);
         trace::counterAt("search", "cover.best-cost", "instructions",
-                         done.instructions, done.tsNanos);
+                         point.instructions, out.tsNanos);
+        best = std::move(out);
       }
-      if (trajBest.has_value())
-        cutoff = CoverCutoff{trajBest->first, trajBest->second};
+      if (best.has_value())
+        cutoff = CoverCutoff{stats.trajectory.back().instructions,
+                             stats.trajectory.back().spills};
       begin = end;
     }
-
-    size_t failIndex = 0;
-    std::string failMessage;
-    for (size_t w = 0; w < static_cast<size_t>(numWorkers); ++w) {
-      stats.assignmentsCovered += covered[w];
-      const WorkerSearch& search = workerSearch[w];
-      stats.search.nodesVisited += search.cliqueRecursions;
-      stats.search.prunedByBound += search.cut;
-      stats.search.backtracks += search.spills + search.failed;
-      stats.search.candidatesAbandoned += search.candidatesAbandoned;
-      candidatesEvaluated += search.candidatesEvaluated;
-      stats.search.candidatesCut += search.cut;
-      stats.search.arenaCalls += search.arenaCalls;
-      stats.search.arenaBytes += search.arenaBytes;
-      stats.search.arenaHighWater =
-          std::max(stats.search.arenaHighWater, search.arenaHighWater);
-      if (!failures[w].second.empty() &&
-          (failMessage.empty() || failures[w].first > failIndex)) {
-        failIndex = failures[w].first;
-        failMessage = std::move(failures[w].second);
-      }
-      std::optional<Candidate>& cand = workerBest[w];
-      if (!cand.has_value()) continue;
-      if (!best.has_value() ||
-          candidateBetter(*best, cand->instructions, cand->spills,
-                          cand->index))
-        best = std::move(cand);
-    }
-    if (!failMessage.empty()) lastFailure = std::move(failMessage);
     ph.node().addCounter("candidates",
                          static_cast<int64_t>(candidates.size()));
   };
   tryAssignments(assignments);
 
-  if (!best.has_value() && timedOut.load(std::memory_order_relaxed))
-    throw DeadlineExceeded("block '" + ir.name() + "' on machine '" +
-                           machine.name() +
-                           "': deadline expired before any assignment was "
-                           "covered");
-  if (!best.has_value()) {
+  if (!best.has_value() && !stats.timedOut) {
     // Every selected assignment was register-infeasible (the paper's cost
     // function does not see register limits; Section VI names this as
     // ongoing work). Widen the search before giving up.
@@ -373,46 +277,43 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
     wide.assignBeamWidth = 256;
     wide.assignKeepBest = 64;
     AssignmentExplorer wideExplorer(snd, wide, deadline,
-                                    &lease.ws[0]->arena);
+                                    &workspaces[0].arena);
     tryAssignments(wideExplorer.explore());
   }
-  if (!best.has_value() && timedOut.load(std::memory_order_relaxed))
-    throw DeadlineExceeded("block '" + ir.name() + "' on machine '" +
-                           machine.name() +
-                           "': deadline expired before any assignment was "
-                           "covered");
-  if (!best.has_value())
-    throw Error("block '" + ir.name() + "' on machine '" + machine.name() +
-                "': no feasible schedule found (" + lastFailure + ")");
+  if (!best.has_value()) {
+    const std::string where =
+        "block '" + ir.name() + "' on machine '" + machine.name() + "': ";
+    if (stats.timedOut)
+      throw DeadlineExceeded(where +
+                             "deadline expired before any assignment was "
+                             "covered");
+    throw Error(where + "no feasible schedule found (" + lastFailure + ")");
+  }
 
   // The winner's covers/operandIr spans still alias the SND's pools; re-home
   // them into graph-owned storage before the result outlives `snd`.
   best->graph.detachPayloads();
 
   stats.cover = best->cover;
-  stats.timedOut = timedOut.load(std::memory_order_relaxed);
   stats.seconds = timer.seconds();
 
   if (metrics::on()) {
     auto& registry = metrics::Registry::instance();
-    registry.counter("search.nodesVisited")
-        .add(static_cast<int64_t>(stats.search.nodesVisited));
-    registry.counter("search.prunedByBound")
-        .add(static_cast<int64_t>(stats.search.prunedByBound));
-    registry.counter("search.backtracks")
-        .add(static_cast<int64_t>(stats.search.backtracks));
-    registry.counter("search.candidatesAbandoned")
-        .add(static_cast<int64_t>(stats.search.candidatesAbandoned));
-    registry.counter("search.candidatesCut")
-        .add(static_cast<int64_t>(stats.search.candidatesCut));
-    registry.counter("search.candidatesEvaluated")
-        .add(static_cast<int64_t>(candidatesEvaluated));
-    registry.counter("alloc.arena.calls")
-        .add(static_cast<int64_t>(stats.search.arenaCalls));
-    registry.counter("alloc.arena.bytes")
-        .add(static_cast<int64_t>(stats.search.arenaBytes));
+    const SearchStats& search = stats.search;
+    const std::pair<const char*, uint64_t> counters[] = {
+        {"search.nodesVisited", search.nodesVisited},
+        {"search.prunedByBound", search.prunedByBound},
+        {"search.backtracks", search.backtracks},
+        {"search.candidatesAbandoned", search.candidatesAbandoned},
+        {"search.candidatesCut", search.candidatesCut},
+        {"search.cliqueRecursions", search.cliqueRecursions},
+        {"search.candidatesEvaluated", search.candidatesEvaluated},
+        {"alloc.arena.calls", search.arenaCalls},
+        {"alloc.arena.bytes", search.arenaBytes}};
+    for (const auto& [name, value] : counters)
+      registry.counter(name).add(static_cast<int64_t>(value));
     registry.histogram("alloc.arena.highWater")
-        .record(static_cast<int64_t>(stats.search.arenaHighWater));
+        .record(static_cast<int64_t>(search.arenaHighWater));
   }
 
   CoreResult result{std::move(best->assignment), std::move(best->graph),

@@ -18,7 +18,6 @@
 #include "core/cover.h"
 #include "core/options.h"
 #include "core/splitnode.h"
-#include "core/workspace.h"
 #include "support/deadline.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
@@ -32,6 +31,10 @@ namespace aviv {
 struct SearchStats {
   size_t nodesVisited = 0;         // explore states expanded + clique
                                    // recursions
+  size_t cliqueRecursions = 0;     // Bron-Kerbosch recursions of every
+                                   // candidate covering
+  size_t candidatesEvaluated = 0;  // clique ∩ ready sets scored by every
+                                   // candidate covering
   size_t prunedByBound = 0;        // explore bound rejections + candidates
                                    // cut by the covering bound
   size_t backtracks = 0;           // beam drops + spill-forced regenerations
@@ -51,9 +54,10 @@ struct SearchStats {
 };
 
 // One improvement of the best complete covering, recorded at the candidate
-// index where the serial reduction first sees it. The sequence is the
-// deterministic prefix-minima over (instructions, spills, candidate index);
-// only `seconds` (wall time since covering started) is run-dependent.
+// index where the in-order walk first sees it. The sequence is the
+// deterministic prefix-minima over (instructions, spills) in candidate
+// order, and its last point is the winner; only `seconds` (wall time since
+// covering started) is run-dependent.
 struct TrajectoryPoint {
   size_t candidate = 0;
   int instructions = 0;
@@ -85,15 +89,18 @@ struct CoreResult {
 // Runs steps 1-4 above. Lifetimes: `ir`, `machine` and `dbs` must outlive
 // the returned result (the graph references them).
 //
-// When `pool` is non-null and options.jobs > 1, the selected assignments are
-// covered in parallel; the winner is reduced with a deterministic
-// (instructions, spills, candidate index) tie-break so the result is
-// bit-identical to the serial run. Candidates are covered in waves (0 alone,
-// then ranges of 8) against the best covering of the earlier waves, and a
+// When `pool` is non-null and options.jobs > 1, the candidates of a wave
+// are covered in parallel. Candidates are covered in waves (0 alone, then
+// ranges of 8) against the best covering of the earlier waves, and a
 // candidate whose lower bound cannot beat it is cut (SearchStats::
-// candidatesCut) — it could never have won. When `phase` is non-null the stage
-// timings and counters are recorded under it (children "splitnode",
-// "explore", "cover" — see recordCoreStats for the counter names).
+// candidatesCut) — it could never have won. After each wave one walk in
+// candidate order extends the prefix minimum of (instructions, spills),
+// which is the trajectory, the next wave's cutoff and the winner, so the
+// result is bit-identical to the serial run. When `phase` is non-null the
+// stage timings and counters are recorded under it (children "splitnode",
+// "explore", "cover" — see recordCoreStats for the counter names). With
+// metrics on, the search totals are published to the registry once
+// (search.* and alloc.arena.*, see docs/observability.md).
 //
 // Deadline semantics (anytime algorithm): `deadline` defaults to a local
 // budget armed from options.timeLimitSeconds (the driver passes its session
@@ -101,17 +108,22 @@ struct CoreResult {
 // started and the best complete covering found so far is returned with
 // stats.timedOut set; if it expires before ANY candidate completes —
 // including mid-exploration — DeadlineExceeded is thrown and the driver
-// degrades to the sequential baseline.
-// `wsCache` (optional) supplies per-worker CoverWorkspaces; without one the
-// call covers from a local cache that dies with it. The driver passes none,
-// so every compile allocates its own covering scratch.
+// degrades to the sequential baseline. Every call allocates its own
+// covering scratch, one CoverWorkspace per worker.
 [[nodiscard]] CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                                     const MachineDatabases& dbs,
                                     const CodegenOptions& options,
                                     ThreadPool* pool = nullptr,
                                     TelemetryNode* phase = nullptr,
-                                    const Deadline* deadline = nullptr,
-                                    WorkspaceCache* wsCache = nullptr);
+                                    const Deadline* deadline = nullptr);
+
+// The options step 2 explores with: `options` itself, unless the block's
+// whole assignment space (the product of its operations' alternative
+// counts) is at most CodegenOptions::smallSpaceExhaustive — then the space
+// is enumerated outright (heuristics-off exploration), since covering a few
+// hundred assignments is cheaper than mispruning.
+[[nodiscard]] CodegenOptions explorationOptions(const SplitNodeDag& snd,
+                                                const CodegenOptions& options);
 
 // The core stage's one telemetry writer: copies `stats` into the phase
 // tree that --stats-json writes out.

@@ -70,10 +70,10 @@ class CodegenContext {
   [[nodiscard]] const TelemetryNode& telemetry() const { return telemetry_; }
 
   // Session-lifetime pool of covering workspaces (arenas, bitsets, matrix
-  // rows). Only perfbench's replay leases from it. The driver's coverBlock
-  // calls pass no cache, so each compile uses its own call-local scratch,
-  // and avivd builds a new CodeGenerator (hence a new session, sharing the
-  // process's resolved machine) per request.
+  // rows). Only perfbench's replay leases from it. coverBlock owns its own
+  // per-worker scratch for each call, and avivd builds a new CodeGenerator
+  // (hence a new session, sharing the process's resolved machine) per
+  // request.
   [[nodiscard]] WorkspaceCache& workspaces() { return workspaces_; }
 
   // Kept for perfbench/replay.cpp, which predates the resolved machine

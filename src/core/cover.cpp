@@ -166,12 +166,10 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       roundSpan.arg("cliques", static_cast<int64_t>(genStats.emitted));
       roundSpan.arg("recursions", static_cast<int64_t>(genStats.recursions));
       if (metrics::on()) {
-        auto& registry = metrics::Registry::instance();
-        auto& sizes = registry.histogram("cover.clique.size");
+        auto& sizes = metrics::Registry::instance().histogram(
+            "cover.clique.size");
         for (const DynBitset& clique : cliques)
           sizes.record(static_cast<int64_t>(clique.count()));
-        registry.counter("search.cliqueRecursions")
-            .add(static_cast<int64_t>(genStats.recursions));
       }
       // If the generation cap truncated the clique set, guarantee coverage
       // with singletons so every node remains schedulable.

@@ -76,9 +76,9 @@ struct CodegenOptions {
   // Total worker threads for the embarrassingly-parallel stages: covering
   // the selected candidate assignments inside coverBlock, and compiling
   // independent blocks inside compileProgram. Results are bit-identical to
-  // jobs = 1: the candidate winner is reduced with a deterministic
-  // (instructions, spills, candidate index) tie-break and per-block symbol
-  // scopes are merged in block order. 1 = fully serial.
+  // jobs = 1: the candidate winner is picked by one walk in candidate order
+  // after each covering wave and per-block symbol scopes are merged in
+  // block order. 1 = fully serial.
   int jobs = 1;
 
   // --- robustness: resource ceilings ---

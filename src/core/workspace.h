@@ -1,7 +1,7 @@
 // CoverWorkspace — per-worker scratch memory for the covering engine.
 //
 // One workspace is owned by each search worker for the length of one
-// coverBlock call (see WorkspaceCache below for who keeps it longer). It
+// coverBlock call (see WorkspaceCache below for a longer-lived pool). It
 // bundles:
 //   * an Arena for per-candidate scratch (clique recursion buffers,
 //     materialization maps) — rewound via ArenaScope after each candidate,
@@ -91,12 +91,11 @@ struct CoverWorkspace {
   ParallelismMatrix matrix;
 };
 
-// Thread-safe pool of workspaces: a covering call leases its per-worker
-// scratch (arena chunks, bitset words) here and returns it when done, so
-// whoever owns the pool reuses that scratch across calls. coverBlock makes
-// a call-local pool when given none, which is what every driver compile
-// does; CodegenContext::workspaces() holds a session-lifetime one that only
-// perfbench's replay leases from.
+// Thread-safe pool of workspaces: a caller leases scratch (arena chunks,
+// bitset words) here and returns it when done, so whoever owns the pool
+// reuses that scratch across calls. coverBlock does not use one: it owns a
+// workspace per worker for the call. CodegenContext::workspaces() holds a
+// session-lifetime pool that only perfbench's replay leases from.
 class WorkspaceCache {
  public:
   [[nodiscard]] std::unique_ptr<CoverWorkspace> acquire() {

@@ -285,8 +285,13 @@ RequestParse parseRequestLine(std::string_view text, int line,
 
   ParsedRequest request;
   request.line = line;
-  request.options.core.timeLimitSeconds = defaults.timeoutSeconds;
   request.options.verify = defaults.verify;
+  // heuristics= picks the base covering configuration; the other covering
+  // tokens apply on top of it after the loop, whatever their order.
+  bool heuristicsOff = false;
+  double timeout = defaults.timeoutSeconds;
+  bool constantsInMemory = false;
+  bool outputsToMemory = false;
 
   // Hand-rolled tokenizer so every diagnostic can carry the 1-based column
   // of the token it rejects.
@@ -320,25 +325,20 @@ RequestParse parseRequestLine(std::string_view text, int line,
       if (value != "on" && value != "off")
         return fail(token.column,
                     "heuristics expects on|off, got '" + value + "'");
-      const int jobs = request.options.core.jobs;
-      const double timeout = request.options.core.timeLimitSeconds;
-      request.options.core = value == "off" ? CodegenOptions::heuristicsOff()
-                                            : CodegenOptions{};
-      request.options.core.jobs = jobs;
-      request.options.core.timeLimitSeconds = timeout;
+      heuristicsOff = value == "off";
     } else if (key == "timeout") {
       try {
-        request.options.core.timeLimitSeconds = std::stod(value);
+        timeout = std::stod(value);
       } catch (const std::exception&) {
         return fail(token.column, "timeout expects seconds, got '" + value +
                                       "'");
       }
-      if (request.options.core.timeLimitSeconds < 0)
+      if (timeout < 0)
         return fail(token.column, "timeout must be >= 0, got '" + value + "'");
     } else if (key == "const-pool") {
-      request.options.core.constantsInMemory = true;
+      constantsInMemory = true;
     } else if (key == "outputs-mem") {
-      request.options.core.outputsToMemory = true;
+      outputsToMemory = true;
     } else if (key == "no-peephole") {
       request.options.runPeephole = false;
     } else if (key == "verify") {
@@ -368,7 +368,12 @@ RequestParse parseRequestLine(std::string_view text, int line,
   }
   if (request.machineSpec.empty() || request.blockSpec.empty())
     return fail(1, "request needs machine=... and block=...");
-  request.options.core.jobs = 1;  // daemon parallelism is across requests
+  CodegenOptions& core = request.options.core;
+  core = heuristicsOff ? CodegenOptions::heuristicsOff() : CodegenOptions{};
+  core.timeLimitSeconds = timeout;
+  core.constantsInMemory = constantsInMemory;
+  core.outputsToMemory = outputsToMemory;
+  core.jobs = 1;  // daemon parallelism is across requests
   parse.request = std::make_shared<const ParsedRequest>(std::move(request));
   return parse;
 }

@@ -14,6 +14,7 @@
 #include "driver/codegen.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
+#include "obs/metrics.h"
 
 namespace aviv {
 namespace {
@@ -72,6 +73,42 @@ TEST(SearchTelemetry, CountersRecordedMatchLiveStats) {
     EXPECT_EQ(point->counter("instructions"), live.trajectory[k].instructions);
     EXPECT_EQ(point->counter("spills"), live.trajectory[k].spills);
   }
+}
+
+TEST(SearchTelemetry, RegistryCountersEqualCoreStats) {
+  // coverBlock publishes its search totals to the metrics registry once,
+  // from the struct it returns, so the two cannot disagree. dct4/arch2
+  // cuts, abandons and backtracks, so no compared total is zero.
+  const bool metricsWereOn = metrics::on();
+  auto& registry = metrics::Registry::instance();
+  registry.enable();
+  registry.reset();
+  const Machine machine = loadMachine("arch2");
+  const MachineDatabases dbs(machine);
+  const CoreResult result =
+      coverBlock(loadBlock("dct4"), machine, dbs, CodegenOptions{});
+  if (!metricsWereOn) registry.disable();
+
+  const SearchStats& search = result.stats.search;
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"search.nodesVisited", search.nodesVisited},
+      {"search.prunedByBound", search.prunedByBound},
+      {"search.backtracks", search.backtracks},
+      {"search.candidatesAbandoned", search.candidatesAbandoned},
+      {"search.candidatesCut", search.candidatesCut},
+      {"search.cliqueRecursions", search.cliqueRecursions},
+      {"search.candidatesEvaluated", search.candidatesEvaluated},
+      {"alloc.arena.calls", search.arenaCalls},
+      {"alloc.arena.bytes", search.arenaBytes}};
+  for (const auto& [name, value] : expected) {
+    EXPECT_GT(value, 0u) << name;
+    EXPECT_EQ(registry.counter(name).value(), static_cast<int64_t>(value))
+        << name;
+  }
+  const metrics::Histogram::Snapshot highWater =
+      registry.histogram("alloc.arena.highWater").snapshot();
+  EXPECT_EQ(highWater.count, 1);
+  EXPECT_EQ(highWater.max, static_cast<int64_t>(search.arenaHighWater));
 }
 
 TEST(SearchTelemetry, TrajectoryIsMonotoneAndEndsAtWinner) {

@@ -17,39 +17,33 @@
 #include "core/codegen.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
-#include "obs/metrics.h"
 
 namespace aviv {
 namespace {
 
 namespace fs = std::filesystem;
 
-// Reads the search totals from the metrics registry, which coverBlock
-// feeds with every candidate's clique recursions, scored sets and arena
-// traffic.
+// Reads the search totals coverBlock returns (the registry's search.* and
+// alloc.arena.* counters are published from the same struct).
 std::string budgetLine(const std::string& block, const std::string& machine) {
   const Machine m = loadMachine(machine);
   const MachineDatabases dbs(m);
-  auto& registry = metrics::Registry::instance();
-  registry.reset();
   std::ostringstream line;
   line << block << ' ' << machine;
   try {
     const CoreResult result = coverBlock(loadBlock(block), m, dbs,
                                          CodegenOptions{});
-    line << " cliqueRecursions="
-         << registry.counter("search.cliqueRecursions").value()
-         << " candidatesEvaluated="
-         << registry.counter("search.candidatesEvaluated").value()
+    const SearchStats& search = result.stats.search;
+    line << " cliqueRecursions=" << search.cliqueRecursions
+         << " candidatesEvaluated=" << search.candidatesEvaluated
          << " assignmentsCovered=" << result.stats.assignmentsCovered
-         << " candidatesCut=" << result.stats.search.candidatesCut;
-    for (const char* name :
-         {"candidatesAbandoned", "backtracks", "nodesVisited",
-          "prunedByBound"})
-      line << ' ' << name << '='
-           << registry.counter(std::string("search.") + name).value();
-    for (const char* name : {"alloc.arena.calls", "alloc.arena.bytes"})
-      line << ' ' << name << '=' << registry.counter(name).value();
+         << " candidatesCut=" << search.candidatesCut
+         << " candidatesAbandoned=" << search.candidatesAbandoned
+         << " backtracks=" << search.backtracks
+         << " nodesVisited=" << search.nodesVisited
+         << " prunedByBound=" << search.prunedByBound
+         << " alloc.arena.calls=" << search.arenaCalls
+         << " alloc.arena.bytes=" << search.arenaBytes;
   } catch (const Error&) {
     line << " error";
   }
@@ -57,8 +51,6 @@ std::string budgetLine(const std::string& block, const std::string& machine) {
 }
 
 TEST(WorkBudget, CountersMatchGoldenBudget) {
-  const bool metricsWereOn = metrics::on();
-  metrics::Registry::instance().enable();
   std::string actual =
       "# block machine: covering search work, totals over all candidates\n";
   for (const char* block : {"biquad", "dct4", "ex1", "ex2", "ex3", "ex4",
@@ -68,7 +60,6 @@ TEST(WorkBudget, CountersMatchGoldenBudget) {
           "zoo/buffered", "zoo/constrained", "zoo/minimal", "zoo/tiny",
           "zoo/wide"})
       actual += budgetLine(block, machine) + "\n";
-  if (!metricsWereOn) metrics::Registry::instance().disable();
 
   const fs::path path = fs::path(AVIV_GOLDEN_DIR) / "work_budget.txt";
   std::ifstream in(path);

@@ -83,8 +83,8 @@ TEST(Request, TokensOverrideDefaults) {
 }
 
 TEST(Request, TimeoutSurvivesHeuristicsToken) {
-  // heuristics= swaps the whole CodegenOptions struct; timeout= and jobs
-  // must survive regardless of token order.
+  // heuristics= picks the base CodegenOptions; timeout= and jobs must
+  // survive regardless of token order.
   const RequestParse parse = parseRequestLine(
       "machine=arch1 block=ex1 timeout=1.5 heuristics=off", 1, defaults());
   ASSERT_TRUE(parse.ok());
@@ -111,6 +111,43 @@ TEST(Request, HeuristicsOnIsTheStructDefault) {
   EXPECT_EQ(keyOf("machine=arch1 block=ex1"), want);
   EXPECT_EQ(keyOf("machine=arch1 block=ex1 heuristics=on"), want);
   EXPECT_NE(keyOf("machine=arch1 block=ex1 heuristics=off"), want);
+}
+
+TEST(Request, HeuristicsTokenOrderDoesNotMatter) {
+  // An option token before heuristics= must not be dropped: both orders
+  // key and compile the same (outputs-mem changes ex2/arch1's code size).
+  auto fields = [](const CodegenOptions& options) {
+    std::vector<std::string> out;
+    options.forEachFingerprintField([&](const char* name, auto value) {
+      out.push_back(std::string(name) + "=" + std::to_string(value));
+    });
+    return out;
+  };
+  auto instrs = [](const ParsedRequest& request) {
+    TelemetryNode tel("test");
+    const RequestOutcome outcome =
+        executeRequest(request, RequestExecConfig{}, tel);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    const size_t at = outcome.statusDetail.find(" instrs=");
+    EXPECT_NE(at, std::string::npos) << outcome.statusDetail;
+    return outcome.statusDetail.substr(
+        at, outcome.statusDetail.find(' ', at + 1) - at);
+  };
+  for (const char* heuristics : {"heuristics=off", "heuristics=on"}) {
+    const std::string base = "machine=arch1 block=ex2 ";
+    const RequestParse before = parseRequestLine(
+        base + "outputs-mem const-pool " + heuristics, 1, defaults());
+    const RequestParse after = parseRequestLine(
+        base + heuristics + " outputs-mem const-pool", 1, defaults());
+    ASSERT_TRUE(before.ok()) << before.diagnostic.message;
+    ASSERT_TRUE(after.ok()) << after.diagnostic.message;
+    EXPECT_TRUE(before.request->options.core.outputsToMemory) << heuristics;
+    EXPECT_TRUE(before.request->options.core.constantsInMemory) << heuristics;
+    EXPECT_EQ(fields(before.request->options.core),
+              fields(after.request->options.core))
+        << heuristics;
+    EXPECT_EQ(instrs(*before.request), instrs(*after.request)) << heuristics;
+  }
 }
 
 TEST(Request, CommentsAndTrailingTokensIgnored) {
