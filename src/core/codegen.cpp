@@ -278,7 +278,13 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
     wide.assignKeepBest = 64;
     AssignmentExplorer wideExplorer(snd, wide, deadline,
                                     &workspaces[0].arena);
-    tryAssignments(wideExplorer.explore());
+    ExploreStats wideStats;
+    const std::vector<Assignment> wideAssignments =
+        wideExplorer.explore(&wideStats);
+    stats.search.nodesVisited += wideStats.statesExpanded;
+    stats.search.prunedByBound += wideStats.prunedByBound;
+    stats.search.backtracks += wideStats.beamDropped;
+    tryAssignments(wideAssignments);
   }
   if (!best.has_value()) {
     const std::string where =
