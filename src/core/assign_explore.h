@@ -78,7 +78,7 @@ class AssignmentExplorer {
 
  private:
   const SplitNodeDag& snd_;
-  const CodegenOptions& options_;
+  const CodegenOptions options_;  // a copy: callers may pass a temporary
   const Deadline* deadline_;
   Arena* scratch_;
 };

@@ -90,7 +90,7 @@ class CoveringEngine {
   AssignedGraph& graph_;
   const TransferDatabase& xferDb_;
   const ConstraintDatabase& constraints_;
-  const CodegenOptions& options_;
+  const CodegenOptions options_;  // a copy: callers may pass a temporary
   const Deadline* deadline_;
   CoverWorkspace* ws_;
   std::unique_ptr<CoverWorkspace> ownedWs_;  // fallback when ws == nullptr

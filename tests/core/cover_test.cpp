@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "core/codegen.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
@@ -202,6 +205,55 @@ TEST(Covering, StatsAreFilled) {
   EXPECT_GT(built.result.stats.assignmentsCovered, 0u);
   EXPECT_GT(built.result.stats.cover.cliquesGenerated, 0u);
   EXPECT_GE(built.result.stats.seconds, 0.0);
+}
+
+// The explorer and the covering engine copy their options: built from
+// temporaries that are gone before they run (a kept reference would dangle,
+// which the sanitizer build reports), they reach the same result as when
+// built from named options. ex4 on two registers spills, so the engine
+// reads its options across regeneration rounds too.
+TEST(Covering, EnginesBuiltFromTemporaryOptions) {
+  const BlockDag dag = loadBlock("ex4");
+  const Machine machine = loadMachine("arch1").withRegisterCount(2);
+  const MachineDatabases dbs(machine);
+  const CodegenOptions named = CodegenOptions::heuristicsOff();
+  const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, named);
+
+  const AssignmentExplorer fromTemporary(snd,
+                                         CodegenOptions::heuristicsOff());
+  const std::vector<Assignment> assignments = fromTemporary.explore();
+  const std::vector<Assignment> expected =
+      AssignmentExplorer(snd, named).explore();
+  ASSERT_EQ(assignments.size(), expected.size());
+  ASSERT_FALSE(assignments.empty());
+
+  bool spilled = false;
+  for (size_t i = 0; i < std::min<size_t>(assignments.size(), 8); ++i) {
+    EXPECT_EQ(assignments[i].chosenAlt, expected[i].chosenAlt);
+    AssignedGraph graph =
+        AssignedGraph::materialize(snd, assignments[i], named);
+    AssignedGraph reference = graph.clone();
+    std::optional<Schedule> schedule;
+    CoverStats stats;
+    try {
+      CoveringEngine engine(graph, dbs.transfers, dbs.constraints,
+                            CodegenOptions::heuristicsOff());
+      schedule = engine.run(&stats);
+    } catch (const Error&) {
+    }
+    std::optional<Schedule> want;
+    try {
+      CoveringEngine engine(reference, dbs.transfers, dbs.constraints,
+                            named);
+      want = engine.run();
+    } catch (const Error&) {
+    }
+    ASSERT_EQ(schedule.has_value(), want.has_value()) << i;
+    if (!schedule.has_value()) continue;
+    EXPECT_EQ(schedule->instrs, want->instrs) << i;
+    spilled |= stats.spillsInserted > 0;
+  }
+  EXPECT_TRUE(spilled);
 }
 
 }  // namespace
