@@ -16,8 +16,10 @@
 #include "core/assigned.h"
 #include "core/clique.h"
 #include "core/codegen.h"
+#include "core/legality.h"
 #include "core/parallel_matrix.h"
 #include "core/workspace.h"
+#include "ir/parser.h"
 #include "ir/random_dag.h"
 #include "isdl/parser.h"
 #include "obs/metrics.h"
@@ -209,6 +211,43 @@ void BM_MatrixRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixRebuild)
     ->ArgsProduct({{8, 16, 32, 64, 128, 256}, {-1, 2}});
+
+// Legality splitting (paper Section IV-C.3) of one round's maximal
+// cliques in a warm workspace, as the covering engine runs it; Arg picks
+// the machine: arch1 (nothing to split), zoo/constrained (ISDL
+// constraints) and zoo/wide (capacity-2 buses). The clique set is copied
+// in each iteration, since enforceLegality consumes it; BM_EnforceLegality
+// minus that copy is the legality work.
+void BM_EnforceLegality(benchmark::State& state) {
+  static const char* const kMachines[] = {"arch1", "zoo/constrained",
+                                          "zoo/wide"};
+  const char* machineName = kMachines[state.range(0)];
+  const Machine machine = loadMachine(machineName);
+  const MachineDatabases dbs(machine);
+  const BlockDag dag = loadBlock("dct4");
+  const CodegenOptions options;
+  const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, options);
+  const auto assignment = AssignmentExplorer(snd, options).explore().front();
+  const AssignedGraph graph =
+      AssignedGraph::materialize(snd, assignment, options);
+  CoverWorkspace ws;
+  graph.orderAndLevelsInto(ws);
+  ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop,
+                    options.cliqueLevelWindow, ws);
+  const DynBitset active(graph.size(), true);
+  const std::vector<DynBitset> cliques =
+      generateMaximalCliques(ws.matrix, active, 1u << 16);
+  size_t legal = 0;
+  for (auto _ : state) {
+    legal = enforceLegality(cliques, graph, dbs.constraints, &ws.legality)
+                .size();
+    benchmark::DoNotOptimize(legal);
+  }
+  state.SetLabel(machineName);
+  state.counters["cliques"] = static_cast<double>(cliques.size());
+  state.counters["legal"] = static_cast<double>(legal);
+}
+BENCHMARK(BM_EnforceLegality)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_FullCoverHeuristicsOn(benchmark::State& state) {
   const BlockDag dag = syntheticDag(static_cast<int>(state.range(0)));

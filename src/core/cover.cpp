@@ -53,34 +53,108 @@ DynBitset liveOutSet(const AssignedGraph& graph) {
   return liveOut;
 }
 
-// Lower bound on the instructions a covering still has to emit once the
-// nodes in `covered` are scheduled: the larger of
+// The step state of `covered` (CoverStepState), computed from scratch: once
+// per clique-round sort (the first round and after every spill) and, in
+// DCHECK builds, after every step to check the incremental updates of
+// advanceStepState. `heights` holds the graph's levels from the top.
+void computeStepState(const AssignedGraph& graph, const DynBitset& covered,
+                      const DynBitset& liveOut,
+                      const std::vector<int>& heights, CoverStepState& s) {
+  const size_t n = graph.size();
+  s.ready.clearAndResize(n);
+  s.baseLive.clearAndResize(n);
+  s.basePressure.assign(graph.machine().regFiles().size(), 0);
+  s.pendingPreds.assign(n, 0);
+  s.pendingSuccs.assign(n, 0);
+  s.unitLoad.assign(graph.machine().units().size(), 0);
+  const int maxHeight = *std::max_element(heights.begin(), heights.end());
+  s.chainCount.assign(static_cast<size_t>(maxHeight) + 3, 0);
+  s.topChain = 0;
+  for (AgId id = 0; id < n; ++id) {
+    const AgNode& node = graph.node(id);
+    for (AgId pred : node.preds) s.pendingPreds[id] += !covered.test(pred);
+    for (AgId succ : node.succs) s.pendingSuccs[id] += !covered.test(succ);
+  }
+  for (AgId id = 0; id < n; ++id) {
+    const AgNode& node = graph.node(id);
+    if (covered.test(id)) {
+      if (node.definesRegister() &&
+          (liveOut.test(id) || s.pendingSuccs[id] > 0)) {
+        s.baseLive.set(id);
+        s.basePressure[node.defLoc.index] += 1;
+      }
+      continue;
+    }
+    if (s.pendingPreds[id] == 0) s.ready.set(id);
+    if (node.kind != AgKind::kOp) continue;
+    s.unitLoad[node.unit] += 1;
+    const int key = heights[id] + 1 + (s.pendingPreds[id] > 0 ? 1 : 0);
+    s.chainCount[static_cast<size_t>(key)] += 1;
+    s.topChain = std::max(s.topChain, key);
+  }
+}
+
+// Moves the step state across one emitted instruction whose `members` were
+// ready and are now set in `covered`. Only the members, their successors
+// and their predecessors change: members leave the ready set and the
+// counts; a successor whose last uncovered predecessor was a member becomes
+// ready (its chain key drops by one); a member value with a consumer left,
+// or a block output, starts holding a register; a producer whose last
+// uncovered consumer was a member frees its register.
+void advanceStepState(const AssignedGraph& graph,
+                      Span<const uint32_t> members, const DynBitset& covered,
+                      const DynBitset& liveOut,
+                      const std::vector<int>& heights, CoverStepState& s) {
+  for (const uint32_t m : members) {
+    const AgNode& node = graph.node(m);
+    AVIV_DCHECK(s.ready.test(m) && covered.test(m));
+    s.ready.reset(m);
+    if (node.kind == AgKind::kOp) {
+      s.unitLoad[node.unit] -= 1;
+      s.chainCount[static_cast<size_t>(heights[m]) + 1] -= 1;
+    }
+    for (AgId succ : node.succs) {
+      if (--s.pendingPreds[succ] != 0) continue;
+      s.ready.set(succ);
+      if (graph.node(succ).kind != AgKind::kOp) continue;
+      s.chainCount[static_cast<size_t>(heights[succ]) + 2] -= 1;
+      s.chainCount[static_cast<size_t>(heights[succ]) + 1] += 1;
+    }
+    // No member is another member's producer (members were ready), so this
+    // member's own consumer count is final here.
+    if (node.definesRegister() &&
+        (liveOut.test(m) || s.pendingSuccs[m] > 0)) {
+      s.baseLive.set(m);
+      s.basePressure[node.defLoc.index] += 1;
+    }
+    for (AgId pred : node.preds) {
+      if (--s.pendingSuccs[pred] != 0) continue;
+      if (!s.baseLive.test(pred) || liveOut.test(pred)) continue;
+      s.baseLive.reset(pred);
+      s.basePressure[graph.node(pred).defLoc.index] -= 1;
+    }
+  }
+  while (s.topChain > 0 && s.chainCount[static_cast<size_t>(s.topChain)] == 0)
+    --s.topChain;
+}
+
+// Lower bound on the instructions a covering still has to emit: the larger
+// of
 //   * the most uncovered operations waiting on one functional unit (each
 //     instruction issues at most one operation per unit), and
 //   * the longest dependency chain starting at an uncovered operation, plus
 //     one when that operation still waits on an uncovered predecessor
-//     (every node on a chain needs its own, later instruction).
-// `heights` holds the current graph's levels from the top;
-// `unitLoad` is scratch. Spills keep the bound valid: they never delete or
-// re-unit an operation and only rewire consumers of covered values (onto
-// reload chains, deleting those values' transfers). Every descendant of an
-// uncovered operation is uncovered and carries an uncovered value, so no
-// chain below an uncovered operation ever shortens, and a rewired
-// operation still waits on its reload.
-int remainingInstructionsBound(const AssignedGraph& graph,
-                               const DynBitset& covered,
-                               const std::vector<int>& heights,
-                               std::vector<int>& unitLoad) {
-  unitLoad.assign(graph.machine().units().size(), 0);
-  int bound = 0;
-  for (AgId id = 0; id < graph.size(); ++id) {
-    const AgNode& n = graph.node(id);
-    if (n.kind != AgKind::kOp || covered.test(id)) continue;
-    bound = std::max(bound, ++unitLoad[n.unit]);
-    bool waits = false;
-    for (AgId pred : n.preds) waits |= !covered.test(pred);
-    bound = std::max(bound, heights[id] + 1 + (waits ? 1 : 0));
-  }
+//     (every node on a chain needs its own, later instruction): the step
+//     state's highest non-empty chain key.
+// Spills keep the bound valid: they never delete or re-unit an operation
+// and only rewire consumers of covered values (onto reload chains, deleting
+// those values' transfers). Every descendant of an uncovered operation is
+// uncovered and carries an uncovered value, so no chain below an uncovered
+// operation ever shortens, and a rewired operation still waits on its
+// reload.
+int remainingInstructionsBound(const CoverStepState& s) {
+  int bound = s.topChain;
+  for (const int load : s.unitLoad) bound = std::max(bound, load);
   return bound;
 }
 
@@ -119,8 +193,53 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
   std::vector<DynBitset> cliques;
   // Level from top (critical-path priority), refreshed at every rebuild.
   const std::vector<int>& heights = ws.levelTop;
+  // The ready set, the live covered values and their bank pressure, and the
+  // bound's counts: updated per emitted instruction, recomputed per rebuild.
+  CoverStepState& step = ws.step;
+  const DynBitset& ready = step.ready;
   bool rebuild = true;
   const size_t spillGuard = 4 * graph_.size() + 64;
+
+  // Register pressure if the nodes of `set` (a subset of the ready set)
+  // were emitted now, into ws.pressure: the step's base pressure, plus the
+  // set's register-defining members that stay live, minus the covered
+  // producers whose every remaining consumer is in the set. Equivalent to
+  // bankPressure(graph_, covered, &set) in O(|set|).
+  auto probePressure = [&](const DynBitset& set) {
+    ws.pressure = step.basePressure;
+    ws.retireList.clear();
+    set.forEach([&](size_t i) {
+      const auto m = static_cast<AgId>(i);
+      const AgNode& n = graph_.node(m);
+      if (n.definesRegister()) {
+        bool live = liveOut.test(m);
+        if (!live)
+          for (AgId succ : n.succs)
+            if (!covered.test(succ) && !set.test(succ)) {
+              live = true;
+              break;
+            }
+        if (live) ws.pressure[n.defLoc.index] += 1;
+      }
+      for (AgId pred : n.preds) {
+        // Only covered producers counted live via an uncovered consumer
+        // can flip; liveOut producers never retire.
+        if (!step.baseLive.test(pred) || liveOut.test(pred)) continue;
+        if (ws.retireTouched.test(pred)) continue;
+        ws.retireTouched.set(pred);
+        ws.retireList.push_back(pred);
+        bool stillLive = false;
+        for (AgId succ : graph_.node(pred).succs)
+          if (!covered.test(succ) && !set.test(succ)) {
+            stillLive = true;
+            break;
+          }
+        if (!stillLive) ws.pressure[graph_.node(pred).defLoc.index] -= 1;
+      }
+    });
+    for (const uint32_t pred : ws.retireList) ws.retireTouched.reset(pred);
+    return pressureWithinLimits(graph_, ws.pressure);
+  };
 
   while (true) {
     if (covered.count() == graph_.size()) break;
@@ -131,14 +250,17 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       deadline_->check("covering");
     }
 
-    if (rebuild) graph_.orderAndLevelsInto(ws);
+    if (rebuild) {
+      graph_.orderAndLevelsInto(ws);
+      computeStepState(graph_, covered, liveOut, heights, step);
+      ws.retireTouched.clearAndResize(graph_.size());
+    }
     // The bound is checked before the first round and after every emitted
     // instruction or spill; without a cutoff only the round-0 value is
     // recorded.
     if (cutoff != nullptr || st.cliqueRounds == 0) {
       const int bound =
-          schedule.numInstructions() +
-          remainingInstructionsBound(graph_, covered, heights, ws.unitLoad);
+          schedule.numInstructions() + remainingInstructionsBound(step);
       if (st.cliqueRounds == 0) st.lowerBound = bound;
       if (cutoff != nullptr &&
           std::tie(bound, st.spillsInserted) >=
@@ -161,7 +283,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       cliques = enforceLegality(
           generateMaximalCliques(ws.matrix, active, kMaxCliquesPerRound,
                                  &genStats, &ws.arena),
-          graph_, constraints_);
+          graph_, constraints_, &ws.legality);
       st.cliqueRecursions += genStats.recursions;
       roundSpan.arg("cliques", static_cast<int64_t>(genStats.emitted));
       roundSpan.arg("recursions", static_cast<int64_t>(genStats.recursions));
@@ -196,54 +318,8 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       rebuild = false;
     }
 
-    // A clique whose members are all covered can never intersect a ready
-    // set again (ready ⊆ uncovered), so later rounds and the lookahead need
-    // not rescan it. Stable removal keeps the enumeration order — and with
-    // it every tie-break — unchanged.
-    std::erase_if(cliques, [&](const DynBitset& clique) {
-      return clique.isSubsetOf(covered);
-    });
-
-    // Ready nodes: uncovered with all predecessors covered.
-    DynBitset& ready = ws.ready;
-    ready.clearAndResize(graph_.size());
-    for (AgId id = 0; id < graph_.size(); ++id) {
-      if (covered.test(id)) continue;
-      bool allPreds = true;
-      for (AgId pred : graph_.node(id).preds) allPreds &= covered.test(pred);
-      if (allPreds) ready.set(id);
-    }
     AVIV_REQUIRE_MSG(ready.any(),
                      "covering deadlock: uncovered nodes but none ready");
-
-    // Pressure baseline for this round: `covered` is fixed across the clique
-    // scan below, so the live set of covered producers (and the bank
-    // pressure they induce) is computed once. The per-clique probe then only
-    // adjusts for the clique's own members and for the covered producers
-    // whose last uncovered consumers those members are — equivalent to
-    // bankPressureInto(graph_, liveOut, covered, &eligible, ...) but
-    // O(clique size) instead of O(graph size) per candidate.
-    DynBitset& baseLive = ws.baseLive;
-    baseLive.clearAndResize(graph_.size());
-    std::vector<int>& basePressure = ws.basePressure;
-    basePressure.assign(graph_.machine().regFiles().size(), 0);
-    for (AgId v = 0; v < graph_.size(); ++v) {
-      const AgNode& n = graph_.node(v);
-      if (!n.definesRegister() || !covered.test(v)) continue;
-      bool live = liveOut.test(v);
-      if (!live)
-        for (AgId succ : n.succs)
-          if (!covered.test(succ)) {
-            live = true;
-            break;
-          }
-      if (live) {
-        baseLive.set(v);
-        basePressure[n.defLoc.index] += 1;
-      }
-    }
-    DynBitset& retireTouched = ws.retireTouched;
-    retireTouched.clearAndResize(graph_.size());
 
     // Candidate selection: largest number of ready uncovered nodes whose
     // register requirements fit. A maximal clique whose full ready set
@@ -251,15 +327,11 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
     // nodes preferred — they kill operands — then transfers). Surviving
     // candidates are (offset, count) slices into ws.memberPool instead of
     // per-candidate bitsets.
-    struct Candidate {
-      size_t cliqueIdx;
-      size_t memberBegin;  // slice into ws.memberPool (ascending ids)
-      size_t score;        // slice length == member count
-    };
-    std::vector<Candidate> candidates;
+    std::vector<CoverCandidate>& candidates = ws.candidates;
+    candidates.clear();
     ws.memberPool.clear();
     bool anyReadyClique = false;
-    // Distinct eligible sets probed so far this round. The probe and the
+    // Distinct eligible sets probed so far this step. The probe and the
     // member shrink are pure functions of (eligible, covered), and a
     // duplicate candidate can never win a strict tie-break against its
     // original — so repeats are resolved without re-probing: a duplicate
@@ -267,13 +339,22 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
     // abandoned again.
     size_t seenCount = 0;
     ws.seenAbandoned.clear();
+    // A clique whose members are all covered can never intersect a ready
+    // set again (ready ⊆ uncovered), so the scan drops it for later steps
+    // and the lookahead. The compaction is stable: it keeps the
+    // enumeration order — and with it every tie-break — unchanged.
+    size_t alive = 0;
     for (size_t ci = 0; ci < cliques.size(); ++ci) {
       // ready excludes covered by construction, so clique ∩ ready equals
       // the old clique ∩ ~covered ∩ ready. Most cliques miss the ready set
       // entirely; the intersects probe skips them without copying.
-      if (!cliques[ci].intersects(ready)) continue;
+      const bool touchesReady = cliques[ci].intersects(ready);
+      if (!touchesReady && cliques[ci].isSubsetOf(covered)) continue;
+      if (alive != ci) cliques[alive] = std::move(cliques[ci]);
+      const DynBitset& clique = cliques[alive++];
+      if (!touchesReady) continue;
       DynBitset& eligible = ws.eligible;
-      eligible = cliques[ci];
+      eligible = clique;
       eligible &= ready;
       anyReadyClique = true;
       ++st.candidatesEvaluated;
@@ -294,43 +375,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       const size_t seenIdx = seenCount++;
 
       const DynBitset* members = &eligible;
-      // Incremental pressure probe (see the baseline above): start from the
-      // round's base pressure, add the clique's own register-defining
-      // members, and retire covered producers whose every remaining
-      // consumer sits in the clique.
-      ws.pressure = basePressure;
-      ws.retireList.clear();
-      eligible.forEach([&](size_t i) {
-        const auto m = static_cast<AgId>(i);
-        const AgNode& n = graph_.node(m);
-        if (n.definesRegister()) {
-          bool live = liveOut.test(m);
-          if (!live)
-            for (AgId succ : n.succs)
-              if (!covered.test(succ) && !eligible.test(succ)) {
-                live = true;
-                break;
-              }
-          if (live) ws.pressure[n.defLoc.index] += 1;
-        }
-        for (AgId pred : n.preds) {
-          // Only covered producers counted live via an uncovered consumer
-          // can flip; liveOut producers never retire.
-          if (!baseLive.test(pred) || liveOut.test(pred)) continue;
-          if (retireTouched.test(pred)) continue;
-          retireTouched.set(pred);
-          ws.retireList.push_back(pred);
-          bool stillLive = false;
-          for (AgId succ : graph_.node(pred).succs)
-            if (!covered.test(succ) && !eligible.test(succ)) {
-              stillLive = true;
-              break;
-            }
-          if (!stillLive) ws.pressure[graph_.node(pred).defLoc.index] -= 1;
-        }
-      });
-      for (const uint32_t pred : ws.retireList) retireTouched.reset(pred);
-      if (!pressureWithinLimits(graph_, ws.pressure)) {
+      if (!probePressure(eligible)) {
         // Greedy fit: ops first (they retire operand values), then
         // transfers, in id order.
         ws.tryOrder.clear();
@@ -346,8 +391,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         fit.clearAndResize(graph_.size());
         for (uint32_t id : ws.tryOrder) {
           fit.set(id);
-          bankPressureInto(graph_, liveOut, covered, &fit, ws.pressure);
-          if (!pressureWithinLimits(graph_, ws.pressure)) fit.reset(id);
+          if (!probePressure(fit)) fit.reset(id);
         }
         members = &fit;
       }
@@ -362,22 +406,26 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         ws.seenAbandoned[seenIdx] = 1;
         continue;
       }
-      candidates.push_back({ci, memberBegin, score});
+      candidates.push_back({memberBegin, score});
     }
+    cliques.erase(cliques.begin() + static_cast<std::ptrdiff_t>(alive),
+                  cliques.end());
 
     if (!candidates.empty()) {
       // Max score first.
       size_t bestScore = 0;
-      for (const Candidate& c : candidates)
+      for (const CoverCandidate& c : candidates)
         bestScore = std::max(bestScore, c.score);
-      std::vector<const Candidate*> tied;
-      for (const Candidate& c : candidates)
-        if (c.score == bestScore) tied.push_back(&c);
+      std::vector<uint32_t>& tied = ws.tied;
+      tied.clear();
+      for (size_t c = 0; c < candidates.size(); ++c)
+        if (candidates[c].score == bestScore)
+          tied.push_back(static_cast<uint32_t>(c));
 
       // Section IV-D tie-break: a one-step lookahead estimating how well the
       // rest can be covered, refined by critical-path height so operand
       // chains that gate the most downstream work are started first.
-      auto lookaheadScore = [&](const Candidate& cand) -> size_t {
+      auto lookaheadScore = [&](const CoverCandidate& cand) -> size_t {
         // Simulate covering the members in place (`covered` is restored
         // before returning). Ready-set delta: the members leave it, and the
         // only nodes that can join are their successors — everyone else's
@@ -412,7 +460,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
           covered.reset(ws.memberPool[cand.memberBegin + k]);
         return next;
       };
-      auto heightKey = [&](const Candidate& cand) {
+      auto heightKey = [&](const CoverCandidate& cand) {
         int maxHeight = 0;
         long sumHeight = 0;
         for (size_t k = 0; k < cand.score; ++k) {
@@ -423,12 +471,12 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         return std::make_pair(maxHeight, sumHeight);
       };
 
-      const Candidate* chosen = tied.front();
+      const CoverCandidate* chosen = &candidates[tied.front()];
       if (tied.size() > 1) {
         size_t bestNext = options_.coverLookahead ? lookaheadScore(*chosen) : 0;
         auto bestHeight = heightKey(*chosen);
         for (size_t t = 1; t < tied.size(); ++t) {
-          const Candidate* cand = tied[t];
+          const CoverCandidate* cand = &candidates[tied[t]];
           const size_t next =
               options_.coverLookahead ? lookaheadScore(*cand) : 0;
           const auto height = heightKey(*cand);
@@ -440,14 +488,17 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         }
       }
 
-      std::vector<AgId> instr;
-      instr.reserve(chosen->score);
-      for (size_t k = 0; k < chosen->score; ++k) {
-        const AgId id = ws.memberPool[chosen->memberBegin + k];
-        instr.push_back(id);
-        covered.set(id);
-      }
-      schedule.instrs.push_back(std::move(instr));
+      const Span<const uint32_t> members(
+          ws.memberPool.data() + chosen->memberBegin, chosen->score);
+      for (const uint32_t id : members) covered.set(id);
+      schedule.instrs.emplace_back(members.begin(), members.end());
+      advanceStepState(graph_, members, covered, liveOut, heights, step);
+#if AVIV_DCHECKS_ENABLED
+      computeStepState(graph_, covered, liveOut, heights, ws.stepCheck);
+      AVIV_DCHECK_MSG(ws.stepCheck == step,
+                      "incremental covering step state diverged from a "
+                      "from-scratch recomputation");
+#endif
       continue;
     }
 
@@ -471,11 +522,11 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
 
     // Graph grew: extend the bookkeeping (scheduled bits are preserved by
     // the resize; new nodes start uncovered; deletions become covered).
+    // performSpill has verified the mutated graph.
     covered.resize(graph_.size(), false);
     liveOut.resize(graph_.size(), false);
     for (AgId id = 0; id < graph_.size(); ++id)
       if (graph_.node(id).deleted()) covered.set(id);
-    graph_.verify();
     rebuild = true;
   }
 

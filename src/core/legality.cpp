@@ -7,113 +7,172 @@
 
 namespace aviv {
 
-namespace {
-
-// Returns kNoAg when legal, else a node whose removal repairs (part of) the
-// violation: the last member on the lowest-numbered overloaded bus, else the
-// last member taking part in the first violated ISDL constraint.
-AgId findViolatingNode(const DynBitset& clique, const AssignedGraph& graph,
-                       const ConstraintDatabase& constraints) {
-  // Bus capacities: per-bus member counts and the last member on each bus
-  // (members are visited in increasing id order).
+bool cliqueIsLegal(const DynBitset& clique, const AssignedGraph& graph,
+                   const ConstraintDatabase& constraints) {
   const std::vector<Bus>& buses = graph.machine().buses();
   SmallVec<int, 8> load;
-  SmallVec<AgId, 8> lastUser;
-  for (size_t b = 0; b < buses.size(); ++b) {
-    load.push_back(0);
-    lastUser.push_back(kNoAg);
-  }
+  for (size_t b = 0; b < buses.size(); ++b) load.push_back(0);
+  SmallVec<OpSel, 16> sels;
   clique.forEach([&](size_t i) {
-    const AgId id = static_cast<AgId>(i);
-    if (!graph.node(id).isTransferish()) return;
-    const BusId bus = graph.busOf(id);
-    load[bus] += 1;
-    lastUser[bus] = id;
+    const AgNode& n = graph.node(static_cast<AgId>(i));
+    if (n.isTransferish())
+      load[graph.busOf(static_cast<AgId>(i))] += 1;
+    else if (n.kind == AgKind::kOp)
+      sels.push_back({n.unit, n.machineOp});
   });
   for (size_t b = 0; b < buses.size(); ++b)
-    if (load[b] > buses[b].capacity) return lastUser[b];
+    if (load[b] > buses[b].capacity) return false;
+  return constraints.firstViolated(
+             Span<const OpSel>(sels.data(), sels.size())) == nullptr;
+}
 
-  // ISDL constraints over the operation selections.
-  if (constraints.size() > 0) {
-    SmallVec<OpSel, 16> sels;
-    SmallVec<AgId, 16> selNodes;
-    clique.forEach([&](size_t i) {
-      const AgNode& n = graph.node(static_cast<AgId>(i));
-      if (n.kind == AgKind::kOp) {
-        sels.push_back({n.unit, n.machineOp});
-        selNodes.push_back(static_cast<AgId>(i));
-      }
-    });
-    if (const Constraint* violated = constraints.firstViolated(
-            Span<const OpSel>(sels.data(), sels.size()))) {
-      // Drop the last clique member participating in the constraint.
-      for (size_t i = selNodes.size(); i-- > 0;) {
-        for (const OpSel& sel : violated->together) {
-          if (sels[i] == sel) return selNodes[i];
+namespace {
+
+// The highest index set in both `a` and `b`, or kNoAg when they are
+// disjoint.
+AgId lastCommon(const DynBitset& a, const DynBitset& b) {
+  AVIV_DCHECK(a.size() == b.size());
+  const uint64_t* wa = a.wordData();
+  const uint64_t* wb = b.wordData();
+  for (size_t i = a.wordCount(); i-- > 0;) {
+    const uint64_t common = wa[i] & wb[i];
+    if (common != 0)
+      return static_cast<AgId>(i * 64 + 63 -
+                               static_cast<size_t>(__builtin_clzll(common)));
+  }
+  return kNoAg;
+}
+
+// Fills the masks of LegalityScratch in one pass over the nodes, then keeps
+// only the buses and constraints a clique of this graph could break.
+void buildMasks(const AssignedGraph& graph,
+                const ConstraintDatabase& constraints, LegalityScratch& s) {
+  const size_t n = graph.size();
+  const std::vector<Bus>& buses = graph.machine().buses();
+  size_t used = 0;
+  auto fresh = [&] {
+    if (used == s.masks.size()) s.masks.emplace_back();
+    s.masks[used].clearAndResize(n);
+    return static_cast<uint32_t>(used++);
+  };
+  for (size_t b = 0; b < buses.size(); ++b) (void)fresh();
+  s.constraints.clear();
+  for (const Constraint& c : constraints.all()) {
+    const uint32_t firstSel = static_cast<uint32_t>(used);
+    for (size_t k = 0; k < c.together.size(); ++k) (void)fresh();
+    s.constraints.push_back({firstSel, fresh()});
+  }
+
+  s.busUsers.assign(buses.size(), 0);
+  for (AgId id = 0; id < n; ++id) {
+    const AgNode& node = graph.node(id);
+    if (node.isTransferish()) {
+      const BusId bus = graph.busOf(id);
+      s.masks[bus].set(id);
+      s.busUsers[bus] += 1;
+    } else if (node.kind == AgKind::kOp) {
+      const OpSel sel{node.unit, node.machineOp};
+      for (size_t ci = 0; ci < s.constraints.size(); ++ci) {
+        const std::vector<OpSel>& together = constraints.all()[ci].together;
+        for (size_t k = 0; k < together.size(); ++k) {
+          if (together[k] != sel) continue;
+          s.masks[s.constraints[ci].firstSel + k].set(id);
+          s.masks[s.constraints[ci].unionMask].set(id);
         }
       }
-      AVIV_UNREACHABLE("violated constraint without participating node");
     }
+  }
+
+  s.buses.clear();
+  for (size_t b = 0; b < buses.size(); ++b)
+    if (s.busUsers[b] > buses[b].capacity)
+      s.buses.push_back({buses[b].capacity, static_cast<uint32_t>(b)});
+  std::erase_if(s.constraints, [&](const LegalityScratch::ConstraintCheck& c) {
+    for (uint32_t k = c.firstSel; k < c.unionMask; ++k)
+      if (s.masks[k].none()) return true;
+    return false;
+  });
+}
+
+// kNoAg when `clique` is legal, else a node whose removal repairs (part of)
+// the violation: the last member on the lowest-numbered overloaded bus,
+// else the last member taking part in the first violated constraint.
+AgId findOffender(const DynBitset& clique, const LegalityScratch& s) {
+  for (const LegalityScratch::BusCheck& bus : s.buses) {
+    const DynBitset& users = s.masks[bus.mask];
+    if (clique.intersectCount(users) > static_cast<size_t>(bus.capacity))
+      return lastCommon(clique, users);
+  }
+  for (const LegalityScratch::ConstraintCheck& c : s.constraints) {
+    bool violated = true;
+    for (uint32_t k = c.firstSel; k < c.unionMask && violated; ++k)
+      violated = clique.intersects(s.masks[k]);
+    if (!violated) continue;
+    const AgId offender = lastCommon(clique, s.masks[c.unionMask]);
+    AVIV_CHECK_MSG(offender != kNoAg,
+                   "violated constraint without participating node");
+    return offender;
   }
   return kNoAg;
 }
 
 }  // namespace
 
-bool cliqueIsLegal(const DynBitset& clique, const AssignedGraph& graph,
-                   const ConstraintDatabase& constraints) {
-  return findViolatingNode(clique, graph, constraints) == kNoAg;
-}
-
 std::vector<DynBitset> enforceLegality(std::vector<DynBitset> cliques,
                                        const AssignedGraph& graph,
-                                       const ConstraintDatabase& constraints) {
-  std::vector<DynBitset> legal;
-  legal.reserve(cliques.size());
+                                       const ConstraintDatabase& constraints,
+                                       LegalityScratch* scratch) {
+  LegalityScratch local;
+  LegalityScratch& s = scratch != nullptr ? *scratch : local;
+  buildMasks(graph, constraints, s);
+
+  // Split in place until every piece is legal: an illegal clique loses its
+  // offender, which becomes a singleton appended to the list (and checked
+  // in turn). Both pieces are strictly smaller, so this terminates.
   bool split = false;
-  // Worklist: split until every piece is legal.
-  while (!cliques.empty()) {
-    DynBitset clique = std::move(cliques.back());
-    cliques.pop_back();
-    const AgId offender = findViolatingNode(clique, graph, constraints);
-    if (offender == kNoAg) {
-      legal.push_back(std::move(clique));
-      continue;
-    }
-    AVIV_CHECK(clique.count() >= 2);
-    split = true;
-    // Split into {clique - offender} and {offender} — both strictly
-    // smaller, so this terminates; singletons are always legal.
-    DynBitset alone(clique.size());
-    alone.set(offender);
-    clique.reset(offender);
-    cliques.push_back(std::move(clique));
-    cliques.push_back(std::move(alone));
-  }
-
-  std::sort(legal.begin(), legal.end(),
-            [](const DynBitset& a, const DynBitset& b) {
-              const size_t countA = a.count();
-              const size_t countB = b.count();
-              if (countA != countB) return countA > countB;
-              return a.lexLess(b);
-            });
-  // Distinct, pairwise non-nested input that needed no split is already
-  // the answer.
-  if (!split) return legal;
-
-  // Dedup + drop strict subsets (splitting can produce both).
-  legal.erase(std::unique(legal.begin(), legal.end()), legal.end());
-  std::vector<DynBitset> result;
-  for (DynBitset& clique : legal) {
-    bool subset = false;
-    for (const DynBitset& kept : result) {
-      if (clique.isSubsetOf(kept)) {
-        subset = true;
-        break;
+  if (!s.buses.empty() || !s.constraints.empty()) {
+    for (size_t i = 0; i < cliques.size(); ++i) {
+      for (AgId offender = findOffender(cliques[i], s); offender != kNoAg;
+           offender = findOffender(cliques[i], s)) {
+        AVIV_CHECK(cliques[i].count() >= 2);
+        split = true;
+        cliques[i].reset(offender);
+        DynBitset alone(graph.size());
+        alone.set(offender);
+        cliques.push_back(std::move(alone));
       }
     }
-    if (!subset) result.push_back(std::move(clique));
+  }
+
+  std::vector<std::pair<uint32_t, uint32_t>>& order = s.order;
+  order.clear();
+  for (size_t i = 0; i < cliques.size(); ++i)
+    order.emplace_back(static_cast<uint32_t>(cliques[i].count()),
+                       static_cast<uint32_t>(i));
+  std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return cliques[a.second].lexLess(cliques[b.second]);
+  });
+
+  // Distinct, pairwise non-nested input that needed no split is already
+  // the answer once sorted. After a split, drop duplicates and strict
+  // subsets (splitting can produce both): a set can only be a strict subset
+  // of a kept set with more members, which come first. The kept keys are
+  // compacted to the front of `order`.
+  std::vector<DynBitset> result;
+  result.reserve(cliques.size());
+  size_t kept = 0;
+  for (const auto& [count, index] : order) {
+    DynBitset& clique = cliques[index];
+    if (split) {
+      if (!result.empty() && result.back() == clique) continue;
+      bool subset = false;
+      for (size_t k = 0; k < kept && order[k].first > count && !subset; ++k)
+        subset = clique.isSubsetOf(result[k]);
+      if (subset) continue;
+      order[kept++] = {count, index};
+    }
+    result.push_back(std::move(clique));
   }
   return result;
 }

@@ -6,6 +6,8 @@
 // are split into smaller cliques until every proposed instruction is legal.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/assigned.h"
@@ -14,6 +16,31 @@
 
 namespace aviv {
 
+// Reusable storage for enforceLegality's per-round masks and sort keys; a
+// CoverWorkspace keeps one, so a warm workspace splits cliques without
+// touching malloc.
+struct LegalityScratch {
+  // The transfers on each bus (masks[bus]), then per ISDL constraint the
+  // operations of each selection it names followed by their union.
+  std::vector<DynBitset> masks;
+  struct BusCheck {
+    int capacity;
+    uint32_t mask;
+  };
+  struct ConstraintCheck {
+    uint32_t firstSel;  // masks[firstSel, unionMask) are the selections
+    uint32_t unionMask;
+  };
+  // Only what a clique of this graph could break: the buses carrying more
+  // transfers than their capacity, and the constraints every selection of
+  // which has an operation in the graph.
+  std::vector<BusCheck> buses;
+  std::vector<ConstraintCheck> constraints;
+  std::vector<int> busUsers;
+  // The legal pieces' (member count, index) sort keys.
+  std::vector<std::pair<uint32_t, uint32_t>> order;
+};
+
 // True iff the grouping satisfies every ISDL constraint and every bus
 // capacity.
 [[nodiscard]] bool cliqueIsLegal(const DynBitset& clique,
@@ -21,14 +48,18 @@ namespace aviv {
                                  const ConstraintDatabase& constraints);
 
 // Splits every illegal clique into legal sub-cliques (dropping the specific
-// node whose removal repairs the violation, recursively), dedups, and
-// removes cliques that are strict subsets of other cliques in the result.
-// The result is sorted by member count (largest first), then lexLess; the
-// covering engine's tie-breaks depend on that order. The input must be
-// distinct and pairwise non-nested, as maximal cliques are: when no clique
-// needs a split, the dedup and subset pass is skipped.
+// node whose removal repairs the violation, recursively: the last member on
+// the lowest-numbered overloaded bus, else the last member taking part in
+// the first violated ISDL constraint), dedups, and removes cliques that are
+// strict subsets of other cliques in the result. The result is sorted by
+// member count (largest first), then lexLess; the covering engine's
+// tie-breaks depend on that order. The input must be distinct and pairwise
+// non-nested, as maximal cliques are: when no clique needs a split, the
+// dedup and subset pass is skipped. `scratch`, when given, holds the
+// per-call masks; otherwise a local one is used.
 [[nodiscard]] std::vector<DynBitset> enforceLegality(
     std::vector<DynBitset> cliques, const AssignedGraph& graph,
-    const ConstraintDatabase& constraints);
+    const ConstraintDatabase& constraints,
+    LegalityScratch* scratch = nullptr);
 
 }  // namespace aviv

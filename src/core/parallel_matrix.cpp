@@ -96,18 +96,25 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph,
       ws.busMask[graph.busOf(a)].set(a);
   }
 
-  // Row a: the active nodes that are not a, not a descendant of a, not on
-  // a's unit, and not on a's bus when that bus carries one transfer per
-  // cycle. Deleted nodes get empty rows.
+  // Row a: the active nodes that are not a, not an ancestor or descendant
+  // of a, not on a's unit, and not on a's bus when that bus carries one
+  // transfer per cycle. Deleted nodes get empty rows. One forward pass
+  // first leaves each active node's ancestors in its row; an active node's
+  // ancestors are active, so XOR with `alive` then removes them.
   rows_.resize(n);
+  for (AgId a = 0; a < n; ++a) rows_[a].clearAndResize(n);
+  for (const AgId id : order) {
+    DynBitset& anc = rows_[id];
+    for (AgId pred : graph.node(id).preds) {
+      anc.set(pred);
+      anc |= rows_[pred];
+    }
+  }
   for (AgId a = 0; a < n; ++a) {
     DynBitset& row = rows_[a];
     const AgNode& na = graph.node(a);
-    if (na.deleted()) {
-      row.clearAndResize(n);
-      continue;
-    }
-    row = ws.alive;
+    if (na.deleted()) continue;
+    row ^= ws.alive;
     row.andNot(desc[a]);
     if (na.kind == AgKind::kOp) {
       row.andNot(ws.unitMask[na.unit]);
@@ -117,9 +124,6 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph,
     }
     row.reset(a);
   }
-  // Close under symmetry: a node's ancestors are not parallel with it.
-  for (AgId a = 0; a < n; ++a)
-    desc[a].forEach([&](size_t b) { rows_[b].reset(a); });
 
   if (levelWindow >= 0) {
     graph.levelsFromBottomInto(order, ws.levelBottom);

@@ -32,15 +32,7 @@ std::vector<int> bankPressure(const AssignedGraph& graph,
                               const DynBitset& covered,
                               const DynBitset* extra) {
   const DynBitset liveOut = liveOutSetOf(graph);
-  std::vector<int> pressure;
-  bankPressureInto(graph, liveOut, covered, extra, pressure);
-  return pressure;
-}
-
-void bankPressureInto(const AssignedGraph& graph, const DynBitset& liveOut,
-                      const DynBitset& covered, const DynBitset* extra,
-                      std::vector<int>& pressure) {
-  pressure.assign(graph.machine().regFiles().size(), 0);
+  std::vector<int> pressure(graph.machine().regFiles().size(), 0);
   for (AgId v = 0; v < graph.size(); ++v) {
     const AgNode& n = graph.node(v);
     if (!n.definesRegister()) continue;
@@ -51,6 +43,7 @@ void bankPressureInto(const AssignedGraph& graph, const DynBitset& liveOut,
                       remainingConsumers(graph, v, covered, extra) > 0;
     if (live) pressure[n.defLoc.index] += 1;
   }
+  return pressure;
 }
 
 bool pressureWithinLimits(const AssignedGraph& graph,

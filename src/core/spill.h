@@ -21,14 +21,6 @@ namespace aviv {
                                             const DynBitset& covered,
                                             const DynBitset* extra = nullptr);
 
-// Hot-path variant: writes into `pressure` (reusing its storage) and takes
-// the live-out set precomputed by the caller — output bindings never change
-// during a covering run, so the covering engine computes it once instead of
-// once per pressure probe.
-void bankPressureInto(const AssignedGraph& graph, const DynBitset& liveOut,
-                      const DynBitset& covered, const DynBitset* extra,
-                      std::vector<int>& pressure);
-
 [[nodiscard]] bool pressureWithinLimits(const AssignedGraph& graph,
                                         const std::vector<int>& pressure);
 

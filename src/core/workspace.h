@@ -23,11 +23,41 @@
 #include <mutex>
 #include <vector>
 
+#include "core/legality.h"
 #include "core/parallel_matrix.h"
 #include "support/arena.h"
 #include "support/bitset.h"
 
 namespace aviv {
+
+// What one greedy covering step reads that depends on the covered set,
+// kept current across steps (cover.cpp): an emitted instruction updates it
+// at its members, their successors and their predecessors, and one
+// from-scratch routine fills it after every clique-round sort (each spill).
+struct CoverStepState {
+  DynBitset ready;     // uncovered nodes whose predecessors are all covered
+  DynBitset baseLive;  // covered register values still live: a block output,
+                       // or a consumer left to cover
+  std::vector<int> basePressure;        // per bank: baseLive members in it
+  std::vector<uint32_t> pendingPreds;   // per node: uncovered predecessors
+  std::vector<uint32_t> pendingSuccs;   // per node: uncovered successors
+  std::vector<int> unitLoad;            // per unit: uncovered operations
+  // Uncovered operations per chain key heights[id] + 1 + !ready(id), and
+  // the highest non-empty key (0 when every operation is covered): the
+  // covering bound is max(max unitLoad, topChain).
+  std::vector<int> chainCount;
+  int topChain = 0;
+
+  bool operator==(const CoverStepState&) const = default;
+};
+
+// A clique ∩ ready set that fits the register banks, scored in one
+// covering step: its members are memberPool[memberBegin, memberBegin +
+// score), ascending.
+struct CoverCandidate {
+  size_t memberBegin;
+  size_t score;
+};
 
 struct CoverWorkspace {
   // Per-candidate scratch arena. Everything allocated here lives inside an
@@ -35,35 +65,33 @@ struct CoverWorkspace {
   // deliberately NOT here (the winning candidate escapes the scope).
   Arena arena{1 << 16};
 
-  // Covering engine per-round/per-clique scratch (see cover.cpp).
+  // Covering engine scratch (see cover.cpp).
   DynBitset covered;
-  DynBitset ready;
   DynBitset eligible;
   DynBitset members;
   DynBitset readyAfter;
   DynBitset liveOut;
   DynBitset active;
-  // Round-invariant pressure baseline: which covered producers are live
-  // with no clique selected, and the bank pressure they induce. The
-  // per-clique probe adjusts this instead of rescanning the graph.
-  DynBitset baseLive;
+  CoverStepState step;
+  CoverStepState stepCheck;  // DCHECK builds: `step` recomputed from scratch
+  // The pressure probe's retirement scratch: covered producers already
+  // visited for the probed set.
   DynBitset retireTouched;
-  std::vector<int> basePressure;
   std::vector<uint32_t> retireList;
-  // Distinct clique ∩ ready sets already probed this round (storage
-  // reused across rounds; seenCount marks the live prefix).
+  // Distinct clique ∩ ready sets already probed this step (storage
+  // reused across steps; seenCount marks the live prefix).
   std::vector<DynBitset> seenEligible;
   std::vector<uint8_t> seenAbandoned;
 
-  // Flat pool of member indices for surviving candidates within one round:
-  // each candidate records (offset, count) into this vector instead of
-  // owning a std::vector of node ids.
+  // One step's surviving candidates, the indices of those tied on the best
+  // score, and the flat pool of their member ids.
+  std::vector<CoverCandidate> candidates;
+  std::vector<uint32_t> tied;
   std::vector<uint32_t> memberPool;
 
-  // Spill-pressure and scheduling scratch.
+  // Pressure-probe result and the greedy fit's member order.
   std::vector<int> pressure;
   std::vector<uint32_t> tryOrder;
-  std::vector<int> unitLoad;  // remainingInstructionsBound scratch
 
   // Graph-analysis scratch: descendants, and the per-round topological
   // order and levels from the top (AssignedGraph::orderAndLevelsInto).
@@ -89,6 +117,9 @@ struct CoverWorkspace {
   // Parallelism matrix reused across clique rounds and candidates (row
   // storage persists; rebuild() resizes in place).
   ParallelismMatrix matrix;
+
+  // enforceLegality's per-round masks and sort keys.
+  LegalityScratch legality;
 };
 
 // Thread-safe pool of workspaces: a caller leases scratch (arena chunks,

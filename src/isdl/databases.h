@@ -100,6 +100,10 @@ class ConstraintDatabase {
   }
 
   [[nodiscard]] size_t size() const { return constraints_.size(); }
+  // Every constraint, in the order firstViolated checks them.
+  [[nodiscard]] const std::vector<Constraint>& all() const {
+    return constraints_;
+  }
 
  private:
   std::vector<Constraint> constraints_;

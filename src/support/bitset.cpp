@@ -17,14 +17,6 @@ void DynBitset::resize(size_t size, bool value) {
   trimTail();
 }
 
-DynBitset& DynBitset::operator^=(const DynBitset& o) {
-  AVIV_CHECK(size_ == o.size_);
-  uint64_t* w = words();
-  const uint64_t* ow = o.words();
-  for (size_t i = 0, nw = wordCount(); i < nw; ++i) w[i] ^= ow[i];
-  return *this;
-}
-
 size_t DynBitset::findFirst(size_t from) const {
   if (from >= size_) return size_;
   const uint64_t* w = words();

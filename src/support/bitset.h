@@ -216,7 +216,13 @@ class DynBitset {
     for (size_t i = 0, nw = wordCount(); i < nw; ++i) w[i] &= ow[i];
     return *this;
   }
-  DynBitset& operator^=(const DynBitset& o);
+  DynBitset& operator^=(const DynBitset& o) {
+    AVIV_CHECK(size_ == o.size_);
+    uint64_t* w = words();
+    const uint64_t* ow = o.words();
+    for (size_t i = 0, nw = wordCount(); i < nw; ++i) w[i] ^= ow[i];
+    return *this;
+  }
   // this := this & ~o
   DynBitset& andNot(const DynBitset& o) {
     AVIV_CHECK(size_ == o.size_);

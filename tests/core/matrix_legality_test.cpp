@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <random>
 
 #include "core/assign_explore.h"
 #include "core/clique.h"
@@ -392,39 +393,145 @@ std::vector<DynBitset> dedupAndDropSubsets(std::vector<DynBitset> cliques) {
   return kept;
 }
 
+// The offender rule legality used before per-round masks: scan the
+// members for bus loads and operation selections, drop the last member on
+// the lowest overloaded bus, else the last member taking part in the first
+// violated constraint.
+AgId referenceOffender(const DynBitset& clique, const AssignedGraph& graph,
+                       const ConstraintDatabase& constraints) {
+  const std::vector<Bus>& buses = graph.machine().buses();
+  std::vector<int> load(buses.size(), 0);
+  std::vector<AgId> lastUser(buses.size(), kNoAg);
+  clique.forEach([&](size_t i) {
+    const AgId id = static_cast<AgId>(i);
+    if (!graph.node(id).isTransferish()) return;
+    load[graph.busOf(id)] += 1;
+    lastUser[graph.busOf(id)] = id;
+  });
+  for (size_t b = 0; b < buses.size(); ++b)
+    if (load[b] > buses[b].capacity) return lastUser[b];
+  std::vector<OpSel> sels;
+  std::vector<AgId> selNodes;
+  clique.forEach([&](size_t i) {
+    const AgNode& n = graph.node(static_cast<AgId>(i));
+    if (n.kind != AgKind::kOp) return;
+    sels.push_back({n.unit, n.machineOp});
+    selNodes.push_back(static_cast<AgId>(i));
+  });
+  if (const Constraint* violated = constraints.firstViolated(sels)) {
+    for (size_t i = selNodes.size(); i-- > 0;)
+      for (const OpSel& sel : violated->together)
+        if (sels[i] == sel) return selNodes[i];
+  }
+  return kNoAg;
+}
+
+// The splitting worklist legality ran before: pop a clique, split off its
+// offender as a singleton, repeat until every piece is legal; sort, and
+// after a split drop duplicates and strict subsets. `split` reports whether
+// any clique was split.
+std::vector<DynBitset> referenceEnforceLegality(
+    std::vector<DynBitset> cliques, const AssignedGraph& graph,
+    const ConstraintDatabase& constraints, bool& split) {
+  std::vector<DynBitset> legal;
+  split = false;
+  while (!cliques.empty()) {
+    DynBitset clique = std::move(cliques.back());
+    cliques.pop_back();
+    const AgId offender = referenceOffender(clique, graph, constraints);
+    if (offender == kNoAg) {
+      legal.push_back(std::move(clique));
+      continue;
+    }
+    split = true;
+    DynBitset alone(clique.size());
+    alone.set(offender);
+    clique.reset(offender);
+    cliques.push_back(std::move(clique));
+    cliques.push_back(std::move(alone));
+  }
+  if (split) return dedupAndDropSubsets(std::move(legal));
+  std::sort(legal.begin(), legal.end(),
+            [](const DynBitset& a, const DynBitset& b) {
+              if (a.count() != b.count()) return a.count() > b.count();
+              return a.lexLess(b);
+            });
+  return legal;
+}
+
+// Cliques that split: each maximal clique keeps each member with
+// probability 2/3 (an emptied clique is dropped), so the set is no longer
+// maximal or non-nested and a clique can still overload a bus or break a
+// constraint.
+std::vector<DynBitset> randomSubCliques(const std::vector<DynBitset>& cliques,
+                                        std::mt19937& rng) {
+  std::vector<DynBitset> subsets;
+  for (const DynBitset& clique : cliques) {
+    DynBitset subset = clique;
+    clique.forEach([&](size_t i) {
+      if (rng() % 3 == 0) subset.reset(i);
+    });
+    if (subset.any()) subsets.push_back(std::move(subset));
+  }
+  return subsets;
+}
+
 // Checks legality on the maximal cliques of `graph` (all nodes active, then
-// every other node): per-clique verdicts against the map-based reference,
-// and enforceLegality's output against the full dedup path.
-void expectLegalityMatchesReference(const AssignedGraph& graph,
-                                    const ConstraintDatabase& constraints,
-                                    CoverWorkspace& ws,
-                                    const std::string& what) {
+// every other node) at cover windows -1 and 2: per-clique verdicts against
+// the map-based reference, and enforceLegality's whole output against the
+// reference worklist, on those cliques and on random sub-cliques of them.
+// Returns the number of clique sets the reference had to split.
+size_t expectLegalityMatchesReference(const AssignedGraph& graph,
+                                      const ConstraintDatabase& constraints,
+                                      CoverWorkspace& ws, std::mt19937& rng,
+                                      const std::string& what) {
   graph.orderAndLevelsInto(ws);
-  ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop, -1, ws);
   DynBitset alive(graph.size());
   for (AgId id = 0; id < graph.size(); ++id)
     if (!graph.node(id).deleted()) alive.set(id);
   DynBitset sparse = alive;
   for (AgId id = 0; id < graph.size(); id += 2) sparse.reset(id);
-  for (const DynBitset* active : {&alive, &sparse}) {
-    std::vector<DynBitset> cliques =
-        generateMaximalCliques(ws.matrix, *active, 1u << 16);
-    bool allLegal = true;
-    for (const DynBitset& clique : cliques) {
-      const bool legal = cliqueIsLegal(clique, graph, constraints);
-      EXPECT_EQ(legal, referenceLegal(clique, graph, constraints)) << what;
-      allLegal &= legal;
+  size_t splits = 0;
+  auto expectSameAsReference = [&](const std::vector<DynBitset>& input,
+                                   const std::string& label) {
+    bool split = false;
+    const std::vector<DynBitset> expected =
+        referenceEnforceLegality(input, graph, constraints, split);
+    splits += split ? 1 : 0;
+    EXPECT_TRUE(enforceLegality(input, graph, constraints, &ws.legality) ==
+                expected)
+        << what << " " << label;
+    EXPECT_TRUE(enforceLegality(input, graph, constraints) == expected)
+        << what << " " << label << " (local scratch)";
+  };
+  for (const int window : {-1, 2}) {
+    ws.matrix.rebuild(graph, ws.topoOrder, ws.levelTop, window, ws);
+    for (const DynBitset* active : {&alive, &sparse}) {
+      const std::string label = "window " + std::to_string(window) +
+                                (active == &alive ? " all" : " sparse");
+      std::vector<DynBitset> cliques =
+          generateMaximalCliques(ws.matrix, *active, 1u << 16);
+      bool allLegal = true;
+      for (const DynBitset& clique : cliques) {
+        const bool legal = cliqueIsLegal(clique, graph, constraints);
+        EXPECT_EQ(legal, referenceLegal(clique, graph, constraints)) << what;
+        allLegal &= legal;
+      }
+      expectSameAsReference(cliques, label);
+      expectSameAsReference(randomSubCliques(cliques, rng),
+                            label + " random sub-cliques");
+      const std::vector<DynBitset> input = cliques;
+      const std::vector<DynBitset> result =
+          enforceLegality(std::move(cliques), graph, constraints);
+      EXPECT_TRUE(result == dedupAndDropSubsets(result)) << what;
+      if (allLegal) {
+        EXPECT_TRUE(result == dedupAndDropSubsets(input)) << what;
+      }
+      for (const DynBitset& clique : result)
+        EXPECT_TRUE(referenceLegal(clique, graph, constraints)) << what;
     }
-    const std::vector<DynBitset> input = cliques;
-    const std::vector<DynBitset> result =
-        enforceLegality(std::move(cliques), graph, constraints);
-    EXPECT_TRUE(result == dedupAndDropSubsets(result)) << what;
-    if (allLegal) {
-      EXPECT_TRUE(result == dedupAndDropSubsets(input)) << what;
-    }
-    for (const DynBitset& clique : result)
-      EXPECT_TRUE(referenceLegal(clique, graph, constraints)) << what;
   }
+  return splits;
 }
 
 const char* const kShippedBlocks[] = {"biquad", "dct4", "ex1",  "ex2",
@@ -570,13 +677,43 @@ TEST(ParallelismMatrix, MatchesPairwiseReferenceAcrossInlineHeapSeam) {
   EXPECT_GT(largest, 128u);
 }
 
+// Splits must run where they can: on zoo/wide's capacity-2 buses, and on
+// zoo/constrained's ISDL constraints. The shipped blocks use none of the
+// operations those constraints name (EQ, NE, SHR, ABS), so random blocks
+// drawn from them join the shipped graphs there.
 TEST(Legality, MatchesReferenceOnShippedGraphs) {
   CoverWorkspace ws;
+  std::mt19937 rng(20261018);
+  std::map<std::string, size_t> splitsByMachine;
   forEachShippedGraph(2, [&](const AssignedGraph& graph,
                              const MachineDatabases& dbs,
                              const std::string& what) {
-    expectLegalityMatchesReference(graph, dbs.constraints, ws, what);
+    splitsByMachine[graph.machine().name()] +=
+        expectLegalityMatchesReference(graph, dbs.constraints, ws, rng, what);
   });
+  const Machine constrained = loadMachine("zoo/constrained");
+  const MachineDatabases dbs(constrained);
+  const CodegenOptions options;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomDagSpec spec;
+    spec.numOps = 12;
+    spec.opPool = {Op::kAdd, Op::kEq, Op::kNe, Op::kShr, Op::kMul};
+    spec.seed = seed;
+    const BlockDag dag = makeRandomDag(spec);
+    const SplitNodeDag snd =
+        SplitNodeDag::build(dag, constrained, dbs, options);
+    const std::vector<Assignment> assignments =
+        AssignmentExplorer(snd, options).explore();
+    for (size_t i = 0; i < std::min<size_t>(assignments.size(), 4); ++i) {
+      const AssignedGraph graph =
+          AssignedGraph::materialize(snd, assignments[i], options);
+      splitsByMachine[constrained.name()] += expectLegalityMatchesReference(
+          graph, dbs.constraints, ws, rng,
+          "random seed " + std::to_string(seed) + " #" + std::to_string(i));
+    }
+  }
+  EXPECT_GT(splitsByMachine[constrained.name()], 0u);
+  EXPECT_GT(splitsByMachine[loadMachine("zoo/wide").name()], 0u);
 }
 
 }  // namespace
