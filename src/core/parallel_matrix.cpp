@@ -102,9 +102,9 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph,
   // first leaves each active node's ancestors in its row; an active node's
   // ancestors are active, so XOR with `alive` then removes them.
   rows_.resize(n);
-  for (AgId a = 0; a < n; ++a) rows_[a].clearAndResize(n);
   for (const AgId id : order) {
     DynBitset& anc = rows_[id];
+    anc.clearAndResize(n);
     for (AgId pred : graph.node(id).preds) {
       anc.set(pred);
       anc |= rows_[pred];
@@ -113,7 +113,10 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph,
   for (AgId a = 0; a < n; ++a) {
     DynBitset& row = rows_[a];
     const AgNode& na = graph.node(a);
-    if (na.deleted()) continue;
+    if (na.deleted()) {
+      row.clearAndResize(n);
+      continue;
+    }
     row ^= ws.alive;
     row.andNot(desc[a]);
     if (na.kind == AgKind::kOp) {
