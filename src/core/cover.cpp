@@ -1,8 +1,7 @@
 #include "core/cover.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
 #include <tuple>
 
 #include "core/clique.h"
@@ -550,6 +549,10 @@ void verifySchedule(const AssignedGraph& graph, const Schedule& schedule,
                                       << " times");
   }
 
+  // Per-instruction resource use, reset after each instruction.
+  std::vector<uint8_t> unitUsed(machine.units().size(), 0);
+  std::vector<int> busLoad(machine.buses().size(), 0);
+  std::vector<OpSel> sels;
   for (size_t c = 0; c < schedule.instrs.size(); ++c) {
     const auto& instr = schedule.instrs[c];
     // Dependencies strictly earlier.
@@ -562,56 +565,67 @@ void verifySchedule(const AssignedGraph& graph, const Schedule& schedule,
       }
     }
     // Unit exclusivity.
-    std::set<UnitId> units;
-    std::map<BusId, int> busLoad;
-    std::vector<OpSel> sels;
+    sels.clear();
     for (AgId id : instr) {
       const AgNode& n = graph.node(id);
       if (n.kind == AgKind::kOp) {
-        AVIV_REQUIRE_MSG(units.insert(n.unit).second,
+        AVIV_REQUIRE_MSG(unitUsed[n.unit] == 0,
                        "two ops on unit " << machine.unit(n.unit).name
                                           << " in instruction " << c);
+        unitUsed[n.unit] = 1;
         sels.push_back({n.unit, n.machineOp});
       } else if (n.isTransferish()) {
         busLoad[graph.busOf(id)] += 1;
       }
     }
-    for (const auto& [bus, load] : busLoad)
-      AVIV_REQUIRE_MSG(load <= machine.bus(bus).capacity,
-                     "bus " << machine.bus(bus).name << " oversubscribed in "
-                            << c);
+    for (size_t bus = 0; bus < busLoad.size(); ++bus) {
+      AVIV_REQUIRE_MSG(busLoad[bus] <= machine.buses()[bus].capacity,
+                       "bus " << machine.buses()[bus].name
+                              << " oversubscribed in " << c);
+      busLoad[bus] = 0;
+    }
+    for (const OpSel& sel : sels) unitUsed[sel.unit] = 0;
     AVIV_REQUIRE_MSG(constraints.allows(sels),
                    "ISDL constraint violated in instruction " << c);
   }
 
-  // Register pressure: per-bank live counts after each cycle.
+  // Register pressure: per-bank live counts after each cycle. A value
+  // holds its register from its own cycle up to the cycle before its last
+  // consumer, to the end when it is a block output, and for its own cycle
+  // alone when nothing reads it (a dead def, such as an evicted reload,
+  // still occupies a register at its write instant). Each value adds +1 at
+  // the start of that interval and -1 after it; a prefix sum per bank gives
+  // the counts.
   DynBitset liveOut = liveOutSet(graph);
   std::vector<int> lastUse(graph.size(), -1);
   for (AgId id = 0; id < graph.size(); ++id) {
     for (AgId pred : graph.node(id).preds)
       lastUse[pred] = std::max(lastUse[pred], cycle[id]);
   }
-  for (size_t c = 0; c < schedule.instrs.size(); ++c) {
-    std::vector<int> pressure(machine.regFiles().size(), 0);
-    for (AgId id = 0; id < graph.size(); ++id) {
-      const AgNode& n = graph.node(id);
-      if (!n.definesRegister() || cycle[id] < 0) continue;
-      const bool born = cycle[id] <= static_cast<int>(c);
-      const bool aliveLater =
-          liveOut.test(id) || lastUse[id] > static_cast<int>(c);
-      // Dead defs (evicted reloads) occupy a register at their write
-      // instant even though nothing reads them afterwards.
-      const bool deadDefHere = cycle[id] == static_cast<int>(c) &&
-                               lastUse[id] < 0 && !liveOut.test(id);
-      if ((born && aliveLater) || deadDefHere)
-        pressure[n.defLoc.index] += 1;
-    }
-    for (size_t bank = 0; bank < pressure.size(); ++bank)
+  const size_t numCycles = schedule.instrs.size();
+  const size_t banks = machine.regFiles().size();
+  std::vector<int> delta((numCycles + 1) * banks, 0);
+  for (AgId id = 0; id < graph.size(); ++id) {
+    const AgNode& n = graph.node(id);
+    if (!n.definesRegister() || cycle[id] < 0) continue;
+    const int born = cycle[id];
+    const int freed = liveOut.test(id) ? static_cast<int>(numCycles)
+                      : lastUse[id] < 0 ? born + 1
+                                        : lastUse[id];
+    if (freed <= born) continue;
+    delta[static_cast<size_t>(born) * banks + n.defLoc.index] += 1;
+    delta[static_cast<size_t>(freed) * banks + n.defLoc.index] -= 1;
+  }
+  std::vector<int> pressure(banks, 0);
+  for (size_t c = 0; c < numCycles; ++c) {
+    for (size_t bank = 0; bank < banks; ++bank) {
+      pressure[bank] += delta[c * banks + bank];
       AVIV_REQUIRE_MSG(
           pressure[bank] <=
               machine.regFile(static_cast<RegFileId>(bank)).numRegs,
           "bank " << machine.regFile(static_cast<RegFileId>(bank)).name
                   << " exceeds its registers after instruction " << c);
+    }
   }
 }
 

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "core/codegen.h"
 #include "ir/parser.h"
@@ -254,6 +260,216 @@ TEST(Covering, EnginesBuiltFromTemporaryOptions) {
     spilled |= stats.spillsInserted > 0;
   }
   EXPECT_TRUE(spilled);
+}
+
+// --- verifySchedule against the per-cycle rescan it replaced ------------
+
+// The checks verifySchedule made when it recounted every register value
+// at every cycle: the message of the first failed check, or "" when the
+// schedule is valid.
+std::string referenceScheduleFault(const AssignedGraph& graph,
+                                   const Schedule& schedule,
+                                   const ConstraintDatabase& constraints) {
+  const Machine& machine = graph.machine();
+  const std::vector<int> cycle = schedule.cycles(graph.size());
+  std::ostringstream os;
+  std::vector<int> seen(graph.size(), 0);
+  for (const auto& instr : schedule.instrs)
+    for (AgId id : instr) seen[id] += 1;
+  for (AgId id = 0; id < graph.size(); ++id) {
+    if (seen[id] == (graph.node(id).deleted() ? 0 : 1)) continue;
+    os << graph.describe(id) << " scheduled " << seen[id] << " times";
+    return os.str();
+  }
+  for (size_t c = 0; c < schedule.instrs.size(); ++c) {
+    const auto& instr = schedule.instrs[c];
+    for (AgId id : instr)
+      for (AgId pred : graph.node(id).preds)
+        if (cycle[pred] < 0 || cycle[pred] >= static_cast<int>(c)) {
+          os << graph.describe(id) << " scheduled before its operand "
+             << graph.describe(pred);
+          return os.str();
+        }
+    std::set<UnitId> units;
+    std::map<BusId, int> busLoad;
+    std::vector<OpSel> sels;
+    for (AgId id : instr) {
+      const AgNode& n = graph.node(id);
+      if (n.kind == AgKind::kOp) {
+        if (!units.insert(n.unit).second) {
+          os << "two ops on unit " << machine.unit(n.unit).name
+             << " in instruction " << c;
+          return os.str();
+        }
+        sels.push_back({n.unit, n.machineOp});
+      } else if (n.isTransferish()) {
+        busLoad[graph.busOf(id)] += 1;
+      }
+    }
+    for (const auto& [bus, load] : busLoad)
+      if (load > machine.bus(bus).capacity) {
+        os << "bus " << machine.bus(bus).name << " oversubscribed in " << c;
+        return os.str();
+      }
+    if (!constraints.allows(sels)) {
+      os << "ISDL constraint violated in instruction " << c;
+      return os.str();
+    }
+  }
+  DynBitset liveOut(graph.size());
+  for (const auto& [name, def] : graph.outputDefs())
+    if (def != kNoAg) liveOut.set(def);
+  std::vector<int> lastUse(graph.size(), -1);
+  for (AgId id = 0; id < graph.size(); ++id)
+    for (AgId pred : graph.node(id).preds)
+      lastUse[pred] = std::max(lastUse[pred], cycle[id]);
+  for (size_t c = 0; c < schedule.instrs.size(); ++c) {
+    std::vector<int> pressure(machine.regFiles().size(), 0);
+    for (AgId id = 0; id < graph.size(); ++id) {
+      const AgNode& n = graph.node(id);
+      if (!n.definesRegister() || cycle[id] < 0) continue;
+      const int at = static_cast<int>(c);
+      const bool aliveLater = liveOut.test(id) || lastUse[id] > at;
+      const bool deadDefHere =
+          cycle[id] == at && lastUse[id] < 0 && !liveOut.test(id);
+      if ((cycle[id] <= at && aliveLater) || deadDefHere)
+        pressure[n.defLoc.index] += 1;
+    }
+    for (size_t bank = 0; bank < pressure.size(); ++bank) {
+      const RegFile& rf = machine.regFile(static_cast<RegFileId>(bank));
+      if (pressure[bank] <= rf.numRegs) continue;
+      os << "bank " << rf.name << " exceeds its registers after instruction "
+         << c;
+      return os.str();
+    }
+  }
+  return "";
+}
+
+// verifySchedule's verdict in the reference's terms: "" when it accepts,
+// else the message it appends to the failed invariant.
+std::string scheduleFault(const AssignedGraph& graph, const Schedule& schedule,
+                          const ConstraintDatabase& constraints) {
+  try {
+    verifySchedule(graph, schedule, constraints);
+    return "";
+  } catch (const InternalError& e) {
+    const std::string what = e.what();
+    const size_t open = what.rfind(" (");
+    return open == std::string::npos
+               ? what
+               : what.substr(open + 2, what.size() - open - 3);
+  }
+}
+
+// One random edit of a valid schedule: move a node to another
+// instruction (anywhere, or where its operands and consumers still allow
+// it), duplicate it there, swap two instructions, merge an instruction
+// into the next, or split one member off into its own instruction. Empty
+// instructions are dropped.
+Schedule mutate(const AssignedGraph& graph, Schedule schedule,
+                std::mt19937& rng) {
+  auto& instrs = schedule.instrs;
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  const size_t i = pick(instrs.size());
+  size_t j = pick(instrs.size());
+  switch (rng() % 6) {
+    case 5: {
+      const size_t k = pick(instrs[i].size());
+      const AgId id = instrs[i][k];
+      const std::vector<int> cycle = schedule.cycles(graph.size());
+      int lo = 0;
+      int hi = static_cast<int>(instrs.size()) - 1;
+      for (AgId pred : graph.node(id).preds) lo = std::max(lo, cycle[pred] + 1);
+      for (AgId succ : graph.node(id).succs)
+        if (cycle[succ] >= 0) hi = std::min(hi, cycle[succ] - 1);
+      if (lo > hi) break;
+      j = static_cast<size_t>(lo) + pick(static_cast<size_t>(hi - lo) + 1);
+      instrs[i].erase(instrs[i].begin() + static_cast<std::ptrdiff_t>(k));
+      instrs[j].push_back(id);
+      std::sort(instrs[j].begin(), instrs[j].end());
+      break;
+    }
+    case 0:
+    case 1: {
+      const size_t k = pick(instrs[i].size());
+      const AgId id = instrs[i][k];
+      if (rng() % 2 == 0) instrs[i].erase(instrs[i].begin() + k);
+      instrs[j].push_back(id);
+      std::sort(instrs[j].begin(), instrs[j].end());
+      break;
+    }
+    case 2:
+      std::swap(instrs[i], instrs[j]);
+      break;
+    case 3:
+      if (i + 1 < instrs.size()) {
+        instrs[i + 1].insert(instrs[i + 1].end(), instrs[i].begin(),
+                             instrs[i].end());
+        std::sort(instrs[i + 1].begin(), instrs[i + 1].end());
+        instrs[i].clear();
+      }
+      break;
+    default:
+      if (instrs[i].size() > 1) {
+        const AgId first = instrs[i].front();
+        instrs[i].erase(instrs[i].begin());
+        instrs.insert(instrs.begin() + static_cast<std::ptrdiff_t>(i),
+                      std::vector<AgId>{first});
+      }
+      break;
+  }
+  std::erase_if(instrs, [](const std::vector<AgId>& in) { return in.empty(); });
+  return schedule;
+}
+
+// verifySchedule counts register intervals with one prefix sum per bank
+// instead of rescanning every value at every cycle. On covered graphs
+// (spilling ones included; ex5/zoo/tiny and dct4/dsp16 on two registers
+// evict reloads, leaving dead defs) and thousands of random edits of their
+// schedules, it must give the reference's verdict and message, and every
+// kind of fault must come up.
+TEST(Covering, VerifyScheduleMatchesPerCycleReference) {
+  std::mt19937 rng(20261018);
+  std::map<std::string, size_t> faults;
+  auto kind = [](const std::string& message) -> std::string {
+    for (const char* k : {"times", "before its operand", "two ops on unit",
+                          "oversubscribed", "ISDL constraint",
+                          "exceeds its registers"})
+      if (message.find(k) != std::string::npos) return k;
+    return message.empty() ? "valid" : message;
+  };
+  for (const auto& [block, machineName, regs] :
+       {std::tuple{"ex4", "arch1", 2}, std::tuple{"ex5", "arch1", 2},
+        std::tuple{"dct4", "arch1", 4}, std::tuple{"biquad", "zoo/wide", 0},
+        std::tuple{"dct4", "arch4", 0}, std::tuple{"dct4", "zoo/buffered", 0},
+        std::tuple{"ex5", "zoo/tiny", 0}, std::tuple{"dct4", "dsp16", 2}}) {
+    const BlockDag dag = loadBlock(block);
+    const Machine base = loadMachine(machineName);
+    const Machine machine = regs > 0 ? base.withRegisterCount(regs) : base;
+    const MachineDatabases dbs(machine);
+    const CoreResult result = coverBlock(dag, machine, dbs, CodegenOptions{});
+    const std::string what = std::string(block) + "/" + machineName;
+    ASSERT_EQ(scheduleFault(result.graph, result.schedule, dbs.constraints),
+              "")
+        << what;
+    Schedule schedule = result.schedule;
+    for (int edit = 0; edit < 400; ++edit) {
+      // Restart from the valid schedule now and then, so edits stay near it.
+      if (edit % 4 == 0) schedule = result.schedule;
+      schedule = mutate(result.graph, std::move(schedule), rng);
+      const std::string expected =
+          referenceScheduleFault(result.graph, schedule, dbs.constraints);
+      EXPECT_EQ(scheduleFault(result.graph, schedule, dbs.constraints),
+                expected)
+          << what << " edit " << edit;
+      faults[kind(expected)] += 1;
+    }
+  }
+  for (const char* k : {"valid", "times", "before its operand",
+                        "two ops on unit", "oversubscribed",
+                        "exceeds its registers"})
+    EXPECT_GT(faults[k], 0u) << k;
 }
 
 }  // namespace
