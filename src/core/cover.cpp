@@ -73,9 +73,6 @@ void computeStepState(const AssignedGraph& graph, const DynBitset& covered,
     const AgNode& node = graph.node(id);
     for (AgId pred : node.preds) s.pendingPreds[id] += !covered.test(pred);
     for (AgId succ : node.succs) s.pendingSuccs[id] += !covered.test(succ);
-  }
-  for (AgId id = 0; id < n; ++id) {
-    const AgNode& node = graph.node(id);
     if (covered.test(id)) {
       if (node.definesRegister() &&
           (liveOut.test(id) || s.pendingSuccs[id] > 0)) {

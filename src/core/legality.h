@@ -42,7 +42,9 @@ struct LegalityScratch {
 };
 
 // True iff the grouping satisfies every ISDL constraint and every bus
-// capacity.
+// capacity. Scans the clique's members, since the baseline searches ask
+// about one clique at a time; enforceLegality checks a round's cliques
+// against masks it builds once for the round.
 [[nodiscard]] bool cliqueIsLegal(const DynBitset& clique,
                                  const AssignedGraph& graph,
                                  const ConstraintDatabase& constraints);
