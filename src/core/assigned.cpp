@@ -530,6 +530,11 @@ std::string AssignedGraph::describe(AgId id) const {
 }
 
 void AssignedGraph::verify() const {
+  verifyNodes();
+  (void)topoOrder(nodes_);  // asserts acyclicity
+}
+
+void AssignedGraph::verifyNodes() const {
   for (AgId id = 0; id < nodes_.size(); ++id) {
     const AgNode& n = nodes_[id];
     if (n.deleted()) {
@@ -575,7 +580,6 @@ void AssignedGraph::verify() const {
       }
     }
   }
-  (void)topoOrder(nodes_);  // asserts acyclicity
 }
 
 }  // namespace aviv

@@ -204,7 +204,11 @@ class AssignedGraph {
   }
 
   [[nodiscard]] std::string describe(AgId id) const;
+  // Checks edge symmetry, operand and transfer storage, and acyclicity.
   void verify() const;
+  // verify() without the acyclicity check, for callers whose next step
+  // sorts the graph topologically (that sort checks it).
+  void verifyNodes() const;
 
  private:
   AgId append(AgNode node);

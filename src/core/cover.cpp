@@ -44,14 +44,6 @@ namespace {
 // a subset and adds singletons for the nodes it left out.
 constexpr size_t kMaxCliquesPerRound = 250'000;
 
-// Live-out values (block outputs) never die.
-DynBitset liveOutSet(const AssignedGraph& graph) {
-  DynBitset liveOut(graph.size());
-  for (const auto& [name, def] : graph.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
-  return liveOut;
-}
-
 // The step state of `covered` (CoverStepState), computed from scratch: once
 // per clique-round sort (the first round and after every spill) and, in
 // DCHECK builds, after every step to check the incremental updates of
@@ -327,6 +319,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
     candidates.clear();
     ws.memberPool.clear();
     bool anyReadyClique = false;
+    size_t bestScore = 0;  // the best candidate score so far this step
     // Distinct eligible sets probed so far this step. The probe and the
     // member shrink are pure functions of (eligible, covered), and a
     // duplicate candidate can never win a strict tie-break against its
@@ -340,6 +333,8 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
     // and the lookahead. The compaction is stable: it keeps the
     // enumeration order — and with it every tie-break — unchanged.
     size_t alive = 0;
+    ws.touching.clear();
+    ws.touchingReady.clear();
     for (size_t ci = 0; ci < cliques.size(); ++ci) {
       // ready excludes covered by construction, so clique ∩ ready equals
       // the old clique ∩ ~covered ∩ ready. Most cliques miss the ready set
@@ -354,6 +349,15 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       eligible &= ready;
       anyReadyClique = true;
       ++st.candidatesEvaluated;
+      const size_t size = eligible.count();
+      ws.touching.push_back(static_cast<uint32_t>(alive - 1));
+      ws.touchingReady.push_back(static_cast<uint32_t>(size));
+      // The step takes a set of the best score, and a set scores at most
+      // its size: one smaller than the best so far cannot tie, so it is
+      // neither probed nor fitted. While that best is 0 nothing is skipped,
+      // so the spill decision is unchanged. A later duplicate of a skipped
+      // set is skipped too, as the best only grows.
+      if (size < bestScore) continue;
 
       bool duplicate = false;
       for (size_t j = 0; j < seenCount; ++j) {
@@ -372,6 +376,8 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
 
       const DynBitset* members = &eligible;
       if (!probePressure(eligible)) {
+        // A set that does not fit whole fits at most size - 1 members.
+        if (size - 1 < bestScore) continue;
         // Greedy fit: ops first (they retire operand values), then
         // transfers, in id order.
         ws.tryOrder.clear();
@@ -403,15 +409,13 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         continue;
       }
       candidates.push_back({memberBegin, score});
+      bestScore = std::max(bestScore, score);
     }
     cliques.erase(cliques.begin() + static_cast<std::ptrdiff_t>(alive),
                   cliques.end());
 
     if (!candidates.empty()) {
       // Max score first.
-      size_t bestScore = 0;
-      for (const CoverCandidate& c : candidates)
-        bestScore = std::max(bestScore, c.score);
       std::vector<uint32_t>& tied = ws.tied;
       tied.clear();
       for (size_t c = 0; c < candidates.size(); ++c)
@@ -421,6 +425,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       // Section IV-D tie-break: a one-step lookahead estimating how well the
       // rest can be covered, refined by critical-path height so operand
       // chains that gate the most downstream work are started first.
+      const size_t readyCount = ready.count();
       auto lookaheadScore = [&](const CoverCandidate& cand) -> size_t {
         // Simulate covering the members in place (`covered` is restored
         // before returning). Ready-set delta: the members leave it, and the
@@ -445,13 +450,29 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         }
         // readyAfter excludes covered-after by construction, so the old
         // clique ∩ ~coveredAfter ∩ readyAfter count is a plain intersection
-        // — and no clique can beat |readyAfter| itself.
-        size_t next = 0;
+        // — and no clique can beat |readyAfter| itself. readyAfter is the
+        // ready set without the members plus `fresh` newly ready nodes, so a
+        // clique counts at most its ready count plus `fresh`, and one that
+        // misses the ready set at most `fresh`: the cliques that touch the
+        // ready set are counted first, the rest only while the best count
+        // is below `fresh`.
         const size_t cap = readyAfter.count();
-        for (const DynBitset& clique : cliques) {
-          next = std::max(next, clique.intersectCount(readyAfter));
-          if (next == cap) break;
+        const size_t fresh = cap - (readyCount - cand.score);
+        size_t next = 0;
+        for (size_t t = 0; t < ws.touching.size() && next < cap; ++t) {
+          if (ws.touchingReady[t] + fresh <= next) continue;
+          next = std::max(
+              next, cliques[ws.touching[t]].intersectCount(readyAfter));
         }
+        for (size_t ci = 0; ci < cliques.size() && next < fresh; ++ci)
+          next = std::max(next, cliques[ci].intersectCount(readyAfter));
+#if AVIV_DCHECKS_ENABLED
+        size_t full = 0;
+        for (const DynBitset& clique : cliques)
+          full = std::max(full, clique.intersectCount(readyAfter));
+        AVIV_DCHECK_MSG(next == full,
+                        "lookahead count differs from a scan of every clique");
+#endif
         for (size_t k = 0; k < cand.score; ++k)
           covered.reset(ws.memberPool[cand.memberBegin + k]);
         return next;
@@ -512,13 +533,15 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
                    st.spillsInserted, "covered",
                    static_cast<int64_t>(covered.count()), "ready",
                    static_cast<int64_t>(ready.count()));
-    const AgId victim = performSpill(graph_, xferDb_, covered, spillState);
+    const AgId victim = performSpill(graph_, xferDb_, covered, spillState,
+                                     step.basePressure, liveOut);
     st.spillsInserted += 1;
     if (graph_.node(victim).kind == AgKind::kSpillLoad) st.reloadsEvicted += 1;
 
     // Graph grew: extend the bookkeeping (scheduled bits are preserved by
     // the resize; new nodes start uncovered; deletions become covered).
-    // performSpill has verified the mutated graph.
+    // performSpill has verified the mutated graph's nodes; the rebuild's
+    // topological sort checks it stays acyclic.
     covered.resize(graph_.size(), false);
     liveOut.resize(graph_.size(), false);
     for (AgId id = 0; id < graph_.size(); ++id)
@@ -586,44 +609,64 @@ void verifySchedule(const AssignedGraph& graph, const Schedule& schedule,
                    "ISDL constraint violated in instruction " << c);
   }
 
-  // Register pressure: per-bank live counts after each cycle. A value
-  // holds its register from its own cycle up to the cycle before its last
-  // consumer, to the end when it is a block output, and for its own cycle
-  // alone when nothing reads it (a dead def, such as an evicted reload,
-  // still occupies a register at its write instant). Each value adds +1 at
-  // the start of that interval and -1 after it; a prefix sum per bank gives
-  // the counts.
-  DynBitset liveOut = liveOutSet(graph);
-  std::vector<int> lastUse(graph.size(), -1);
-  for (AgId id = 0; id < graph.size(); ++id) {
-    for (AgId pred : graph.node(id).preds)
-      lastUse[pred] = std::max(lastUse[pred], cycle[id]);
+  // Register pressure: per-bank live counts after each instruction.
+  PressureScratch scratch;
+  const std::optional<PressureOverflow> overflow = firstPressureOverflow(
+      graph, cycle, schedule.instrs.size(), scratch);
+  AVIV_REQUIRE_MSG(!overflow,
+                   "bank " << machine.regFile(overflow->bank).name
+                           << " exceeds its registers after instruction "
+                           << overflow->instr);
+}
+
+std::optional<PressureOverflow> firstPressureOverflow(
+    const AssignedGraph& graph, const std::vector<int>& cycle,
+    size_t numInstructions, PressureScratch& scratch, AgId renamedFrom,
+    AgId renamedTo) {
+  const Machine& machine = graph.machine();
+  const size_t n = graph.size();
+  DynBitset& liveOut = scratch.liveOut;
+  liveOut.clearAndResize(n);
+  for (const auto& [name, def] : graph.outputDefs())
+    if (def != kNoAg) liveOut.set(def);
+  std::vector<int>& lastUse = scratch.lastUse;
+  lastUse.assign(n, -1);
+  for (AgId id = 0; id < n; ++id) {
+    const int c = cycle[id];
+    if (c < 0) continue;
+    for (AgId pred : graph.node(id).preds) {
+      const AgId read = pred == renamedFrom ? renamedTo : pred;
+      lastUse[read] = std::max(lastUse[read], c);
+    }
   }
-  const size_t numCycles = schedule.instrs.size();
+  // Each value adds +1 at the start of its interval and -1 after it.
   const size_t banks = machine.regFiles().size();
-  std::vector<int> delta((numCycles + 1) * banks, 0);
-  for (AgId id = 0; id < graph.size(); ++id) {
-    const AgNode& n = graph.node(id);
-    if (!n.definesRegister() || cycle[id] < 0) continue;
+  std::vector<int>& delta = scratch.delta;
+  delta.assign((numInstructions + 1) * banks, 0);
+  for (AgId id = 0; id < n; ++id) {
     const int born = cycle[id];
-    const int freed = liveOut.test(id) ? static_cast<int>(numCycles)
+    if (born < 0) continue;
+    const AgNode& node = graph.node(id);
+    if (!node.definesRegister()) continue;
+    const int freed = liveOut.test(id) ? static_cast<int>(numInstructions)
                       : lastUse[id] < 0 ? born + 1
                                         : lastUse[id];
     if (freed <= born) continue;
-    delta[static_cast<size_t>(born) * banks + n.defLoc.index] += 1;
-    delta[static_cast<size_t>(freed) * banks + n.defLoc.index] -= 1;
+    delta[static_cast<size_t>(born) * banks + node.defLoc.index] += 1;
+    delta[static_cast<size_t>(freed) * banks + node.defLoc.index] -= 1;
   }
-  std::vector<int> pressure(banks, 0);
-  for (size_t c = 0; c < numCycles; ++c) {
+  std::vector<int>& pressure = scratch.pressure;
+  pressure.assign(banks, 0);
+  for (size_t c = 0; c < numInstructions; ++c) {
     for (size_t bank = 0; bank < banks; ++bank) {
       pressure[bank] += delta[c * banks + bank];
-      AVIV_REQUIRE_MSG(
-          pressure[bank] <=
-              machine.regFile(static_cast<RegFileId>(bank)).numRegs,
-          "bank " << machine.regFile(static_cast<RegFileId>(bank)).name
-                  << " exceeds its registers after instruction " << c);
+      if (pressure[bank] >
+          machine.regFile(static_cast<RegFileId>(bank)).numRegs)
+        return PressureOverflow{static_cast<int>(c),
+                                static_cast<RegFileId>(bank)};
     }
   }
+  return std::nullopt;
 }
 
 }  // namespace aviv

@@ -104,4 +104,37 @@ class CoveringEngine {
 void verifySchedule(const AssignedGraph& graph, const Schedule& schedule,
                     const ConstraintDatabase& constraints);
 
+// The first instruction after which a bank holds more live values than it
+// has registers, and that bank.
+struct PressureOverflow {
+  int instr = 0;
+  RegFileId bank = 0;
+};
+
+// Reused buffers of firstPressureOverflow.
+struct PressureScratch {
+  DynBitset liveOut;
+  std::vector<int> lastUse;
+  std::vector<int> delta;
+  std::vector<int> pressure;
+};
+
+// Per-bank register pressure of a schedule given as `cycle[id]`
+// (Schedule::cycles; -1 for unscheduled or deleted nodes) over
+// `numInstructions` instructions, counted from one live interval per value
+// with a prefix sum per bank. A value holds its register from its own
+// instruction up to the one before its last consumer, to the end when it is
+// a block output, and for its own instruction alone when nothing reads it
+// (a dead def, such as an evicted reload, still occupies a register at its
+// write instant). Returns the first overflow in (instruction, bank) order,
+// or nullopt when every bank fits after every instruction. verifySchedule
+// and the peephole pass's trials share it. When `renamedFrom` is a node,
+// its reads count as reads of `renamedTo`: with cycle[renamedFrom] = -1
+// that is the pressure after retargeting every consumer of `renamedFrom`
+// onto `renamedTo` and deleting it, without editing the graph.
+[[nodiscard]] std::optional<PressureOverflow> firstPressureOverflow(
+    const AssignedGraph& graph, const std::vector<int>& cycle,
+    size_t numInstructions, PressureScratch& scratch,
+    AgId renamedFrom = kNoAg, AgId renamedTo = kNoAg);
+
 }  // namespace aviv

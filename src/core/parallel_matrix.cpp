@@ -102,21 +102,19 @@ void ParallelismMatrix::rebuild(const AssignedGraph& graph,
   // first leaves each active node's ancestors in its row; an active node's
   // ancestors are active, so XOR with `alive` then removes them.
   rows_.resize(n);
+  // Every row now holds n bits, so the per-edge OR skips its size check.
+  for (DynBitset& row : rows_) row.clearAndResize(n);
   for (const AgId id : order) {
     DynBitset& anc = rows_[id];
-    anc.clearAndResize(n);
     for (AgId pred : graph.node(id).preds) {
       anc.set(pred);
-      anc |= rows_[pred];
+      anc.orUnchecked(rows_[pred]);
     }
   }
   for (AgId a = 0; a < n; ++a) {
     DynBitset& row = rows_[a];
     const AgNode& na = graph.node(a);
-    if (na.deleted()) {
-      row.clearAndResize(n);
-      continue;
-    }
+    if (na.deleted()) continue;
     row ^= ws.alive;
     row.andNot(desc[a]);
     if (na.kind == AgKind::kOp) {

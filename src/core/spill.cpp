@@ -55,15 +55,17 @@ bool pressureWithinLimits(const AssignedGraph& graph,
   return true;
 }
 
+namespace {
+
 inline constexpr int kMaxRespillsPerSlot = 4;
 
-AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
-                  const DynBitset& covered, SpillState& state) {
+// performSpill without the final graph verification.
+AgId spill(AssignedGraph& graph, const TransferDatabase& xferDb,
+           const DynBitset& covered, SpillState& state,
+           const std::vector<int>& pressureNow, const DynBitset& liveOut) {
   const Machine& machine = graph.machine();
-  const DynBitset liveOut = liveOutSetOf(graph);
 
   // Most-needed resource: the bank with the least slack right now.
-  const auto pressureNow = bankPressure(graph, covered);
   RegFileId worstBank = kNoId16;
   int worstSlack = INT32_MAX;
   for (size_t bank = 0; bank < pressureNow.size(); ++bank) {
@@ -152,8 +154,28 @@ AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
   };
   for (AgId consumer : pendingConsumers)
     fixConsumer(fixConsumer, consumer, victim);
+  return victim;
+}
 
+}  // namespace
+
+AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
+                  const DynBitset& covered, SpillState& state) {
+  const AgId victim = spill(graph, xferDb, covered, state,
+                            bankPressure(graph, covered), liveOutSetOf(graph));
   graph.verify();
+  return victim;
+}
+
+AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
+                  const DynBitset& covered, SpillState& state,
+                  const std::vector<int>& pressureNow,
+                  const DynBitset& liveOut) {
+  AVIV_DCHECK(pressureNow == bankPressure(graph, covered));
+  AVIV_DCHECK(liveOut == liveOutSetOf(graph));
+  const AgId victim =
+      spill(graph, xferDb, covered, state, pressureNow, liveOut);
+  graph.verifyNodes();
   return victim;
 }
 

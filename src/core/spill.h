@@ -43,4 +43,14 @@ struct SpillState {
 AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
                   const DynBitset& covered, SpillState& state);
 
+// The same, from what the covering engine already holds: `pressureNow` is
+// bankPressure(graph, covered) and `liveOut` the block outputs. The mutated
+// graph's acyclicity is left to the caller's next topological sort
+// (AssignedGraph::orderAndLevelsInto checks it); every other verify() check
+// runs here.
+AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
+                  const DynBitset& covered, SpillState& state,
+                  const std::vector<int>& pressureNow,
+                  const DynBitset& liveOut);
+
 }  // namespace aviv

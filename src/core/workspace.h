@@ -88,6 +88,10 @@ struct CoverWorkspace {
   std::vector<CoverCandidate> candidates;
   std::vector<uint32_t> tied;
   std::vector<uint32_t> memberPool;
+  // The step's cliques that touch the ready set (indices after the scan's
+  // compaction) and each one's ready count, for the lookahead.
+  std::vector<uint32_t> touching;
+  std::vector<uint32_t> touchingReady;
 
   // Pressure-probe result and the greedy fit's member order.
   std::vector<int> pressure;

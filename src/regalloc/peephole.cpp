@@ -1,70 +1,84 @@
 #include "regalloc/peephole.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
 
-#include "regalloc/regalloc.h"
 #include "support/error.h"
 
 namespace aviv {
 
 namespace {
 
-// Checks the per-bank liveness bound over the whole schedule (same bound the
-// covering engine maintained).
-bool pressureFeasible(const AssignedGraph& graph, const Schedule& schedule) {
-  const Machine& machine = graph.machine();
-  const auto cycles = schedule.cycles(graph.size());
-  const auto lastUse = computeLastUse(graph, cycles);
-  DynBitset liveOut(graph.size());
-  for (const auto& [name, def] : graph.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
-
-  for (int c = 0; c < schedule.numInstructions(); ++c) {
-    std::vector<int> pressure(machine.regFiles().size(), 0);
-    for (AgId id = 0; id < graph.size(); ++id) {
-      const AgNode& n = graph.node(id);
-      if (!n.definesRegister() || cycles[id] < 0) continue;
-      const bool born = cycles[id] <= c;
-      const bool aliveLater = liveOut.test(id) || lastUse[id] > c;
-      // A dead def (evicted reload) still occupies a register at its own
-      // write instant.
-      const bool deadDefHere =
-          cycles[id] == c && lastUse[id] < 0 && !liveOut.test(id);
-      if ((born && aliveLater) || deadDefHere)
-        pressure[n.defLoc.index] += 1;
-    }
-    for (size_t bank = 0; bank < pressure.size(); ++bank)
-      if (pressure[bank] >
-          machine.regFile(static_cast<RegFileId>(bank)).numRegs)
-        return false;
-  }
-  return true;
-}
-
-// Instruction-level legality of one cycle's members.
-bool instrLegal(const AssignedGraph& graph, const std::vector<AgId>& instr,
-                const ConstraintDatabase& constraints) {
-  const Machine& machine = graph.machine();
-  std::set<UnitId> units;
-  std::map<BusId, int> busLoad;
-  std::vector<OpSel> sels;
-  for (AgId id : instr) {
-    const AgNode& n = graph.node(id);
-    if (n.kind == AgKind::kOp) {
-      if (!units.insert(n.unit).second) return false;
-      sels.push_back({n.unit, n.machineOp});
-    } else if (n.isTransferish()) {
-      if (++busLoad[graph.busOf(id)] > machine.bus(graph.busOf(id)).capacity)
-        return false;
-    }
-  }
-  return constraints.allows(sels);
-}
-
 void eraseFromInstr(std::vector<AgId>& instr, AgId id) {
   instr.erase(std::remove(instr.begin(), instr.end(), id), instr.end());
+}
+
+// Scratch reused by every trial of one peephole run.
+struct PeepholeScratch {
+  PressureScratch pressure;
+  std::vector<uint8_t> unitUsed;  // per unit
+  std::vector<int> busLoad;       // per bus
+  std::vector<OpSel> sels;
+};
+
+// Checks the per-bank liveness bound over the whole schedule, given as each
+// node's instruction (the same bound the covering engine maintained).
+bool pressureFeasible(const AssignedGraph& graph,
+                      const std::vector<int>& cycles, int numInstructions,
+                      PeepholeScratch& s) {
+  return !firstPressureOverflow(graph, cycles,
+                                static_cast<size_t>(numInstructions),
+                                s.pressure);
+}
+
+// pressureFeasible after replaceReload(from, to), counted without editing
+// the graph: `from` unscheduled and its reads moved to `to`.
+bool replaceFeasible(const AssignedGraph& graph, std::vector<int>& cycles,
+                     int numInstructions, AgId from, AgId to,
+                     PeepholeScratch& s) {
+  const int cycle = cycles[from];
+  cycles[from] = -1;
+  const bool feasible = !firstPressureOverflow(
+      graph, cycles, static_cast<size_t>(numInstructions), s.pressure, from,
+      to);
+  cycles[from] = cycle;
+  return feasible;
+}
+
+// Moves every consumer of `from` onto `to`, then drops `from` from the
+// graph and the schedule.
+void replaceReload(AssignedGraph& graph, Schedule& schedule,
+                   std::vector<int>& cycles, AgId from, AgId to) {
+  const auto consumers = graph.node(from).succs;
+  for (AgId c : consumers) graph.retargetConsumer(c, from, to);
+  eraseFromInstr(schedule.instrs[static_cast<size_t>(cycles[from])], from);
+  cycles[from] = -1;
+  graph.deleteNode(from);
+}
+
+// Instruction-level legality of `instr` with `extra` added.
+bool instrLegal(const AssignedGraph& graph, const std::vector<AgId>& instr,
+                AgId extra, const ConstraintDatabase& constraints,
+                PeepholeScratch& s) {
+  const Machine& machine = graph.machine();
+  s.unitUsed.assign(machine.units().size(), 0);
+  s.busLoad.assign(machine.buses().size(), 0);
+  s.sels.clear();
+  auto admit = [&](AgId id) {
+    const AgNode& n = graph.node(id);
+    if (n.kind == AgKind::kOp) {
+      if (s.unitUsed[n.unit] != 0) return false;
+      s.unitUsed[n.unit] = 1;
+      s.sels.push_back({n.unit, n.machineOp});
+    } else if (n.isTransferish()) {
+      const BusId bus = graph.busOf(id);
+      if (++s.busLoad[bus] > machine.bus(bus).capacity) return false;
+    }
+    return true;
+  };
+  for (AgId id : instr)
+    if (!admit(id)) return false;
+  return admit(extra) && constraints.allows(s.sels);
 }
 
 }  // namespace
@@ -76,9 +90,12 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   PeepholeStats& st = stats != nullptr ? *stats : localStats;
   st = PeepholeStats{};
   const int before = schedule.numInstructions();
+  PeepholeScratch scratch;
 
-  // --- (1) redundant reloads: feasibility is checked by simulating the
-  // rewire on a scratch copy first, then committing on the real graph. ----
+  // --- (1) redundant reloads: a trial counts the pressure with the
+  // reload's reads moved to the spilled value and the reload unscheduled;
+  // only a feasible rewire edits the graph. -------------------------------
+  std::vector<int> cycles = schedule.cycles(graph.size());
   bool changed = true;
   while (changed) {
     changed = false;
@@ -101,18 +118,10 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
       if (!(graph.node(victim).defLoc == n.defLoc)) continue;
       if (n.succs.empty()) continue;
 
-      // Scratch-copy simulation.
-      AssignedGraph scratch = graph.clone();
-      Schedule scratchSched = schedule;
-      const auto consumers = scratch.node(id).succs;
-      for (AgId c : consumers) scratch.retargetConsumer(c, id, victim);
-      const auto cycles = scratchSched.cycles(scratch.size());
-      eraseFromInstr(scratchSched.instrs[static_cast<size_t>(cycles[id])], id);
-      scratch.deleteNode(id);
-      if (!pressureFeasible(scratch, scratchSched)) continue;
-
-      graph = std::move(scratch);
-      schedule = std::move(scratchSched);
+      if (!replaceFeasible(graph, cycles, schedule.numInstructions(), id,
+                           victim, scratch))
+        continue;
+      replaceReload(graph, schedule, cycles, id, victim);
       st.reloadsRemoved += 1;
       changed = true;
     }
@@ -123,7 +132,7 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   changed = true;
   while (changed) {
     changed = false;
-    const auto cycles = schedule.cycles(graph.size());
+    cycles = schedule.cycles(graph.size());
     DynBitset liveOut(graph.size());
     for (const auto& [name, def] : graph.outputDefs())
       if (def != kNoAg) liveOut.set(def);
@@ -145,11 +154,11 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
 
   // --- (1c) coalesce duplicate reloads: two scheduled reloads of the same
   // slot into the same bank can share the earlier one when extending its
-  // live range keeps every bank within limits. ---------------------------
+  // live range keeps every bank within limits (simulated as in (1)). -----
+  cycles = schedule.cycles(graph.size());
   changed = true;
   while (changed) {
     changed = false;
-    const auto cycles = schedule.cycles(graph.size());
     for (AgId first = 0; first < graph.size() && !changed; ++first) {
       const AgNode& a = graph.node(first);
       if (a.kind != AgKind::kSpillLoad || a.deleted()) continue;
@@ -166,16 +175,10 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
         for (AgId c : b.succs) ordered &= cycles[c] > cycles[first];
         if (!ordered) continue;
 
-        AssignedGraph scratch = graph.clone();
-        Schedule scratchSched = schedule;
-        const auto consumers = scratch.node(second).succs;
-        for (AgId c : consumers) scratch.retargetConsumer(c, second, first);
-        eraseFromInstr(
-            scratchSched.instrs[static_cast<size_t>(cycles[second])], second);
-        scratch.deleteNode(second);
-        if (!pressureFeasible(scratch, scratchSched)) continue;
-        graph = std::move(scratch);
-        schedule = std::move(scratchSched);
+        if (!replaceFeasible(graph, cycles, schedule.numInstructions(),
+                             second, first, scratch))
+          continue;
+        replaceReload(graph, schedule, cycles, second, first);
         st.reloadsRemoved += 1;
         changed = true;
       }
@@ -202,34 +205,38 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
     st.spillStoresRemoved += 1;
   }
 
-  // --- (2) compaction: hoist nodes into earlier cycles. ------------------
+  // --- (2) compaction: hoist nodes into earlier cycles. A trial moves the
+  // node in `cycles` alone and counts the pressure there; a failed trial
+  // restores its cycle, and only an accepted hoist edits the instruction
+  // vectors. The pass restarts at cycle 1 after every hoist and tries the
+  // targets from the earliest upward. -----------------------------------
+  cycles = schedule.cycles(graph.size());
   changed = true;
   while (changed) {
     changed = false;
-    auto cycles = schedule.cycles(graph.size());
     for (int c = 1; c < schedule.numInstructions() && !changed; ++c) {
-      const std::vector<AgId> members = schedule.instrs[static_cast<size_t>(c)];
-      for (AgId id : members) {
+      std::vector<AgId>& from = schedule.instrs[static_cast<size_t>(c)];
+      for (size_t k = 0; k < from.size() && !changed; ++k) {
+        const AgId id = from[k];
         int earliest = 0;
         for (AgId pred : graph.node(id).preds)
           earliest = std::max(earliest, cycles[pred] + 1);
         for (int target = earliest; target < c; ++target) {
-          std::vector<AgId> candidate =
-              schedule.instrs[static_cast<size_t>(target)];
-          candidate.push_back(id);
-          if (!instrLegal(graph, candidate, constraints)) continue;
-          Schedule trial = schedule;
-          eraseFromInstr(trial.instrs[static_cast<size_t>(c)], id);
-          trial.instrs[static_cast<size_t>(target)].push_back(id);
-          std::sort(trial.instrs[static_cast<size_t>(target)].begin(),
-                    trial.instrs[static_cast<size_t>(target)].end());
-          if (!pressureFeasible(graph, trial)) continue;
-          schedule = std::move(trial);
+          std::vector<AgId>& to = schedule.instrs[static_cast<size_t>(target)];
+          if (!instrLegal(graph, to, id, constraints, scratch)) continue;
+          cycles[id] = target;
+          if (!pressureFeasible(graph, cycles, schedule.numInstructions(),
+                                scratch)) {
+            cycles[id] = c;
+            continue;
+          }
+          from.erase(from.begin() + static_cast<std::ptrdiff_t>(k));
+          to.push_back(id);
+          std::sort(to.begin(), to.end());
           st.opsHoisted += 1;
           changed = true;
           break;
         }
-        if (changed) break;
       }
     }
   }

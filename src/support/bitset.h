@@ -153,6 +153,13 @@ class DynBitset {
   void resetUnchecked(size_t i) {
     words()[i >> 6] &= ~(uint64_t{1} << (i & 63));
   }
+  // operator|= for operands whose equal size the caller checked once.
+  void orUnchecked(const DynBitset& o) {
+    AVIV_DCHECK(size_ == o.size_);
+    uint64_t* w = words();
+    const uint64_t* ow = o.words();
+    for (size_t i = 0, nw = wordCount(); i < nw; ++i) w[i] |= ow[i];
+  }
 
   void setAll() {
     uint64_t* w = words();

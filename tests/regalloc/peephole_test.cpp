@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <tuple>
+
 #include "core/codegen.h"
+#include "fuzz/genblock.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
 #include "regalloc/regalloc.h"
@@ -132,6 +139,417 @@ TEST(Peephole, OutputStoresNeverDeleted) {
       ++storesAfter;
   }
   EXPECT_EQ(storesAfter, storesBefore);
+}
+
+// --- Reference: the pass as it was written before its trials moved in
+// place, kept verbatim in behaviour. Every trial copies the graph or the
+// schedule, and the register bound rescans every value at every cycle. ---
+
+bool referencePressureFeasible(const AssignedGraph& graph,
+                               const Schedule& schedule) {
+  const Machine& machine = graph.machine();
+  const auto cycles = schedule.cycles(graph.size());
+  const auto lastUse = computeLastUse(graph, cycles);
+  DynBitset liveOut(graph.size());
+  for (const auto& [name, def] : graph.outputDefs())
+    if (def != kNoAg) liveOut.set(def);
+
+  for (int c = 0; c < schedule.numInstructions(); ++c) {
+    std::vector<int> pressure(machine.regFiles().size(), 0);
+    for (AgId id = 0; id < graph.size(); ++id) {
+      const AgNode& n = graph.node(id);
+      if (!n.definesRegister() || cycles[id] < 0) continue;
+      const bool born = cycles[id] <= c;
+      const bool aliveLater = liveOut.test(id) || lastUse[id] > c;
+      const bool deadDefHere =
+          cycles[id] == c && lastUse[id] < 0 && !liveOut.test(id);
+      if ((born && aliveLater) || deadDefHere)
+        pressure[n.defLoc.index] += 1;
+    }
+    for (size_t bank = 0; bank < pressure.size(); ++bank)
+      if (pressure[bank] >
+          machine.regFile(static_cast<RegFileId>(bank)).numRegs)
+        return false;
+  }
+  return true;
+}
+
+bool referenceInstrLegal(const AssignedGraph& graph,
+                         const std::vector<AgId>& instr,
+                         const ConstraintDatabase& constraints) {
+  const Machine& machine = graph.machine();
+  std::set<UnitId> units;
+  std::map<BusId, int> busLoad;
+  std::vector<OpSel> sels;
+  for (AgId id : instr) {
+    const AgNode& n = graph.node(id);
+    if (n.kind == AgKind::kOp) {
+      if (!units.insert(n.unit).second) return false;
+      sels.push_back({n.unit, n.machineOp});
+    } else if (n.isTransferish()) {
+      if (++busLoad[graph.busOf(id)] > machine.bus(graph.busOf(id)).capacity)
+        return false;
+    }
+  }
+  return constraints.allows(sels);
+}
+
+void referenceErase(std::vector<AgId>& instr, AgId id) {
+  instr.erase(std::remove(instr.begin(), instr.end(), id), instr.end());
+}
+
+void referencePeephole(AssignedGraph& graph, Schedule& schedule,
+                       const ConstraintDatabase& constraints,
+                       PeepholeStats& st) {
+  st = PeepholeStats{};
+  const int before = schedule.numInstructions();
+
+  // (1) redundant reloads, on a scratch copy per trial.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (AgId id = 0; id < graph.size() && !changed; ++id) {
+      const AgNode& n = graph.node(id);
+      if (n.kind != AgKind::kSpillLoad || n.deleted()) continue;
+      AgId victim = kNoAg;
+      for (AgId pred : n.preds) {
+        const AgNode& p = graph.node(pred);
+        if (p.kind == AgKind::kSpillStore && p.spillSlot == n.spillSlot) {
+          AgId src = p.valueSrc;
+          while (src != kNoAg && graph.node(src).isTransferish() &&
+                 graph.node(src).spillSlot == p.spillSlot)
+            src = graph.node(src).valueSrc;
+          victim = src;
+        }
+      }
+      if (victim == kNoAg) continue;
+      if (!(graph.node(victim).defLoc == n.defLoc)) continue;
+      if (n.succs.empty()) continue;
+      AssignedGraph copy = graph.clone();
+      Schedule copySched = schedule;
+      const auto consumers = copy.node(id).succs;
+      for (AgId c : consumers) copy.retargetConsumer(c, id, victim);
+      const auto cycles = copySched.cycles(copy.size());
+      referenceErase(copySched.instrs[static_cast<size_t>(cycles[id])], id);
+      copy.deleteNode(id);
+      if (!referencePressureFeasible(copy, copySched)) continue;
+      graph = std::move(copy);
+      schedule = std::move(copySched);
+      st.reloadsRemoved += 1;
+      changed = true;
+    }
+  }
+
+  // (1b) dead transfer defs.
+  changed = true;
+  while (changed) {
+    changed = false;
+    const auto cycles = schedule.cycles(graph.size());
+    DynBitset liveOut(graph.size());
+    for (const auto& [name, def] : graph.outputDefs())
+      if (def != kNoAg) liveOut.set(def);
+    for (AgId id = 0; id < graph.size(); ++id) {
+      const AgNode& n = graph.node(id);
+      if (!n.isTransferish() || n.deleted()) continue;
+      if (!n.definesRegister()) continue;
+      if (!n.succs.empty() || liveOut.test(id)) continue;
+      if (cycles[id] < 0) continue;
+      referenceErase(schedule.instrs[static_cast<size_t>(cycles[id])], id);
+      graph.deleteNode(id);
+      st.reloadsRemoved += 1;
+      changed = true;
+    }
+  }
+
+  // (1c) coalesce duplicate reloads, on a scratch copy per trial.
+  changed = true;
+  while (changed) {
+    changed = false;
+    const auto cycles = schedule.cycles(graph.size());
+    for (AgId first = 0; first < graph.size() && !changed; ++first) {
+      const AgNode& a = graph.node(first);
+      if (a.kind != AgKind::kSpillLoad || a.deleted()) continue;
+      for (AgId second = 0; second < graph.size() && !changed; ++second) {
+        if (second == first) continue;
+        const AgNode& b = graph.node(second);
+        if (b.kind != AgKind::kSpillLoad || b.deleted()) continue;
+        if (b.spillSlot != a.spillSlot || !(b.defLoc == a.defLoc)) continue;
+        if (cycles[first] < 0 || cycles[second] < 0) continue;
+        if (cycles[first] >= cycles[second]) continue;
+        if (b.succs.empty()) continue;
+        bool ordered = true;
+        for (AgId c : b.succs) ordered &= cycles[c] > cycles[first];
+        if (!ordered) continue;
+        AssignedGraph copy = graph.clone();
+        Schedule copySched = schedule;
+        const auto consumers = copy.node(second).succs;
+        for (AgId c : consumers) copy.retargetConsumer(c, second, first);
+        referenceErase(copySched.instrs[static_cast<size_t>(cycles[second])],
+                       second);
+        copy.deleteNode(second);
+        if (!referencePressureFeasible(copy, copySched)) continue;
+        graph = std::move(copy);
+        schedule = std::move(copySched);
+        st.reloadsRemoved += 1;
+        changed = true;
+      }
+    }
+  }
+
+  // Dead spill stores.
+  for (AgId id = 0; id < graph.size(); ++id) {
+    const AgNode& n = graph.node(id);
+    if (n.kind != AgKind::kSpillStore || n.deleted()) continue;
+    if (!n.succs.empty()) continue;
+    AgId cur = id;
+    const int slot = n.spillSlot;
+    while (cur != kNoAg && graph.node(cur).isTransferish() &&
+           graph.node(cur).spillSlot == slot &&
+           graph.node(cur).succs.empty()) {
+      const AgId src = graph.node(cur).valueSrc;
+      const auto cycles = schedule.cycles(graph.size());
+      if (cycles[cur] >= 0)
+        referenceErase(schedule.instrs[static_cast<size_t>(cycles[cur])], cur);
+      graph.deleteNode(cur);
+      cur = src;
+    }
+    st.spillStoresRemoved += 1;
+  }
+
+  // (2) compaction, on a schedule copy per trial.
+  changed = true;
+  while (changed) {
+    changed = false;
+    auto cycles = schedule.cycles(graph.size());
+    for (int c = 1; c < schedule.numInstructions() && !changed; ++c) {
+      const std::vector<AgId> members = schedule.instrs[static_cast<size_t>(c)];
+      for (AgId id : members) {
+        int earliest = 0;
+        for (AgId pred : graph.node(id).preds)
+          earliest = std::max(earliest, cycles[pred] + 1);
+        for (int target = earliest; target < c; ++target) {
+          std::vector<AgId> candidate =
+              schedule.instrs[static_cast<size_t>(target)];
+          candidate.push_back(id);
+          if (!referenceInstrLegal(graph, candidate, constraints)) continue;
+          Schedule trial = schedule;
+          referenceErase(trial.instrs[static_cast<size_t>(c)], id);
+          trial.instrs[static_cast<size_t>(target)].push_back(id);
+          std::sort(trial.instrs[static_cast<size_t>(target)].begin(),
+                    trial.instrs[static_cast<size_t>(target)].end());
+          if (!referencePressureFeasible(graph, trial)) continue;
+          schedule = std::move(trial);
+          st.opsHoisted += 1;
+          changed = true;
+          break;
+        }
+        if (changed) break;
+      }
+    }
+  }
+
+  // (3) drop empty instructions.
+  std::vector<std::vector<AgId>> packed;
+  for (auto& instr : schedule.instrs)
+    if (!instr.empty()) packed.push_back(std::move(instr));
+  schedule.instrs = std::move(packed);
+  st.instructionsSaved = before - schedule.numInstructions();
+  verifySchedule(graph, schedule, constraints);
+}
+
+// Runs the pass and the reference on copies of one covering and expects the
+// same schedule, statistics and graph edges. Returns the pass's statistics.
+PeepholeStats expectSameAsReference(const CoreResult& core,
+                                    const ConstraintDatabase& constraints,
+                                    const std::string& what) {
+  AssignedGraph graph = core.graph.clone();
+  Schedule schedule = core.schedule;
+  PeepholeStats stats;
+  peepholeOptimize(graph, schedule, constraints, &stats);
+  AssignedGraph refGraph = core.graph.clone();
+  Schedule refSchedule = core.schedule;
+  PeepholeStats refStats;
+  referencePeephole(refGraph, refSchedule, constraints, refStats);
+  EXPECT_EQ(schedule.instrs, refSchedule.instrs) << what;
+  EXPECT_EQ(std::tie(stats.reloadsRemoved, stats.spillStoresRemoved,
+                     stats.opsHoisted, stats.instructionsSaved),
+            std::tie(refStats.reloadsRemoved, refStats.spillStoresRemoved,
+                     refStats.opsHoisted, refStats.instructionsSaved))
+      << what;
+  EXPECT_EQ(graph.size(), refGraph.size()) << what;
+  for (AgId id = 0; id < std::min(graph.size(), refGraph.size()); ++id) {
+    const AgNode& n = graph.node(id);
+    const AgNode& r = refGraph.node(id);
+    EXPECT_TRUE(n.kind == r.kind &&
+                std::vector<AgId>(n.preds.begin(), n.preds.end()) ==
+                    std::vector<AgId>(r.preds.begin(), r.preds.end()))
+        << what << " node " << id;
+  }
+  return stats;
+}
+
+// The pass moves its trials in place and counts pressure by intervals; it
+// must take exactly the decisions of the copy-per-trial reference on every
+// shipped block × machine (arch1 also at 2 and 4 registers, where it spills).
+TEST(Peephole, MatchesCopyingReferenceOnShippedBlocks) {
+  std::vector<std::pair<std::string, int>> machines = {
+      {"arch1", 0}, {"arch1", 2}, {"arch1", 4}, {"arch2", 0},
+      {"arch3", 0}, {"arch4", 0}, {"dsp16", 0}, {"zoo/asym", 0},
+      {"zoo/buffered", 0}, {"zoo/constrained", 0}, {"zoo/minimal", 0},
+      {"zoo/tiny", 0}, {"zoo/wide", 0}};
+  PeepholeStats total;
+  int compiled = 0;
+  for (const auto& [machineName, regs] : machines) {
+    const Machine base = loadMachine(machineName);
+    const Machine machine = regs > 0 ? base.withRegisterCount(regs) : base;
+    const MachineDatabases dbs(machine);
+    for (const char* block : {"biquad", "dct4", "ex1", "ex2", "ex3", "ex4",
+                              "ex5", "fig2", "fig6", "matvec2"}) {
+      const BlockDag dag = loadBlock(block);
+      std::optional<CoreResult> core;
+      try {
+        core.emplace(coverBlock(dag, machine, dbs, CodegenOptions{}));
+      } catch (const Error&) {
+        continue;  // a pair the machine cannot compile
+      }
+      ++compiled;
+      const PeepholeStats st = expectSameAsReference(
+          *core, dbs.constraints,
+          std::string(block) + "/" + machineName + "/r" +
+              std::to_string(regs));
+      total.reloadsRemoved += st.reloadsRemoved;
+      total.opsHoisted += st.opsHoisted;
+    }
+  }
+  EXPECT_GT(compiled, 100);
+  // Every kind of trial ran and was taken somewhere.
+  EXPECT_GT(total.reloadsRemoved, 0);
+  EXPECT_GT(total.opsHoisted, 0);
+}
+
+// The same on 520 generated blocks of 6–16 operations on the zoo machines
+// that spill, where the reload trials run most.
+TEST(Peephole, MatchesCopyingReferenceOnGeneratedSpillingBlocks) {
+  PeepholeStats total;
+  int compiled = 0;
+  for (const char* machineName :
+       {"zoo/tiny", "zoo/buffered", "zoo/minimal", "zoo/constrained"}) {
+    const Machine machine = loadMachine(machineName);
+    const MachineDatabases dbs(machine);
+    for (uint64_t seed = 1; seed <= 130; ++seed) {
+      const BlockDag dag =
+          generateBlock(machine, {.seed = seed, .minOps = 6, .maxOps = 16});
+      std::optional<CoreResult> core;
+      try {
+        core.emplace(coverBlock(dag, machine, dbs, CodegenOptions{}));
+      } catch (const Error&) {
+        continue;
+      }
+      ++compiled;
+      const PeepholeStats st = expectSameAsReference(
+          *core, dbs.constraints,
+          std::string(machineName) + " seed " + std::to_string(seed));
+      total.reloadsRemoved += st.reloadsRemoved;
+      total.spillStoresRemoved += st.spillStoresRemoved;
+      total.opsHoisted += st.opsHoisted;
+    }
+  }
+  EXPECT_GE(compiled, 500);
+  EXPECT_GT(total.reloadsRemoved, 0);
+  EXPECT_GT(total.spillStoresRemoved, 0);
+  EXPECT_GT(total.opsHoisted, 0);
+}
+
+// firstPressureOverflow, which the pass's trials call, gives the per-cycle
+// reference's verdict on random in-place moves (anywhere between a node's
+// operands and consumers, or anywhere at all), on unscheduled nodes, and on
+// simulated reload replacements checked against an edited copy.
+TEST(Peephole, IntervalPressureMatchesPerCycleCount) {
+  std::mt19937 rng(20261019);
+  size_t verdicts[2] = {0, 0};
+  size_t renames = 0;
+  for (const auto& [block, machineName, regs] :
+       {std::tuple{"ex4", "arch1", 2}, std::tuple{"ex5", "arch1", 2},
+        std::tuple{"dct4", "arch1", 4}, std::tuple{"dct4", "zoo/buffered", 0},
+        std::tuple{"ex5", "zoo/tiny", 0}, std::tuple{"dct4", "dsp16", 2},
+        std::tuple{"biquad", "zoo/minimal", 0}}) {
+    const Machine base = loadMachine(machineName);
+    const Machine machine = regs > 0 ? base.withRegisterCount(regs) : base;
+    const MachineDatabases dbs(machine);
+    std::optional<CoreResult> core;
+    try {
+      core.emplace(
+          coverBlock(loadBlock(block), machine, dbs, CodegenOptions{}));
+    } catch (const Error&) {
+      continue;
+    }
+    const AssignedGraph& graph = core->graph;
+    const std::string what = std::string(block) + "/" + machineName;
+    PressureScratch scratch;
+    Schedule schedule = core->schedule;
+    for (int edit = 0; edit < 600; ++edit) {
+      if (edit % 5 == 0) schedule = core->schedule;
+      auto& instrs = schedule.instrs;
+      const size_t from = rng() % instrs.size();
+      if (instrs[from].empty()) continue;
+      const size_t k = rng() % instrs[from].size();
+      const AgId id = instrs[from][k];
+      std::vector<int> cycle = schedule.cycles(graph.size());
+      int lo = 0;
+      int hi = static_cast<int>(instrs.size()) - 1;
+      if (rng() % 2 == 0) {
+        for (AgId pred : graph.node(id).preds)
+          lo = std::max(lo, cycle[pred] + 1);
+        for (AgId succ : graph.node(id).succs)
+          if (cycle[succ] >= 0) hi = std::min(hi, cycle[succ] - 1);
+      }
+      if (lo > hi) continue;
+      instrs[from].erase(instrs[from].begin() + static_cast<std::ptrdiff_t>(k));
+      if (rng() % 8 != 0) {  // else the node stays unscheduled
+        const auto to =
+            static_cast<size_t>(lo) + rng() % static_cast<size_t>(hi - lo + 1);
+        instrs[to].push_back(id);
+        std::sort(instrs[to].begin(), instrs[to].end());
+      }
+      cycle = schedule.cycles(graph.size());
+      const bool expected = referencePressureFeasible(graph, schedule);
+      EXPECT_EQ(!firstPressureOverflow(graph, cycle, instrs.size(), scratch),
+                expected)
+          << what << " edit " << edit;
+      verdicts[expected ? 1 : 0] += 1;
+    }
+    // A simulated replacement of each reload by an earlier value of its bank
+    // against the edited graph.
+    const std::vector<int> cycle = core->schedule.cycles(graph.size());
+    for (AgId from = 0; from < graph.size(); ++from) {
+      const AgNode& n = graph.node(from);
+      if (n.kind != AgKind::kSpillLoad || n.succs.empty()) continue;
+      for (AgId to = 0; to < graph.size(); ++to) {
+        if (to == from || !graph.node(to).definesRegister() ||
+            !(graph.node(to).defLoc == n.defLoc) || cycle[to] < 0 ||
+            cycle[to] >= cycle[from])
+          continue;
+        AssignedGraph edited = graph.clone();
+        Schedule editedSchedule = core->schedule;
+        const auto consumers = edited.node(from).succs;
+        for (AgId c : consumers) edited.retargetConsumer(c, from, to);
+        referenceErase(
+            editedSchedule.instrs[static_cast<size_t>(cycle[from])], from);
+        edited.deleteNode(from);
+        std::vector<int> simulated = cycle;
+        simulated[from] = -1;
+        EXPECT_EQ(!firstPressureOverflow(graph, simulated,
+                                         core->schedule.instrs.size(),
+                                         scratch, from, to),
+                  referencePressureFeasible(edited, editedSchedule))
+            << what << " a" << from << " -> a" << to;
+        ++renames;
+      }
+    }
+  }
+  EXPECT_GT(verdicts[0], 0u);
+  EXPECT_GT(verdicts[1], 0u);
+  EXPECT_GT(renames, 0u);
 }
 
 }  // namespace
