@@ -92,10 +92,13 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   const int before = schedule.numInstructions();
   PeepholeScratch scratch;
 
+  // Each node's instruction (-1 when unscheduled or deleted), kept in step
+  // with the schedule by every pass below.
+  std::vector<int> cycles = schedule.cycles(graph.size());
+
   // --- (1) redundant reloads: a trial counts the pressure with the
   // reload's reads moved to the spilled value and the reload unscheduled;
   // only a feasible rewire edits the graph. -------------------------------
-  std::vector<int> cycles = schedule.cycles(graph.size());
   bool changed = true;
   while (changed) {
     changed = false;
@@ -132,7 +135,6 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   changed = true;
   while (changed) {
     changed = false;
-    cycles = schedule.cycles(graph.size());
     DynBitset liveOut(graph.size());
     for (const auto& [name, def] : graph.outputDefs())
       if (def != kNoAg) liveOut.set(def);
@@ -146,6 +148,7 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
       if (!n.succs.empty() || liveOut.test(id)) continue;
       if (cycles[id] < 0) continue;
       eraseFromInstr(schedule.instrs[static_cast<size_t>(cycles[id])], id);
+      cycles[id] = -1;
       graph.deleteNode(id);
       st.reloadsRemoved += 1;
       changed = true;
@@ -155,7 +158,6 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   // --- (1c) coalesce duplicate reloads: two scheduled reloads of the same
   // slot into the same bank can share the earlier one when extending its
   // live range keeps every bank within limits (simulated as in (1)). -----
-  cycles = schedule.cycles(graph.size());
   changed = true;
   while (changed) {
     changed = false;
@@ -196,9 +198,10 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
            graph.node(cur).spillSlot == slot &&
            graph.node(cur).succs.empty()) {
       const AgId src = graph.node(cur).valueSrc;
-      const auto cycles = schedule.cycles(graph.size());
-      if (cycles[cur] >= 0)
+      if (cycles[cur] >= 0) {
         eraseFromInstr(schedule.instrs[static_cast<size_t>(cycles[cur])], cur);
+        cycles[cur] = -1;
+      }
       graph.deleteNode(cur);
       cur = src;
     }
@@ -210,7 +213,7 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   // restores its cycle, and only an accepted hoist edits the instruction
   // vectors. The pass restarts at cycle 1 after every hoist and tries the
   // targets from the earliest upward. -----------------------------------
-  cycles = schedule.cycles(graph.size());
+  AVIV_DCHECK(cycles == schedule.cycles(graph.size()));
   changed = true;
   while (changed) {
     changed = false;
