@@ -46,6 +46,15 @@ void resolveSymbols(CodeImage& image, const SymbolScope& scope,
   for (OutputBinding& binding : image.outputs) fix(binding.memAddr);
 }
 
+void requireDataMemoryFits(const CodeImage& image, int variableWords,
+                           const Machine& machine) {
+  if (variableWords <= image.spillBase) return;
+  throw Error("data memory of machine '" + machine.name() +
+              "' too small: " + std::to_string(variableWords) +
+              " variable words overlap " +
+              std::to_string(image.numSpillSlots) + " spill slots");
+}
+
 void rebindSymbols(CodeImage& image, const std::vector<std::string>& names,
                    SymbolScope& scope) {
   std::vector<int> newAddr;
@@ -192,11 +201,8 @@ CodeImage encodeBlock(const AssignedGraph& graph, const Schedule& schedule,
 
   // Deferred scopes cannot know the merged table size yet; the driver
   // re-checks after resolveSymbols.
-  if (!symbols.deferred() && symbols.sizeWords() > image.spillBase)
-    throw Error("data memory of machine '" + machine.name() +
-                "' too small: " + std::to_string(symbols.sizeWords()) +
-                " variable words overlap " +
-                std::to_string(image.numSpillSlots) + " spill slots");
+  if (!symbols.deferred())
+    requireDataMemoryFits(image, symbols.sizeWords(), machine);
   return image;
 }
 

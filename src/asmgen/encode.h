@@ -60,6 +60,13 @@ class SymbolScope {
 void resolveSymbols(CodeImage& image, const SymbolScope& scope,
                     SymbolTable& table);
 
+// Throws aviv::Error when `variableWords` words of variables reach into
+// `image`'s spill slots at the top of `machine`'s data memory. encodeBlock
+// checks a direct scope; a deferred scope is checked by whoever binds its
+// names to final addresses (resolveSymbols, rebindSymbols).
+void requireDataMemoryFits(const CodeImage& image, int variableWords,
+                           const Machine& machine);
+
 // Replays a scope-independent image (provisional addresses whose ordinal i
 // refers to names[i]) into `scope`: each name is interned in first-use
 // order and the provisional addresses are rewritten to whatever the scope

@@ -5,8 +5,9 @@
 
 #include "core/assign_explore.h"
 #include "core/assigned.h"
+#include "core/cover.h"
 #include "core/legality.h"
-#include "core/spill.h"
+#include "core/workspace.h"
 #include "support/error.h"
 #include "support/timer.h"
 
@@ -36,7 +37,11 @@ class ScheduleSearch {
         deadline_(deadline),
         best_(best),
         states_(statesVisited),
-        heights_(graph.levelsFromTop()) {}
+        heights_(graph.levelsFromTop()),
+        liveOut_(graph.size()) {
+    for (const auto& [name, def] : graph.outputDefs())
+      if (def != kNoAg) liveOut_.set(def);
+  }
 
   // True when the search space was exhausted (not cut by the deadline).
   bool run() {
@@ -89,15 +94,13 @@ class ScheduleSearch {
       return;
     memo_[covered] = depth;
 
-    // Ready nodes.
+    // Ready nodes, and the live values the leaves' pressure probes start
+    // from. The subsets are enumerated before any child search overwrites
+    // the shared step state.
+    computeStepState(graph_, covered, liveOut_, heights_, step_);
     std::vector<AgId> ready;
-    for (AgId id = 0; id < graph_.size(); ++id) {
-      if (covered.test(id)) continue;
-      bool allPreds = true;
-      for (AgId pred : graph_.node(id).preds)
-        allPreds &= covered.test(pred);
-      if (allPreds) ready.push_back(id);
-    }
+    step_.ready.forEach(
+        [&](size_t i) { ready.push_back(static_cast<AgId>(i)); });
     AVIV_CHECK(!ready.empty());
 
     // Enumerate every legal nonempty subset of ready nodes, larger first.
@@ -116,35 +119,29 @@ class ScheduleSearch {
     }
   }
 
+  // Every rule of firstInstrFault is monotone, so a member that makes the
+  // instruction illegal is never included and every leaf is legal; the
+  // pressure, which a member can lower, is checked at the leaf.
   void enumerateSubsets(const std::vector<AgId>& ready, size_t idx,
                         DynBitset& current, const DynBitset& covered,
                         std::vector<DynBitset>& out) {
     if (idx == ready.size()) {
-      if (current.none()) return;
-      if (!cliqueIsLegal(current, graph_, cons_)) return;
-      if (!pressureWithinLimits(graph_,
-                                bankPressure(graph_, covered, &current)))
+      if (members_.empty()) return;
+      if (!probePressure(graph_, step_, covered, liveOut_, current, probe_))
         return;
       out.push_back(current);
       return;
     }
     // Exclude ready[idx].
     enumerateSubsets(ready, idx + 1, current, covered, out);
-    // Include ready[idx] if structurally compatible so far (unit clash
-    // pruning; bus/constraint/pressure checked at the leaf).
-    const AgNode& n = graph_.node(ready[idx]);
-    bool clash = false;
-    if (n.kind == AgKind::kOp) {
-      current.forEach([&](size_t i) {
-        const AgNode& o = graph_.node(static_cast<AgId>(i));
-        clash |= o.kind == AgKind::kOp && o.unit == n.unit;
-      });
-    }
-    if (!clash) {
-      current.set(ready[idx]);
-      enumerateSubsets(ready, idx + 1, current, covered, out);
-      current.reset(ready[idx]);
-    }
+    // Include ready[idx] if the instruction stays legal.
+    if (firstInstrFault(graph_, members_, ready[idx], cons_, legality_))
+      return;
+    current.set(ready[idx]);
+    members_.push_back(ready[idx]);
+    enumerateSubsets(ready, idx + 1, current, covered, out);
+    members_.pop_back();
+    current.reset(ready[idx]);
   }
 
   const AssignedGraph& graph_;
@@ -154,6 +151,11 @@ class ScheduleSearch {
   int* best_;
   size_t* states_;
   std::vector<int> heights_;
+  DynBitset liveOut_;
+  CoverStepState step_;
+  ProbeScratch probe_;
+  InstrScratch legality_;
+  std::vector<AgId> members_;  // `current`'s members, in inclusion order
   bool expired_ = false;
   std::map<DynBitset, int, BitsetLess> memo_;
 };

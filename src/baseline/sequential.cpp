@@ -1,10 +1,11 @@
 #include "baseline/sequential.h"
 
 #include <algorithm>
-#include <set>
 
+#include "core/codegen.h"
 #include "core/legality.h"
 #include "core/spill.h"
+#include "core/workspace.h"
 #include "support/error.h"
 
 namespace aviv {
@@ -53,81 +54,60 @@ Assignment selectUnitsLocally(const SplitNodeDag& snd) {
 BaselineResult sequentialCodegen(const BlockDag& ir, const Machine& machine,
                                  const MachineDatabases& dbs,
                                  const CodegenOptions& options) {
-  for (const RegFile& rf : machine.regFiles()) {
-    if (rf.numRegs < 2)
-      throw Error("machine '" + machine.name() + "': register file " +
-                  rf.name + " has fewer than 2 registers");
-  }
-  // Same dead-code-free precondition as coverBlock.
-  {
-    std::vector<bool> live(ir.size(), false);
-    for (const auto& [name, id] : ir.outputs()) live[id] = true;
-    for (NodeId id = ir.size(); id-- > 0;) {
-      for (NodeId operand : ir.node(id).operands)
-        if (live[id]) live[operand] = true;
-    }
-    for (NodeId id = 0; id < ir.size(); ++id)
-      if (isMachineOp(ir.node(id).op) && !live[id])
-        throw Error("block '" + ir.name() +
-                    "': dead operations — run eliminateDeadCode first");
-  }
+  requireCompilableBlock(ir, machine);
   const SplitNodeDag snd = SplitNodeDag::build(ir, machine, dbs, options);
   Assignment assignment = selectUnitsLocally(snd);
   AssignedGraph graph = AssignedGraph::materialize(snd, assignment, options);
 
-  // Phase 2/3: list scheduling with spills.
+  // Phase 2/3: list scheduling with spills, on the covering engine's step
+  // state (what is ready, what is live) and instruction check.
   Schedule schedule;
-  DynBitset covered(graph.size());
-  auto markDeleted = [&] {
+  CoverWorkspace ws;
+  DynBitset& covered = ws.covered;
+  DynBitset& liveOut = ws.liveOut;
+  CoverStepState& step = ws.step;
+  const std::vector<int>& heights = ws.levelTop;
+  covered.clearAndResize(graph.size());
+  liveOut.clearAndResize(graph.size());
+  for (const auto& [name, def] : graph.outputDefs())
+    if (def != kNoAg) liveOut.set(def);
+  auto resync = [&] {
     for (AgId id = 0; id < graph.size(); ++id)
       if (graph.node(id).deleted()) covered.set(id);
+    graph.orderAndLevelsInto(ws);
+    computeStepState(graph, covered, liveOut, heights, step);
   };
-  markDeleted();
+  resync();
   SpillState spillState;
   int spills = 0;
   const size_t spillGuard = 4 * graph.size() + 64;
-  std::vector<int> heights = graph.levelsFromTop();
+  InstrScratch legality;
+  std::vector<AgId> ready;
 
   while (covered.count() < graph.size()) {
     // Ready nodes by critical-path priority.
-    std::vector<AgId> ready;
-    for (AgId id = 0; id < graph.size(); ++id) {
-      if (covered.test(id)) continue;
-      bool allPreds = true;
-      for (AgId pred : graph.node(id).preds) allPreds &= covered.test(pred);
-      if (allPreds) ready.push_back(id);
-    }
+    ready.clear();
+    step.ready.forEach(
+        [&](size_t i) { ready.push_back(static_cast<AgId>(i)); });
     AVIV_REQUIRE_MSG(!ready.empty(), "baseline scheduling deadlock");
     std::stable_sort(ready.begin(), ready.end(), [&](AgId a, AgId b) {
       return heights[a] > heights[b];
     });
 
-    // Greedy slot filling.
+    // Greedy slot filling: a ready node joins when the instruction stays
+    // legal and every bank still fits.
     std::vector<AgId> instr;
-    DynBitset members(graph.size());
+    DynBitset& members = ws.members;
+    members.clearAndResize(graph.size());
     for (AgId id : ready) {
-      // Structural compatibility with already-picked members.
-      bool ok = true;
-      for (AgId other : instr) {
-        const AgNode& a = graph.node(id);
-        const AgNode& b = graph.node(other);
-        if (a.kind == AgKind::kOp && b.kind == AgKind::kOp &&
-            a.unit == b.unit)
-          ok = false;
-        // Ready nodes are mutually independent by construction.
-      }
-      if (!ok) continue;
-      instr.push_back(id);
-      DynBitset candidate = members;
-      candidate.set(id);
-      std::sort(instr.begin(), instr.end());
-      if (!cliqueIsLegal(candidate, graph, dbs.constraints) ||
-          !pressureWithinLimits(graph,
-                                bankPressure(graph, covered, &candidate))) {
-        instr.erase(std::remove(instr.begin(), instr.end(), id), instr.end());
+      if (firstInstrFault(graph, instr, id, dbs.constraints, legality))
+        continue;
+      members.set(id);
+      if (!probePressure(graph, step, covered, liveOut, members, ws.probe)) {
+        members.reset(id);
         continue;
       }
-      members = std::move(candidate);
+      instr.insert(std::upper_bound(instr.begin(), instr.end(), id), id);
     }
 
     if (instr.empty()) {
@@ -135,14 +115,17 @@ BaselineResult sequentialCodegen(const BlockDag& ir, const Machine& machine,
         throw Error("block '" + ir.name() + "' on machine '" +
                     machine.name() +
                     "': baseline assignment cannot satisfy register limits");
-      performSpill(graph, dbs.transfers, covered, spillState);
+      performSpill(graph, dbs.transfers, covered, spillState,
+                   step.basePressure, liveOut);
       spills += 1;
       covered.resize(graph.size(), false);
-      markDeleted();
-      heights = graph.levelsFromTop();
+      liveOut.resize(graph.size(), false);
+      resync();
       continue;
     }
     covered |= members;
+    advanceStepState(graph, Span<const uint32_t>(instr.data(), instr.size()),
+                     covered, liveOut, heights, step);
     schedule.instrs.push_back(std::move(instr));
   }
 

@@ -17,23 +17,6 @@ namespace aviv {
 
 namespace {
 
-// The covering/allocation machinery assumes every operation's value is
-// consumed or live-out (the front end's DCE guarantees it; Section II).
-void requireNoDeadOps(const BlockDag& ir) {
-  std::vector<bool> live(ir.size(), false);
-  for (const auto& [name, id] : ir.outputs()) live[id] = true;
-  for (NodeId id = ir.size(); id-- > 0;) {
-    for (NodeId operand : ir.node(id).operands)
-      if (live[id]) live[operand] = true;
-  }
-  for (NodeId id = 0; id < ir.size(); ++id) {
-    if (isMachineOp(ir.node(id).op) && !live[id])
-      throw Error("block '" + ir.name() + "': " + ir.describe(id) +
-                  " is dead (not reachable from any output) — run "
-                  "eliminateDeadCode before compiling");
-  }
-}
-
 // What covering one candidate assignment did. Every candidate of a wave
 // writes its own slot, so workers share nothing; the serial walk after the
 // wave reads the slots in candidate order. A slot's contents depend only on
@@ -54,6 +37,26 @@ struct Outcome {
 };
 
 }  // namespace
+
+void requireCompilableBlock(const BlockDag& ir, const Machine& machine) {
+  std::vector<bool> live(ir.size(), false);
+  for (const auto& [name, id] : ir.outputs()) live[id] = true;
+  for (NodeId id = ir.size(); id-- > 0;) {
+    for (NodeId operand : ir.node(id).operands)
+      if (live[id]) live[operand] = true;
+  }
+  for (NodeId id = 0; id < ir.size(); ++id) {
+    if (isMachineOp(ir.node(id).op) && !live[id])
+      throw Error("block '" + ir.name() + "': " + ir.describe(id) +
+                  " is dead (not reachable from any output) — run "
+                  "eliminateDeadCode before compiling");
+  }
+  for (const RegFile& rf : machine.regFiles()) {
+    if (rf.numRegs < 2)
+      throw Error("machine '" + machine.name() + "': register file " +
+                  rf.name + " has fewer than 2 registers");
+  }
+}
 
 CodegenOptions explorationOptions(const SplitNodeDag& snd,
                                   const CodegenOptions& options) {
@@ -93,14 +96,7 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
     throw InternalError("block '" + ir.name() +
                         "': fail point 'cover-internal' fired");
 
-  requireNoDeadOps(ir);
-  // Register requirements below two per bank cannot even hold a binary
-  // operation's operands; reject early with a clear message.
-  for (const RegFile& rf : machine.regFiles()) {
-    if (rf.numRegs < 2)
-      throw Error("machine '" + machine.name() + "': register file " +
-                  rf.name + " has fewer than 2 registers");
-  }
+  requireCompilableBlock(ir, machine);
 
   deadline->check("split-node construction");
   const SplitNodeDag snd = [&] {

@@ -117,6 +117,14 @@ struct CoreResult {
                                     TelemetryNode* phase = nullptr,
                                     const Deadline* deadline = nullptr);
 
+// Rejects, with the error a client sees, a block the pipeline cannot
+// take: an operation no output reaches (covering and allocation assume
+// every value is consumed or live-out, which the front end's dead-code
+// elimination guarantees; Section II), or a register file with fewer than
+// two registers (too few for a binary operation's operands). coverBlock and
+// the sequential baseline both call it.
+void requireCompilableBlock(const BlockDag& ir, const Machine& machine);
+
 // The options step 2 explores with: `options` itself, unless the block's
 // whole assignment space (the product of its operations' alternative
 // counts) is at most CodegenOptions::smallSpaceExhaustive — then the space

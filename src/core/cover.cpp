@@ -44,10 +44,31 @@ namespace {
 // a subset and adds singletons for the nodes it left out.
 constexpr size_t kMaxCliquesPerRound = 250'000;
 
-// The step state of `covered` (CoverStepState), computed from scratch: once
-// per clique-round sort (the first round and after every spill) and, in
-// DCHECK builds, after every step to check the incremental updates of
-// advanceStepState. `heights` holds the graph's levels from the top.
+// Lower bound on the instructions a covering still has to emit: the larger
+// of
+//   * the most uncovered operations waiting on one functional unit (each
+//     instruction issues at most one operation per unit), and
+//   * the longest dependency chain starting at an uncovered operation, plus
+//     one when that operation still waits on an uncovered predecessor
+//     (every node on a chain needs its own, later instruction): the step
+//     state's highest non-empty chain key.
+// Spills keep the bound valid: they never delete or re-unit an operation
+// and only rewire consumers of covered values (onto reload chains, deleting
+// those values' transfers). Every descendant of an uncovered operation is
+// uncovered and carries an uncovered value, so no chain below an uncovered
+// operation ever shortens, and a rewired operation still waits on its
+// reload.
+int remainingInstructionsBound(const CoverStepState& s) {
+  int bound = s.topChain;
+  for (const int load : s.unitLoad) bound = std::max(bound, load);
+  return bound;
+}
+
+}  // namespace
+
+// The covering engine computes it once per clique-round sort (the first
+// round and after every spill) and, in DCHECK builds, after every step to
+// check the incremental updates of advanceStepState.
 void computeStepState(const AssignedGraph& graph, const DynBitset& covered,
                       const DynBitset& liveOut,
                       const std::vector<int>& heights, CoverStepState& s) {
@@ -58,7 +79,8 @@ void computeStepState(const AssignedGraph& graph, const DynBitset& covered,
   s.pendingPreds.assign(n, 0);
   s.pendingSuccs.assign(n, 0);
   s.unitLoad.assign(graph.machine().units().size(), 0);
-  const int maxHeight = *std::max_element(heights.begin(), heights.end());
+  const int maxHeight =
+      heights.empty() ? 0 : *std::max_element(heights.begin(), heights.end());
   s.chainCount.assign(static_cast<size_t>(maxHeight) + 3, 0);
   s.topChain = 0;
   for (AgId id = 0; id < n; ++id) {
@@ -82,13 +104,12 @@ void computeStepState(const AssignedGraph& graph, const DynBitset& covered,
   }
 }
 
-// Moves the step state across one emitted instruction whose `members` were
-// ready and are now set in `covered`. Only the members, their successors
-// and their predecessors change: members leave the ready set and the
-// counts; a successor whose last uncovered predecessor was a member becomes
-// ready (its chain key drops by one); a member value with a consumer left,
-// or a block output, starts holding a register; a producer whose last
-// uncovered consumer was a member frees its register.
+// Only the members, their successors and their predecessors change:
+// members leave the ready set and the counts; a successor whose last
+// uncovered predecessor was a member becomes ready (its chain key drops by
+// one); a member value with a consumer left, or a block output, starts
+// holding a register; a producer whose last uncovered consumer was a
+// member frees its register.
 void advanceStepState(const AssignedGraph& graph,
                       Span<const uint32_t> members, const DynBitset& covered,
                       const DynBitset& liveOut,
@@ -126,27 +147,46 @@ void advanceStepState(const AssignedGraph& graph,
     --s.topChain;
 }
 
-// Lower bound on the instructions a covering still has to emit: the larger
-// of
-//   * the most uncovered operations waiting on one functional unit (each
-//     instruction issues at most one operation per unit), and
-//   * the longest dependency chain starting at an uncovered operation, plus
-//     one when that operation still waits on an uncovered predecessor
-//     (every node on a chain needs its own, later instruction): the step
-//     state's highest non-empty chain key.
-// Spills keep the bound valid: they never delete or re-unit an operation
-// and only rewire consumers of covered values (onto reload chains, deleting
-// those values' transfers). Every descendant of an uncovered operation is
-// uncovered and carries an uncovered value, so no chain below an uncovered
-// operation ever shortens, and a rewired operation still waits on its
-// reload.
-int remainingInstructionsBound(const CoverStepState& s) {
-  int bound = s.topChain;
-  for (const int load : s.unitLoad) bound = std::max(bound, load);
-  return bound;
+bool probePressure(const AssignedGraph& graph, const CoverStepState& step,
+                   const DynBitset& covered, const DynBitset& liveOut,
+                   const DynBitset& set, ProbeScratch& s) {
+  if (s.retireTouched.size() != graph.size())
+    s.retireTouched.clearAndResize(graph.size());
+  s.pressure = step.basePressure;
+  s.retireList.clear();
+  set.forEach([&](size_t i) {
+    const auto m = static_cast<AgId>(i);
+    const AgNode& n = graph.node(m);
+    if (n.definesRegister()) {
+      bool live = liveOut.test(m);
+      if (!live)
+        for (AgId succ : n.succs)
+          if (!covered.test(succ) && !set.test(succ)) {
+            live = true;
+            break;
+          }
+      if (live) s.pressure[n.defLoc.index] += 1;
+    }
+    for (AgId pred : n.preds) {
+      // Only covered producers counted live via an uncovered consumer can
+      // flip; liveOut producers never retire.
+      if (!step.baseLive.test(pred) || liveOut.test(pred)) continue;
+      if (s.retireTouched.test(pred)) continue;
+      s.retireTouched.set(pred);
+      s.retireList.push_back(pred);
+      bool stillLive = false;
+      for (AgId succ : graph.node(pred).succs)
+        if (!covered.test(succ) && !set.test(succ)) {
+          stillLive = true;
+          break;
+        }
+      if (!stillLive) s.pressure[graph.node(pred).defLoc.index] -= 1;
+    }
+  });
+  for (const uint32_t pred : s.retireList) s.retireTouched.reset(pred);
+  AVIV_DCHECK(s.pressure == bankPressure(graph, covered, &set));
+  return pressureWithinLimits(graph, s.pressure);
 }
-
-}  // namespace
 
 Schedule CoveringEngine::run(CoverStats* stats) {
   return *cover(stats, nullptr);
@@ -188,47 +228,6 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
   bool rebuild = true;
   const size_t spillGuard = 4 * graph_.size() + 64;
 
-  // Register pressure if the nodes of `set` (a subset of the ready set)
-  // were emitted now, into ws.pressure: the step's base pressure, plus the
-  // set's register-defining members that stay live, minus the covered
-  // producers whose every remaining consumer is in the set. Equivalent to
-  // bankPressure(graph_, covered, &set) in O(|set|).
-  auto probePressure = [&](const DynBitset& set) {
-    ws.pressure = step.basePressure;
-    ws.retireList.clear();
-    set.forEach([&](size_t i) {
-      const auto m = static_cast<AgId>(i);
-      const AgNode& n = graph_.node(m);
-      if (n.definesRegister()) {
-        bool live = liveOut.test(m);
-        if (!live)
-          for (AgId succ : n.succs)
-            if (!covered.test(succ) && !set.test(succ)) {
-              live = true;
-              break;
-            }
-        if (live) ws.pressure[n.defLoc.index] += 1;
-      }
-      for (AgId pred : n.preds) {
-        // Only covered producers counted live via an uncovered consumer
-        // can flip; liveOut producers never retire.
-        if (!step.baseLive.test(pred) || liveOut.test(pred)) continue;
-        if (ws.retireTouched.test(pred)) continue;
-        ws.retireTouched.set(pred);
-        ws.retireList.push_back(pred);
-        bool stillLive = false;
-        for (AgId succ : graph_.node(pred).succs)
-          if (!covered.test(succ) && !set.test(succ)) {
-            stillLive = true;
-            break;
-          }
-        if (!stillLive) ws.pressure[graph_.node(pred).defLoc.index] -= 1;
-      }
-    });
-    for (const uint32_t pred : ws.retireList) ws.retireTouched.reset(pred);
-    return pressureWithinLimits(graph_, ws.pressure);
-  };
-
   while (true) {
     if (covered.count() == graph_.size()) break;
     if (deadline_ != nullptr) {
@@ -241,7 +240,6 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
     if (rebuild) {
       graph_.orderAndLevelsInto(ws);
       computeStepState(graph_, covered, liveOut, heights, step);
-      ws.retireTouched.clearAndResize(graph_.size());
     }
     // The bound is checked before the first round and after every emitted
     // instruction or spill; without a cutoff only the round-0 value is
@@ -375,7 +373,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
       const size_t seenIdx = seenCount++;
 
       const DynBitset* members = &eligible;
-      if (!probePressure(eligible)) {
+      if (!probePressure(graph_, step, covered, liveOut, eligible, ws.probe)) {
         // A set that does not fit whole fits at most size - 1 members.
         if (size - 1 < bestScore) continue;
         // Greedy fit: ops first (they retire operand values), then
@@ -393,7 +391,8 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
         fit.clearAndResize(graph_.size());
         for (uint32_t id : ws.tryOrder) {
           fit.set(id);
-          if (!probePressure(fit)) fit.reset(id);
+          if (!probePressure(graph_, step, covered, liveOut, fit, ws.probe))
+            fit.reset(id);
         }
         members = &fit;
       }
@@ -569,10 +568,7 @@ void verifySchedule(const AssignedGraph& graph, const Schedule& schedule,
                                       << " times");
   }
 
-  // Per-instruction resource use, reset after each instruction.
-  std::vector<uint8_t> unitUsed(machine.units().size(), 0);
-  std::vector<int> busLoad(machine.buses().size(), 0);
-  std::vector<OpSel> sels;
+  InstrScratch legality;
   for (size_t c = 0; c < schedule.instrs.size(); ++c) {
     const auto& instr = schedule.instrs[c];
     // Dependencies strictly earlier.
@@ -584,29 +580,15 @@ void verifySchedule(const AssignedGraph& graph, const Schedule& schedule,
                                           << graph.describe(pred));
       }
     }
-    // Unit exclusivity.
-    sels.clear();
-    for (AgId id : instr) {
-      const AgNode& n = graph.node(id);
-      if (n.kind == AgKind::kOp) {
-        AVIV_REQUIRE_MSG(unitUsed[n.unit] == 0,
-                       "two ops on unit " << machine.unit(n.unit).name
-                                          << " in instruction " << c);
-        unitUsed[n.unit] = 1;
-        sels.push_back({n.unit, n.machineOp});
-      } else if (n.isTransferish()) {
-        busLoad[graph.busOf(id)] += 1;
-      }
-    }
-    for (size_t bus = 0; bus < busLoad.size(); ++bus) {
-      AVIV_REQUIRE_MSG(busLoad[bus] <= machine.buses()[bus].capacity,
-                       "bus " << machine.buses()[bus].name
-                              << " oversubscribed in " << c);
-      busLoad[bus] = 0;
-    }
-    for (const OpSel& sel : sels) unitUsed[sel.unit] = 0;
-    AVIV_REQUIRE_MSG(constraints.allows(sels),
-                   "ISDL constraint violated in instruction " << c);
+    const InstrFault fault =
+        firstInstrFault(graph, instr, kNoAg, constraints, legality);
+    AVIV_REQUIRE_MSG(fault.kind != InstrFault::Kind::kUnit,
+                     "two ops on unit " << machine.unit(fault.unit).name
+                                        << " in instruction " << c);
+    AVIV_REQUIRE_MSG(fault.kind != InstrFault::Kind::kBus,
+                     "bus " << machine.bus(fault.bus).name
+                            << " oversubscribed in " << c);
+    AVIV_REQUIRE_MSG(!fault, "ISDL constraint violated in instruction " << c);
   }
 
   // Register pressure: per-bank live counts after each instruction.

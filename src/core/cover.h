@@ -96,6 +96,32 @@ class CoveringEngine {
   std::unique_ptr<CoverWorkspace> ownedWs_;  // fallback when ws == nullptr
 };
 
+// The step state of `covered` (CoverStepState), computed from scratch.
+// `liveOut` holds the block outputs and `heights` the graph's levels from
+// the top.
+void computeStepState(const AssignedGraph& graph, const DynBitset& covered,
+                      const DynBitset& liveOut,
+                      const std::vector<int>& heights, CoverStepState& s);
+
+// Moves the step state across one emitted instruction whose `members` were
+// ready and are now set in `covered`.
+void advanceStepState(const AssignedGraph& graph,
+                      Span<const uint32_t> members, const DynBitset& covered,
+                      const DynBitset& liveOut,
+                      const std::vector<int>& heights, CoverStepState& s);
+
+// True iff every bank fits if the nodes of `set`, a subset of the ready
+// set, were emitted now; the per-bank pressure is left in
+// scratch.pressure. It is the step's base pressure, plus the set's
+// register-defining members that stay live, minus the covered producers
+// whose every remaining consumer is in the set: bankPressure(graph,
+// covered, &set) (core/spill.h, checked in DCHECK builds) in O(|set|).
+[[nodiscard]] bool probePressure(const AssignedGraph& graph,
+                                 const CoverStepState& step,
+                                 const DynBitset& covered,
+                                 const DynBitset& liveOut,
+                                 const DynBitset& set, ProbeScratch& scratch);
+
 // Asserts (AVIV_REQUIRE — recoverable, so a daemon request that trips an
 // invariant fails without killing the process) that `schedule` is a valid
 // execution of `graph`: every active node exactly once, dependencies

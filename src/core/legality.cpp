@@ -3,27 +3,36 @@
 #include <algorithm>
 
 #include "support/error.h"
-#include "support/smallvec.h"
 
 namespace aviv {
 
-bool cliqueIsLegal(const DynBitset& clique, const AssignedGraph& graph,
-                   const ConstraintDatabase& constraints) {
+InstrFault firstInstrFault(const AssignedGraph& graph,
+                           const std::vector<AgId>& members, AgId extra,
+                           const ConstraintDatabase& constraints,
+                           InstrScratch& s) {
   const std::vector<Bus>& buses = graph.machine().buses();
-  SmallVec<int, 8> load;
-  for (size_t b = 0; b < buses.size(); ++b) load.push_back(0);
-  SmallVec<OpSel, 16> sels;
-  clique.forEach([&](size_t i) {
-    const AgNode& n = graph.node(static_cast<AgId>(i));
-    if (n.isTransferish())
-      load[graph.busOf(static_cast<AgId>(i))] += 1;
-    else if (n.kind == AgKind::kOp)
-      sels.push_back({n.unit, n.machineOp});
-  });
+  s.unitUsed.assign(graph.machine().units().size(), 0);
+  s.busLoad.assign(buses.size(), 0);
+  s.sels.clear();
+  const size_t count = members.size() + (extra != kNoAg ? 1 : 0);
+  for (size_t k = 0; k < count; ++k) {
+    const AgId id = k < members.size() ? members[k] : extra;
+    const AgNode& n = graph.node(id);
+    if (n.kind == AgKind::kOp) {
+      if (s.unitUsed[n.unit] != 0)
+        return {.kind = InstrFault::Kind::kUnit, .unit = n.unit};
+      s.unitUsed[n.unit] = 1;
+      s.sels.push_back({n.unit, n.machineOp});
+    } else if (n.isTransferish()) {
+      s.busLoad[graph.busOf(id)] += 1;
+    }
+  }
   for (size_t b = 0; b < buses.size(); ++b)
-    if (load[b] > buses[b].capacity) return false;
-  return constraints.firstViolated(
-             Span<const OpSel>(sels.data(), sels.size())) == nullptr;
+    if (s.busLoad[b] > buses[b].capacity)
+      return {.kind = InstrFault::Kind::kBus, .bus = static_cast<BusId>(b)};
+  if (!constraints.allows(s.sels))
+    return {.kind = InstrFault::Kind::kConstraint};
+  return {};
 }
 
 namespace {

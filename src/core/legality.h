@@ -41,13 +41,37 @@ struct LegalityScratch {
   std::vector<std::pair<uint32_t, uint32_t>> order;
 };
 
-// True iff the grouping satisfies every ISDL constraint and every bus
-// capacity. Scans the clique's members, since the baseline searches ask
-// about one clique at a time; enforceLegality checks a round's cliques
-// against masks it builds once for the round.
-[[nodiscard]] bool cliqueIsLegal(const DynBitset& clique,
-                                 const AssignedGraph& graph,
-                                 const ConstraintDatabase& constraints);
+// What makes a group of nodes an illegal VLIW instruction, in the order
+// verifySchedule reports it: the first member (in member order) whose unit
+// an earlier member already uses, else the lowest-numbered bus carrying more
+// transfers than its capacity, else a violated ISDL constraint.
+struct InstrFault {
+  enum class Kind : uint8_t { kNone, kUnit, kBus, kConstraint };
+  Kind kind = Kind::kNone;
+  UnitId unit = 0;  // kUnit: the unit used twice
+  BusId bus = 0;    // kBus: the overloaded bus
+
+  explicit operator bool() const { return kind != Kind::kNone; }
+};
+
+// Reused buffers of firstInstrFault.
+struct InstrScratch {
+  std::vector<uint8_t> unitUsed;  // per unit
+  std::vector<int> busLoad;       // per bus
+  std::vector<OpSel> sels;
+};
+
+// The one instruction-legality check: the first fault of `members`, with
+// `extra` (unless kNoAg) appended, or no fault when the group is one legal
+// instruction. Every rule is monotone: a group with a fault keeps one when a
+// member is added. verifySchedule, the peephole pass and both baselines
+// ask it; enforceLegality's per-round masks answer the bus and constraint
+// part for a whole clique round at once.
+[[nodiscard]] InstrFault firstInstrFault(const AssignedGraph& graph,
+                                         const std::vector<AgId>& members,
+                                         AgId extra,
+                                         const ConstraintDatabase& constraints,
+                                         InstrScratch& scratch);
 
 // Splits every illegal clique into legal sub-cliques (dropping the specific
 // node whose removal repairs the violation, recursively: the last member on

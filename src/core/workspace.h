@@ -30,10 +30,12 @@
 
 namespace aviv {
 
-// What one greedy covering step reads that depends on the covered set,
-// kept current across steps (cover.cpp): an emitted instruction updates it
-// at its members, their successors and their predecessors, and one
-// from-scratch routine fills it after every clique-round sort (each spill).
+// What one scheduling step reads that depends on the covered set: the one
+// model of "what is ready and what is live" behind the covering engine, the
+// sequential baseline and the exact search (cover.h). computeStepState
+// fills it from scratch; advanceStepState moves it across one emitted
+// instruction, touching only the members, their successors and their
+// predecessors.
 struct CoverStepState {
   DynBitset ready;     // uncovered nodes whose predecessors are all covered
   DynBitset baseLive;  // covered register values still live: a block output,
@@ -49,6 +51,15 @@ struct CoverStepState {
   int topChain = 0;
 
   bool operator==(const CoverStepState&) const = default;
+};
+
+// Reused buffers of probePressure (cover.h).
+struct ProbeScratch {
+  std::vector<int> pressure;  // the probed set's per-bank pressure
+  // Covered producers already visited for the probed set: all clear
+  // between probes.
+  DynBitset retireTouched;
+  std::vector<uint32_t> retireList;
 };
 
 // A clique ∩ ready set that fits the register banks, scored in one
@@ -74,10 +85,7 @@ struct CoverWorkspace {
   DynBitset active;
   CoverStepState step;
   CoverStepState stepCheck;  // DCHECK builds: `step` recomputed from scratch
-  // The pressure probe's retirement scratch: covered producers already
-  // visited for the probed set.
-  DynBitset retireTouched;
-  std::vector<uint32_t> retireList;
+  ProbeScratch probe;
   // Distinct clique ∩ ready sets already probed this step (storage
   // reused across steps; seenCount marks the live prefix).
   std::vector<DynBitset> seenEligible;
@@ -93,8 +101,7 @@ struct CoverWorkspace {
   std::vector<uint32_t> touching;
   std::vector<uint32_t> touchingReady;
 
-  // Pressure-probe result and the greedy fit's member order.
-  std::vector<int> pressure;
+  // The greedy fit's member order.
   std::vector<uint32_t> tryOrder;
 
   // Graph-analysis scratch: descendants, and the per-round topological

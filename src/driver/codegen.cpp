@@ -79,18 +79,6 @@ CodeGenerator::CodeGenerator(Machine machine, DriverOptions options)
           std::make_shared<const ResolvedMachine>(std::move(machine)),
           std::move(options)) {}
 
-// The per-block overflow check encodeBlock performs for direct scopes;
-// cache-hydrated images need it re-run against the consumer's table.
-static void checkDataMemoryFits(const CodeImage& image,
-                                const SymbolScope& symbols,
-                                const Machine& machine) {
-  if (symbols.deferred() || symbols.sizeWords() <= image.spillBase) return;
-  throw Error("data memory of machine '" + machine.name() +
-              "' too small: " + std::to_string(symbols.sizeWords()) +
-              " variable words overlap " +
-              std::to_string(image.numSpillSlots) + " spill slots");
-}
-
 // Degradation ladder, last rung: produce the block with the sequential
 // baseline generator after the covering flow failed for reason `why`
 // (deadline expiry or a recoverable internal error). Mirrors the driver's
@@ -165,7 +153,8 @@ CompiledBlock CodeGenerator::serveCachedEntry(const CacheEntry& entry,
   CompiledBlock block;
   block.image = entry.image;
   rebindSymbols(block.image, entry.symbolNames, symbols);
-  checkDataMemoryFits(block.image, symbols, ctx_.machine());
+  if (!symbols.deferred())
+    requireDataMemoryFits(block.image, symbols.sizeWords(), ctx_.machine());
   block.fromCache = true;
   if (options_.recordSymbolNames) {
     block.symbolNames = entry.symbolNames;
@@ -358,14 +347,6 @@ CompiledBlock CodeGenerator::compileBlockWith(
   // deterministic output, not whatever a starved run managed to produce.
   const bool wantCache =
       cache != nullptr && !block.degraded && !block.core.stats.timedOut;
-  if (!wantCache && !verifyThis && !options_.recordSymbolNames) {
-    PhaseScope ph(tel, "encode");
-    block.image =
-        encodeBlock(block.core.graph, block.core.schedule, block.regs, symbols);
-    ph.node().setCounter("instructions", block.image.numInstructions());
-    if (cache != nullptr) tel.addCounter("cacheMisses", 1);
-    return block;
-  }
   // Encode against a private deferred scope so the stored/verified image is
   // scope-independent, then replay it into the consumer's scope exactly
   // as a hit would.
@@ -426,7 +407,8 @@ CompiledBlock CodeGenerator::compileBlockWith(
     block.portableImage = block.image;
   }
   rebindSymbols(block.image, recording.recorded(), symbols);
-  checkDataMemoryFits(block.image, symbols, ctx_.machine());
+  if (!symbols.deferred())
+    requireDataMemoryFits(block.image, symbols.sizeWords(), ctx_.machine());
   if (cache != nullptr) tel.addCounter("cacheMisses", 1);
   return block;
 }
@@ -490,12 +472,8 @@ CompiledProgram CodeGenerator::compileProgram(const Program& program) {
     resolveSymbols(block.image, scopes[i], compiled.symbols);
     // The data-memory overflow check encodeBlock defers for private scopes:
     // merged variables must stay below this block's spill slots.
-    if (compiled.symbols.sizeWords() > block.image.spillBase)
-      throw Error("data memory of machine '" + ctx_.machine().name() +
-                  "' too small: " +
-                  std::to_string(compiled.symbols.sizeWords()) +
-                  " variable words overlap " +
-                  std::to_string(block.image.numSpillSlots) + " spill slots");
+    requireDataMemoryFits(block.image, compiled.symbols.sizeWords(),
+                          ctx_.machine());
     compiled.blocks.push_back(std::move(block));
   }
   // Cover the control-flow terminators (one trivial pattern each).

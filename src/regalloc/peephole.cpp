@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/legality.h"
 #include "support/error.h"
 
 namespace aviv {
@@ -16,9 +17,7 @@ void eraseFromInstr(std::vector<AgId>& instr, AgId id) {
 // Scratch reused by every trial of one peephole run.
 struct PeepholeScratch {
   PressureScratch pressure;
-  std::vector<uint8_t> unitUsed;  // per unit
-  std::vector<int> busLoad;       // per bus
-  std::vector<OpSel> sels;
+  InstrScratch legality;
 };
 
 // Checks the per-bank liveness bound over the whole schedule, given as each
@@ -54,31 +53,6 @@ void replaceReload(AssignedGraph& graph, Schedule& schedule,
   eraseFromInstr(schedule.instrs[static_cast<size_t>(cycles[from])], from);
   cycles[from] = -1;
   graph.deleteNode(from);
-}
-
-// Instruction-level legality of `instr` with `extra` added.
-bool instrLegal(const AssignedGraph& graph, const std::vector<AgId>& instr,
-                AgId extra, const ConstraintDatabase& constraints,
-                PeepholeScratch& s) {
-  const Machine& machine = graph.machine();
-  s.unitUsed.assign(machine.units().size(), 0);
-  s.busLoad.assign(machine.buses().size(), 0);
-  s.sels.clear();
-  auto admit = [&](AgId id) {
-    const AgNode& n = graph.node(id);
-    if (n.kind == AgKind::kOp) {
-      if (s.unitUsed[n.unit] != 0) return false;
-      s.unitUsed[n.unit] = 1;
-      s.sels.push_back({n.unit, n.machineOp});
-    } else if (n.isTransferish()) {
-      const BusId bus = graph.busOf(id);
-      if (++s.busLoad[bus] > machine.bus(bus).capacity) return false;
-    }
-    return true;
-  };
-  for (AgId id : instr)
-    if (!admit(id)) return false;
-  return admit(extra) && constraints.allows(s.sels);
 }
 
 }  // namespace
@@ -226,7 +200,8 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
           earliest = std::max(earliest, cycles[pred] + 1);
         for (int target = earliest; target < c; ++target) {
           std::vector<AgId>& to = schedule.instrs[static_cast<size_t>(target)];
-          if (!instrLegal(graph, to, id, constraints, scratch)) continue;
+          if (firstInstrFault(graph, to, id, constraints, scratch.legality))
+            continue;
           cycles[id] = target;
           if (!pressureFeasible(graph, cycles, schedule.numInstructions(),
                                 scratch)) {
