@@ -37,10 +37,8 @@ class ScheduleSearch {
         deadline_(deadline),
         best_(best),
         states_(statesVisited),
-        heights_(graph.levelsFromTop()),
-        liveOut_(graph.size()) {
-    for (const auto& [name, def] : graph.outputDefs())
-      if (def != kNoAg) liveOut_.set(def);
+        heights_(graph.levelsFromTop()) {
+    graph.liveOutInto(liveOut_);
   }
 
   // True when the search space was exhausted (not cut by the deadline).

@@ -68,9 +68,7 @@ BaselineResult sequentialCodegen(const BlockDag& ir, const Machine& machine,
   CoverStepState& step = ws.step;
   const std::vector<int>& heights = ws.levelTop;
   covered.clearAndResize(graph.size());
-  liveOut.clearAndResize(graph.size());
-  for (const auto& [name, def] : graph.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
+  graph.liveOutInto(liveOut);
   auto resync = [&] {
     for (AgId id = 0; id < graph.size(); ++id)
       if (graph.node(id).deleted()) covered.set(id);

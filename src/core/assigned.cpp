@@ -471,6 +471,12 @@ void AssignedGraph::orderAndLevelsInto(CoverWorkspace& ws) const {
   levelsFromTopInto(ws.topoOrder, ws.levelTop);
 }
 
+void AssignedGraph::liveOutInto(DynBitset& out) const {
+  out.clearAndResize(nodes_.size());
+  for (const auto& [name, def] : outputDefs_)
+    if (def != kNoAg) out.set(def);
+}
+
 std::vector<int> AssignedGraph::levelsFromTop() const {
   std::vector<int> level;
   levelsFromTopInto(topoOrder(nodes_), level);

@@ -141,6 +141,9 @@ class AssignedGraph {
       const {
     return outputDefs_;
   }
+  // Sets `out`, sized to the graph, to the nodes whose values are live out
+  // of the block (the defining nodes of outputDefs()).
+  void liveOutInto(DynBitset& out) const;
 
   // --- mutation (covering engine: spill insertion) ----------------------
   // Appends a spill-store chain moving `victim`'s value to a fresh spill

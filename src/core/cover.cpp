@@ -213,9 +213,7 @@ std::optional<Schedule> CoveringEngine::cover(CoverStats* stats,
   // Output bindings never change during covering, so the live-out set for
   // the pressure probes is computed once (extended in place after spills).
   DynBitset& liveOut = ws.liveOut;
-  liveOut.clearAndResize(graph_.size());
-  for (const auto& [name, def] : graph_.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
+  graph_.liveOutInto(liveOut);
 
   SpillState spillState;
   std::vector<DynBitset> cliques;
@@ -608,9 +606,7 @@ std::optional<PressureOverflow> firstPressureOverflow(
   const Machine& machine = graph.machine();
   const size_t n = graph.size();
   DynBitset& liveOut = scratch.liveOut;
-  liveOut.clearAndResize(n);
-  for (const auto& [name, def] : graph.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
+  graph.liveOutInto(liveOut);
   std::vector<int>& lastUse = scratch.lastUse;
   lastUse.assign(n, -1);
   for (AgId id = 0; id < n; ++id) {

@@ -9,9 +9,8 @@ namespace aviv {
 namespace {
 
 DynBitset liveOutSetOf(const AssignedGraph& graph) {
-  DynBitset liveOut(graph.size());
-  for (const auto& [name, def] : graph.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
+  DynBitset liveOut;
+  graph.liveOutInto(liveOut);
   return liveOut;
 }
 

@@ -109,9 +109,8 @@ void peepholeOptimize(AssignedGraph& graph, Schedule& schedule,
   changed = true;
   while (changed) {
     changed = false;
-    DynBitset liveOut(graph.size());
-    for (const auto& [name, def] : graph.outputDefs())
-      if (def != kNoAg) liveOut.set(def);
+    DynBitset liveOut;
+    graph.liveOutInto(liveOut);
     for (AgId id = 0; id < graph.size(); ++id) {
       const AgNode& n = graph.node(id);
       if (!n.isTransferish() || n.deleted()) continue;

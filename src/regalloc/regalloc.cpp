@@ -29,9 +29,8 @@ RegAssignment allocateRegisters(const AssignedGraph& graph,
   std::vector<int> endT(graph.size(), 0);
   std::vector<bool> isValue(graph.size(), false);
 
-  DynBitset liveOut(graph.size());
-  for (const auto& [name, def] : graph.outputDefs())
-    if (def != kNoAg) liveOut.set(def);
+  DynBitset liveOut;
+  graph.liveOutInto(liveOut);
 
   for (AgId id = 0; id < graph.size(); ++id) {
     const AgNode& n = graph.node(id);
