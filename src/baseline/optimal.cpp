@@ -117,9 +117,10 @@ class ScheduleSearch {
     }
   }
 
-  // Every rule of firstInstrFault is monotone, so a member that makes the
-  // instruction illegal is never included and every leaf is legal; the
-  // pressure, which a member can lower, is checked at the leaf.
+  // A node joins `current` only while firstInstrFault finds no fault. Its
+  // rules are monotone (a faulty group stays faulty as members join), so
+  // this drops exactly the subsets that would fail at the leaf. Pressure is
+  // not monotone (a member can retire an operand), so the leaf checks it.
   void enumerateSubsets(const std::vector<AgId>& ready, size_t idx,
                         DynBitset& current, const DynBitset& covered,
                         std::vector<DynBitset>& out) {
@@ -132,7 +133,7 @@ class ScheduleSearch {
     }
     // Exclude ready[idx].
     enumerateSubsets(ready, idx + 1, current, covered, out);
-    // Include ready[idx] if the instruction stays legal.
+    // Include ready[idx].
     if (firstInstrFault(graph_, members_, ready[idx], cons_, legality_))
       return;
     current.set(ready[idx]);
