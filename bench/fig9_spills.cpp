@@ -55,8 +55,11 @@ void reenactFig9() {
                   covered.test(id) ? "   [covered]" : "");
 
   SpillState spillState;
-  const AgId victim =
-      performSpill(graph, dbs.transfers, covered, spillState);
+  DynBitset liveOut;
+  graph.liveOutInto(liveOut);
+  const AgId victim = performSpill(graph, dbs.transfers, covered, spillState,
+                                   bankPressure(graph, covered), liveOut);
+  graph.verify();
   std::printf("\nSpilled node: %s\n", graph.describe(victim).c_str());
   std::printf("After the spill (S = store, L = reload; the pending "
               "RF3->RF2 transfer is deleted, as in Fig 9b):\n");

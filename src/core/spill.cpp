@@ -8,6 +8,8 @@ namespace aviv {
 
 namespace {
 
+inline constexpr int kMaxRespillsPerSlot = 4;
+
 DynBitset liveOutSetOf(const AssignedGraph& graph) {
   DynBitset liveOut;
   graph.liveOutInto(liveOut);
@@ -54,14 +56,12 @@ bool pressureWithinLimits(const AssignedGraph& graph,
   return true;
 }
 
-namespace {
-
-inline constexpr int kMaxRespillsPerSlot = 4;
-
-// performSpill without the final graph verification.
-AgId spill(AssignedGraph& graph, const TransferDatabase& xferDb,
-           const DynBitset& covered, SpillState& state,
-           const std::vector<int>& pressureNow, const DynBitset& liveOut) {
+AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
+                  const DynBitset& covered, SpillState& state,
+                  const std::vector<int>& pressureNow,
+                  const DynBitset& liveOut) {
+  AVIV_DCHECK(pressureNow == bankPressure(graph, covered));
+  AVIV_DCHECK(liveOut == liveOutSetOf(graph));
   const Machine& machine = graph.machine();
 
   // Most-needed resource: the bank with the least slack right now.
@@ -153,27 +153,6 @@ AgId spill(AssignedGraph& graph, const TransferDatabase& xferDb,
   };
   for (AgId consumer : pendingConsumers)
     fixConsumer(fixConsumer, consumer, victim);
-  return victim;
-}
-
-}  // namespace
-
-AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
-                  const DynBitset& covered, SpillState& state) {
-  const AgId victim = spill(graph, xferDb, covered, state,
-                            bankPressure(graph, covered), liveOutSetOf(graph));
-  graph.verify();
-  return victim;
-}
-
-AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
-                  const DynBitset& covered, SpillState& state,
-                  const std::vector<int>& pressureNow,
-                  const DynBitset& liveOut) {
-  AVIV_DCHECK(pressureNow == bankPressure(graph, covered));
-  AVIV_DCHECK(liveOut == liveOutSetOf(graph));
-  const AgId victim =
-      spill(graph, xferDb, covered, state, pressureNow, liveOut);
   graph.verifyNodes();
   return victim;
 }

@@ -30,8 +30,9 @@ struct SpillState {
   std::map<int, int> respills;   // per spill slot: reload evictions so far
 };
 
-// Performs one spill. `covered` must reflect the already-scheduled nodes.
-// Two victim classes:
+// Performs one spill. `covered` must reflect the already-scheduled nodes,
+// `pressureNow` is bankPressure(graph, covered) and `liveOut` the block
+// outputs (AssignedGraph::liveOutInto). Two victim classes:
 //   * an ordinary live value: a store chain is appended and pending
 //     consumers are rewired onto fresh reload chains (Fig 9);
 //   * a register-squatting reload (its value is already in memory): no
@@ -39,15 +40,10 @@ struct SpillState {
 //     reloads of the same slot, freeing the register (bounded per slot to
 //     guarantee termination).
 // Returns the victim. Throws aviv::Error when no spillable value exists in
-// the saturated bank (the assignment is register-infeasible).
-AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
-                  const DynBitset& covered, SpillState& state);
-
-// The same, from what the covering engine already holds: `pressureNow` is
-// bankPressure(graph, covered) and `liveOut` the block outputs. The mutated
+// the saturated bank (the assignment is register-infeasible). The mutated
 // graph's acyclicity is left to the caller's next topological sort
-// (AssignedGraph::orderAndLevelsInto checks it); every other verify() check
-// runs here.
+// (AssignedGraph::orderAndLevelsInto checks it, as does verify()); every
+// other verify() check runs here.
 AgId performSpill(AssignedGraph& graph, const TransferDatabase& xferDb,
                   const DynBitset& covered, SpillState& state,
                   const std::vector<int>& pressureNow,

@@ -19,6 +19,17 @@
 namespace aviv {
 namespace {
 
+// One spill through the covering engine's entry point, then the full graph
+// check (acyclicity included) the matrix rebuilds below rely on.
+void spillAndVerify(AssignedGraph& graph, const TransferDatabase& xferDb,
+                    const DynBitset& covered, SpillState& state) {
+  DynBitset liveOut;
+  graph.liveOutInto(liveOut);
+  (void)performSpill(graph, xferDb, covered, state,
+                     bankPressure(graph, covered), liveOut);
+  graph.verify();
+}
+
 // Fixture resources for one materialized assignment.
 struct Materialized {
   BlockDag dag;
@@ -197,7 +208,7 @@ TEST(ParallelismMatrix, DeletedNodeRowsStayEmptyAfterSpill) {
   covered.set(add);
   for (AgId pred : graph.node(add).preds) covered.set(pred);
   SpillState state;
-  (void)performSpill(graph, dbs.transfers, covered, state);
+  spillAndVerify(graph, dbs.transfers, covered, state);
 
   std::vector<AgId> deleted;
   for (AgId id = 0; id < graph.size(); ++id)
@@ -639,7 +650,7 @@ TEST(ParallelismMatrix, MatchesPairwiseReferenceAfterSpills) {
     SpillState state;
     for (int round = 0; round < 6; ++round) {
       try {
-        (void)performSpill(graph, dbs.transfers, halfCovered(graph), state);
+        spillAndVerify(graph, dbs.transfers, halfCovered(graph), state);
       } catch (const Error&) {
         break;  // nothing spillable left
       }

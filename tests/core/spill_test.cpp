@@ -12,6 +12,18 @@
 namespace aviv {
 namespace {
 
+// One spill through the covering engine's entry point, then the full graph
+// check (acyclicity included) these tests rely on.
+AgId spillAndVerify(AssignedGraph& graph, const TransferDatabase& xferDb,
+                    const DynBitset& covered, SpillState& state) {
+  DynBitset liveOut;
+  graph.liveOutInto(liveOut);
+  const AgId victim = performSpill(graph, xferDb, covered, state,
+                                   bankPressure(graph, covered), liveOut);
+  graph.verify();
+  return victim;
+}
+
 // Stages the paper's Figure 9 scenario on the Figure 2 block: the ADD runs
 // on U3 and its value is pending a transfer to the SUB on U2. Spilling the
 // ADD must (a) append a store chain, (b) delete the pending transfer, and
@@ -77,8 +89,8 @@ TEST(Spill, Fig9DeletesPendingTransferAndRewiresConsumer) {
   }
 
   SpillState state;
-  const AgId victim = performSpill(stage.graph, stage.dbs.transfers,
-                                   stage.covered, state);
+  const AgId victim = spillAndVerify(stage.graph, stage.dbs.transfers,
+                                     stage.covered, state);
   EXPECT_EQ(victim, stage.add);
   EXPECT_TRUE(state.spilled.count(stage.add));
 
@@ -125,8 +137,8 @@ TEST(Spill, PressureWithinLimitsChecksEveryBank) {
 TEST(Spill, ThrowsWhenNothingSpillableRemains) {
   Fig9Stage stage;
   SpillState state;
-  (void)performSpill(stage.graph, stage.dbs.transfers, stage.covered,
-                     state);
+  (void)spillAndVerify(stage.graph, stage.dbs.transfers, stage.covered,
+                       state);
   // After the spill, cover the store chain too: the spilled value is dead
   // and no other covered value is live, so a further spill has no victim.
   stage.covered.resize(stage.graph.size(), false);
@@ -134,8 +146,8 @@ TEST(Spill, ThrowsWhenNothingSpillableRemains) {
     const AgNode& n = stage.graph.node(id);
     if (n.deleted() || n.kind == AgKind::kSpillStore) stage.covered.set(id);
   }
-  EXPECT_THROW((void)performSpill(stage.graph, stage.dbs.transfers,
-                                  stage.covered, state),
+  EXPECT_THROW((void)spillAndVerify(stage.graph, stage.dbs.transfers,
+                                    stage.covered, state),
                Error);
 }
 
