@@ -93,6 +93,12 @@ struct CodeImage {
   }
   // Human-readable VLIW assembly listing.
   [[nodiscard]] std::string asmText(const Machine& machine) const;
+  // Appends asmText(machine) to `out`. With `symbolAddrs` (bindSymbols'
+  // ordinal -> address map, asmgen/encode.h), every provisional data-memory
+  // address prints as the address it binds to: the listing
+  // rebindSymbols would give this image, without a copy of the image.
+  void appendAsmText(std::string& out, const Machine& machine,
+                     const std::vector<int>* symbolAddrs = nullptr) const;
 };
 
 }  // namespace aviv

@@ -32,18 +32,8 @@ int SymbolScope::intern(const std::string& name) {
 void resolveSymbols(CodeImage& image, const SymbolScope& scope,
                     SymbolTable& table) {
   if (!scope.deferred()) return;
-  std::vector<int> finalAddr;
-  finalAddr.reserve(scope.recorded().size());
-  for (const std::string& name : scope.recorded())
-    finalAddr.push_back(table.intern(name));
-  auto fix = [&](int& addr) {
-    if (SymbolScope::isProvisional(addr))
-      addr = finalAddr[static_cast<size_t>(SymbolScope::ordinalOf(addr))];
-  };
-  for (auto& cell : image.constPool) fix(cell.first);
-  for (EncInstr& instr : image.instrs)
-    for (EncXfer& xfer : instr.xfers) fix(xfer.memAddr);
-  for (OutputBinding& binding : image.outputs) fix(binding.memAddr);
+  SymbolScope direct(table);
+  applySymbolAddrs(image, bindSymbols(scope.recorded(), direct));
 }
 
 void requireDataMemoryFits(const CodeImage& image, int variableWords,
@@ -55,25 +45,35 @@ void requireDataMemoryFits(const CodeImage& image, int variableWords,
               std::to_string(image.numSpillSlots) + " spill slots");
 }
 
-void rebindSymbols(CodeImage& image, const std::vector<std::string>& names,
-                   SymbolScope& scope) {
-  std::vector<int> newAddr;
-  newAddr.reserve(names.size());
-  for (const std::string& name : names) newAddr.push_back(scope.intern(name));
-  auto fix = [&](int& addr) {
-    if (!SymbolScope::isProvisional(addr)) return;
-    const int ordinal = SymbolScope::ordinalOf(addr);
-    AVIV_CHECK_MSG(ordinal >= 0 &&
-                       static_cast<size_t>(ordinal) < newAddr.size(),
-                   "cached image references symbol ordinal "
-                       << ordinal << " outside its " << newAddr.size()
-                       << " recorded names");
-    addr = newAddr[static_cast<size_t>(ordinal)];
-  };
+std::vector<int> bindSymbols(const std::vector<std::string>& names,
+                             SymbolScope& scope) {
+  std::vector<int> addrs;
+  addrs.reserve(names.size());
+  for (const std::string& name : names) addrs.push_back(scope.intern(name));
+  return addrs;
+}
+
+int boundAddr(int addr, const std::vector<int>& symbolAddrs) {
+  if (!SymbolScope::isProvisional(addr)) return addr;
+  const int ordinal = SymbolScope::ordinalOf(addr);
+  AVIV_CHECK_MSG(static_cast<size_t>(ordinal) < symbolAddrs.size(),
+                 "image references symbol ordinal "
+                     << ordinal << " outside its " << symbolAddrs.size()
+                     << " recorded names");
+  return symbolAddrs[static_cast<size_t>(ordinal)];
+}
+
+void applySymbolAddrs(CodeImage& image, const std::vector<int>& symbolAddrs) {
+  auto fix = [&](int& addr) { addr = boundAddr(addr, symbolAddrs); };
   for (auto& cell : image.constPool) fix(cell.first);
   for (EncInstr& instr : image.instrs)
     for (EncXfer& xfer : instr.xfers) fix(xfer.memAddr);
   for (OutputBinding& binding : image.outputs) fix(binding.memAddr);
+}
+
+void rebindSymbols(CodeImage& image, const std::vector<std::string>& names,
+                   SymbolScope& scope) {
+  applySymbolAddrs(image, bindSymbols(names, scope));
 }
 
 CodeImage encodeBlock(const AssignedGraph& graph, const Schedule& schedule,

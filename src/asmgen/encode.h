@@ -75,9 +75,22 @@ void requireDataMemoryFits(const CodeImage& image, int variableWords,
 // resolveSymbols). This is how the compilation service's cached CodeImages
 // are hydrated for any consumer; the inverse direction (recording) is a
 // deferred-scope encodeBlock. AVIV_CHECK-fails if the image references an
-// ordinal outside `names`.
+// ordinal outside `names`. Equal to applySymbolAddrs(image,
+// bindSymbols(names, scope)).
 void rebindSymbols(CodeImage& image, const std::vector<std::string>& names,
                    SymbolScope& scope);
+
+// rebindSymbols in two halves, for a reader that renders a shared image in
+// place (CodeImage::appendAsmText) instead of rewriting a copy:
+// bindSymbols interns `names` into `scope` in first-use order and returns
+// the address ordinal i binds to; applySymbolAddrs rewrites every
+// provisional address in `image` through that map.
+[[nodiscard]] std::vector<int> bindSymbols(
+    const std::vector<std::string>& names, SymbolScope& scope);
+void applySymbolAddrs(CodeImage& image, const std::vector<int>& symbolAddrs);
+// `addr` itself, or symbolAddrs[ordinal] when it is provisional;
+// AVIV_CHECK-fails on an ordinal outside the map.
+[[nodiscard]] int boundAddr(int addr, const std::vector<int>& symbolAddrs);
 
 // Throws aviv::Error when data memory is too small for the variables plus
 // spill slots (in deferred mode that check is postponed to the merge —

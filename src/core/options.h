@@ -113,7 +113,7 @@ struct CodegenOptions {
   // New covering-relevant fields MUST be added here; the fingerprint test
   // cross-checks that mutating each listed field changes the hash.
   template <class Sink>
-  void forEachFingerprintField(Sink&& sink) const {
+  constexpr void forEachFingerprintField(Sink&& sink) const {
     sink("assignPruneIncremental", assignPruneIncremental);
     sink("assignPruneSlack", assignPruneSlack);
     sink("assignBeamWidth", assignBeamWidth);

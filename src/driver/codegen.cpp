@@ -142,32 +142,24 @@ bool CodeGenerator::entryServesAsIs(const CacheEntry& entry,
           entry.verifierVersion == options_.verify.verifierVersion);
 }
 
-CompiledBlock CodeGenerator::serveCachedEntry(const CacheEntry& entry,
-                                              const std::string& blockName,
-                                              SymbolScope& symbols,
-                                              TelemetryNode& tel) {
-  // Hydrate: replay the scope-independent image into the consumer's symbol
-  // scope. No covering/regalloc/encode work happens, so with verification
-  // off the block's telemetry subtree stays free of pipeline phases — the
-  // acceptance check for "zero covering work".
-  CompiledBlock block;
-  block.image = entry.image;
-  rebindSymbols(block.image, entry.symbolNames, symbols);
+std::vector<int> CodeGenerator::bindCachedEntry(const CacheEntry& entry,
+                                                const std::string& blockName,
+                                                SymbolScope& symbols,
+                                                TelemetryNode& tel) {
+  // No covering/regalloc/encode work happens on a hit, so with
+  // verification off the block's telemetry subtree stays free of pipeline
+  // phases — the acceptance check for "zero covering work".
+  std::vector<int> addrs = bindSymbols(entry.symbolNames, symbols);
   if (!symbols.deferred())
-    requireDataMemoryFits(block.image, symbols.sizeWords(), ctx_.machine());
-  block.fromCache = true;
-  if (options_.recordSymbolNames) {
-    block.symbolNames = entry.symbolNames;
-    block.portableImage = entry.image;
-  }
+    requireDataMemoryFits(entry.image, symbols.sizeWords(), ctx_.machine());
   tel.addCounter("cacheHits", 1);
   trace::instant("driver", "cache.hit:", blockName);
   if (metrics::on())
     metrics::Registry::instance().counter("driver.cacheHits").add(1);
-  return block;
+  return addrs;
 }
 
-std::optional<CompiledBlock> CodeGenerator::compileCachedBlock(
+std::optional<CachedBlock> CodeGenerator::compileCachedBlock(
     const std::string& blockName, const Hash128& dagDigest,
     SymbolTable& symbols, CacheProbe& probe) {
   ResultCache* cache = resultCache();
@@ -183,8 +175,12 @@ std::optional<CompiledBlock> CodeGenerator::compileCachedBlock(
     return std::nullopt;
   }
   SymbolScope scope(symbols);
-  return serveCachedEntry(*probe.entry, blockName, scope,
-                          ctx_.telemetry().child("block:" + blockName));
+  CachedBlock hit;
+  hit.symbolAddrs =
+      bindCachedEntry(*probe.entry, blockName, scope,
+                      ctx_.telemetry().child("block:" + blockName));
+  hit.entry = probe.entry;
+  return hit;
 }
 
 CompiledBlock CodeGenerator::compileBlockWith(
@@ -255,7 +251,21 @@ CompiledBlock CodeGenerator::compileBlockWith(
           quarantine(entry->image, entry->symbolNames, report);
         }
       }
-      if (usable) return serveCachedEntry(*entry, ir.name(), symbols, tel);
+      if (usable) {
+        // Hydrate: replay the scope-independent image into the consumer's
+        // symbol scope.
+        CompiledBlock block;
+        const std::vector<int> addrs =
+            bindCachedEntry(*entry, ir.name(), symbols, tel);
+        block.image = entry->image;
+        applySymbolAddrs(block.image, addrs);
+        block.fromCache = true;
+        if (options_.recordSymbolNames) {
+          block.symbolNames = entry->symbolNames;
+          block.portableImage = entry->image;
+        }
+        return block;
+      }
     }
     trace::instant("driver", "cache.miss:", ir.name());
     if (metrics::on())

@@ -121,6 +121,18 @@ struct CompiledBlock {
   }
 };
 
+// A standalone block served from the result cache without a copy of its
+// image (CodeGenerator::compileCachedBlock): the shared, immutable entry,
+// read in place, and the address each of its symbol ordinals binds to in
+// the consumer's table (bindSymbols, asmgen/encode.h). The entry's image
+// and symbol names are the block's scope-independent form; rendered
+// through symbolAddrs (CodeImage::appendAsmText), the image prints the
+// listing compileBlock's cache hit would.
+struct CachedBlock {
+  std::shared_ptr<const CacheEntry> entry;
+  std::vector<int> symbolAddrs;
+};
+
 // One result-cache lookup made before the block's DAG exists. The request
 // path looks a standalone block up by its memoized digest
 // (CodeGenerator::compileCachedBlock); when that cannot serve, it parses
@@ -176,11 +188,12 @@ class CodeGenerator {
                                            const CacheProbe* probe = nullptr);
 
   // Serves one standalone block from the result cache by its name and its
-  // fingerprintDag digest alone: no DAG, no pipeline phase. Returns the
-  // block exactly as compileBlock's cache hit would, or nullopt when the
-  // session has no cache, the cache misses, or the entry must be verified
-  // first; `probe` then holds the lookup for compileBlock.
-  [[nodiscard]] std::optional<CompiledBlock> compileCachedBlock(
+  // fingerprintDag digest alone: no DAG, no pipeline phase, no image copy.
+  // Binds the entry's symbols into `symbols` and counts the hit exactly as
+  // compileBlock's cache hit would, or returns nullopt when the session has
+  // no cache, the cache misses, or the entry must be verified first;
+  // `probe` then holds the lookup for compileBlock.
+  [[nodiscard]] std::optional<CachedBlock> compileCachedBlock(
       const std::string& blockName, const Hash128& dagDigest,
       SymbolTable& symbols, CacheProbe& probe);
 
@@ -214,11 +227,12 @@ class CodeGenerator {
   // verified and the entry lacks a current verified bit.
   [[nodiscard]] bool entryServesAsIs(const CacheEntry& entry,
                                      bool verifyThis) const;
-  // The one cache-hit routine: replays `entry` into `symbols` and counts
-  // the hit.
-  CompiledBlock serveCachedEntry(const CacheEntry& entry,
-                                 const std::string& blockName,
-                                 SymbolScope& symbols, TelemetryNode& tel);
+  // The one cache-hit routine: binds `entry`'s symbol names into
+  // `symbols`, checks that the variables fit below its spill slots, counts
+  // the hit and returns the ordinal -> address map.
+  std::vector<int> bindCachedEntry(const CacheEntry& entry,
+                                   const std::string& blockName,
+                                   SymbolScope& symbols, TelemetryNode& tel);
   CoreResult baselineCore(const BlockDag& ir,
                           const CodegenOptions& coreOptions,
                           TelemetryNode& tel, const std::string& why);

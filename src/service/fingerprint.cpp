@@ -1,5 +1,7 @@
 #include "service/fingerprint.h"
 
+#include <array>
+#include <bit>
 #include <type_traits>
 
 namespace aviv {
@@ -26,8 +28,37 @@ Hash128 fingerprintDag(const BlockDag& dag) {
   return h.digest();
 }
 
-Hash128 fingerprintOptions(const CodegenOptions& core, bool runPeephole,
-                           bool outputsToMemoryFallback) {
+namespace {
+
+constexpr size_t kOptionFields = [] {
+  size_t n = 0;
+  CodegenOptions{}.forEachFingerprintField([&n](const char*, auto) { ++n; });
+  return n;
+}();
+
+// Every hashed option as its 64-bit pattern, then the two driver flags.
+// Floating-point fields compare by bit pattern, as Hasher::f64 hashes them,
+// so 0.0 and -0.0 (or two NaNs) never share a memo entry they would not
+// share a digest with.
+using OptionBits = std::array<uint64_t, kOptionFields + 2>;
+
+OptionBits optionBits(const CodegenOptions& core, bool runPeephole,
+                      bool outputsToMemoryFallback) {
+  OptionBits bits{};
+  size_t i = 0;
+  core.forEachFingerprintField([&](const char*, auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>)
+      bits[i++] = std::bit_cast<uint64_t>(static_cast<double>(value));
+    else
+      bits[i++] = static_cast<uint64_t>(value);
+  });
+  bits[i++] = runPeephole ? 1 : 0;
+  bits[i] = outputsToMemoryFallback ? 1 : 0;
+  return bits;
+}
+
+Hash128 hashOptions(const CodegenOptions& core, bool runPeephole,
+                    bool outputsToMemoryFallback) {
   Hasher h;
   h.str("options");
   core.forEachFingerprintField([&h](const char* name, auto value) {
@@ -48,6 +79,27 @@ Hash128 fingerprintOptions(const CodegenOptions& core, bool runPeephole,
   h.str("outputsToMemoryFallback");
   h.boolean(outputsToMemoryFallback);
   return h.digest();
+}
+
+}  // namespace
+
+Hash128 fingerprintOptions(const CodegenOptions& core, bool runPeephole,
+                           bool outputsToMemoryFallback) {
+  // A serving thread sees the same few option sets again and again, so it
+  // keeps its last digest, keyed by the values the digest hashes: a memo
+  // hit returns exactly what hashOptions would.
+  struct Last {
+    bool valid = false;
+    OptionBits bits{};
+    Hash128 digest;
+  };
+  thread_local Last last;
+  const OptionBits bits =
+      optionBits(core, runPeephole, outputsToMemoryFallback);
+  if (!last.valid || last.bits != bits)
+    last = {true, bits,
+            hashOptions(core, runPeephole, outputsToMemoryFallback)};
+  return last.digest;
 }
 
 Hash128 compileFingerprint(const CodegenContext& ctx, const BlockDag& dag,

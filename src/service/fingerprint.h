@@ -47,6 +47,8 @@ inline constexpr uint32_t kFingerprintVersion = 4;
 // fingerprintMachine (core/resolved_machine.h, via core/context.h) hashes
 // the machine once per resolved machine; the session carries the result.
 [[nodiscard]] Hash128 fingerprintDag(const BlockDag& dag);
+// Each thread keeps its last options digest, keyed by the hashed values
+// themselves, so repeated options are hashed once.
 [[nodiscard]] Hash128 fingerprintOptions(const CodegenOptions& core,
                                          bool runPeephole,
                                          bool outputsToMemoryFallback);

@@ -97,14 +97,15 @@ class LruMemo {
   std::map<Key, Slot> index_;
 };
 
-// The process's resolved machines: (machine spec, regs override, hash of
-// the machine file's bytes) -> one shared, immutable ResolvedMachine, so
-// parse, validation, the databases and the machine fingerprint run once
-// per distinct file instead of once per request.
+// The process's resolved machines: (contentHash of the machine file's
+// bytes, regs override, machine spec) -> one shared, immutable
+// ResolvedMachine, so parse, validation, the databases and the machine
+// fingerprint run once per distinct file instead of once per request. The
+// hash comes first, so a map compare settles before the spec strings.
 struct MachineKey {
-  std::string spec;
-  int regsOverride = 0;
   Hash128 fileHash;
+  int regsOverride = 0;
+  std::string spec;
 
   auto operator<=>(const MachineKey&) const = default;
 };
@@ -118,13 +119,13 @@ MachineMemo& machineMemo() {
   return memo;
 }
 
-// The process's parsed blocks, reduced to what a cache hit needs: (block
-// spec, hash of the block file's bytes) -> the block's fingerprintDag
-// digest and name. Only single-block programs are inserted; the memo holds
-// no Program, DAG or token.
+// The process's parsed blocks, reduced to what a cache hit needs:
+// (contentHash of the block file's bytes, block spec) -> the block's
+// fingerprintDag digest and name. Only single-block programs are inserted;
+// the memo holds no Program, DAG or token.
 struct BlockKey {
-  std::string spec;
   Hash128 fileHash;
+  std::string spec;
 
   auto operator<=>(const BlockKey&) const = default;
 };
@@ -152,8 +153,7 @@ std::shared_ptr<const ResolvedMachine> resolveMachine(
   const std::string& spec = request.machineSpec;
   const bool isPath = endsWith(spec, ".isdl");
   const std::string text = readFile(isPath ? spec : machinePath(spec));
-  const MachineKey key{spec, request.regsOverride,
-                       Hasher().str(text).digest()};
+  const MachineKey key{contentHash(text), request.regsOverride, spec};
   MachineMemo& memo = machineMemo();
   if (auto hit = memo.find(key)) return *hit;
   Machine machine =
@@ -177,7 +177,7 @@ BlockFile readBlockFile(const std::string& spec) {
   BlockFile file;
   file.path = isPath ? spec : blockPath(spec);
   file.text = readFile(file.path);
-  file.key = {spec, Hasher().str(file.text).digest()};
+  file.key = {contentHash(file.text), spec};
   return file;
 }
 
@@ -226,33 +226,42 @@ RequestOutcome runOnce(const ParsedRequest& request,
 
   SymbolTable symbols;
   CacheProbe probe;
-  std::optional<CompiledBlock> single;
+  std::optional<CachedBlock> hit;
   if (digest)
-    single = generator.compileCachedBlock(digest->name, digest->dag, symbols,
-                                          probe);
-  if (!single && parsed().numBlocks() == 1)
+    hit = generator.compileCachedBlock(digest->name, digest->dag, symbols,
+                                       probe);
+  std::optional<CompiledBlock> single;
+  if (!hit && parsed().numBlocks() == 1)
     single = generator.compileBlock(parsed().block(0), symbols, &probe);
 
   int instrs = 0;
   std::string asmText;
-  if (single) {
-    const CompiledBlock& block = *single;
-    instrs = block.numInstructions();
-    result.blocks = 1;
+  auto appendListing = [&](const CodeImage& image,
+                           const std::vector<int>* symbolAddrs) {
+    if (!config.wantAsm) return;
+    image.appendAsmText(asmText, machine, symbolAddrs);
+    asmText += '\n';
+  };
+  auto addBlock = [&](const CompiledBlock& block) {
+    ++result.blocks;
     if (block.fromCache) ++result.cachedBlocks;
     if (block.degraded) result.degraded = true;
     if (block.quarantined) result.quarantined = true;
-    if (config.wantAsm) asmText = block.image.asmText(machine) + "\n";
+    appendListing(block.image, nullptr);
+  };
+  if (hit) {
+    // Rendered from the shared cache entry, without a copy of its image.
+    instrs = hit->entry->image.numInstructions();
+    result.blocks = 1;
+    result.cachedBlocks = 1;
+    appendListing(hit->entry->image, &hit->symbolAddrs);
+  } else if (single) {
+    instrs = single->numInstructions();
+    addBlock(*single);
   } else {
     const CompiledProgram compiled = generator.compileProgram(parsed());
     instrs = compiled.totalInstructions();
-    result.blocks = compiled.blocks.size();
-    for (const CompiledBlock& block : compiled.blocks) {
-      if (block.fromCache) ++result.cachedBlocks;
-      if (block.degraded) result.degraded = true;
-      if (block.quarantined) result.quarantined = true;
-      if (config.wantAsm) asmText += block.image.asmText(machine) + "\n";
-    }
+    for (const CompiledBlock& block : compiled.blocks) addBlock(block);
   }
   tel.merge(generator.telemetry());
 
@@ -399,7 +408,7 @@ RequestOutcome executeRequest(const ParsedRequest& request,
   }
 }
 
-net::NetResponse toResponse(const RequestOutcome& outcome) {
+net::NetResponse toResponse(RequestOutcome outcome) {
   net::NetResponse response;
   if (!outcome.ok) {
     response.detail = outcome.error;
@@ -410,7 +419,7 @@ net::NetResponse toResponse(const RequestOutcome& outcome) {
                   : outcome.allCached() ? net::FrameType::kHit
                                         : net::FrameType::kOk;
   response.detail = outcome.statusDetail;
-  response.body = outcome.asmText;
+  response.body = std::move(outcome.asmText);
   return response;
 }
 

@@ -24,7 +24,8 @@
 // re-read on every request (kMachineMemoCapacity, DESIGN.md §6.3). A
 // standalone block's cache hit is served by the digest a second memo keeps
 // per block file, again keyed by bytes re-read on every request, so it
-// never parses the block (kBlockMemoCapacity).
+// never parses the block (kBlockMemoCapacity), and its listing is rendered
+// straight from the shared cache entry, without a copy of the image.
 // toResponse maps an outcome onto the wire's typed answer, and
 // serveRequestLine chains all three — the one dispatch every avivd path
 // (batch, server, isolated worker) runs.
@@ -114,8 +115,9 @@ struct RequestExecConfig {
 
 // The one outcome -> frame-type mapping: kError (detail = the error), else
 // kQuarantined (beats degraded), kDegraded, kHit (every block cached),
-// kOk (at least one block compiled cold). body = the assembly text.
-[[nodiscard]] net::NetResponse toResponse(const RequestOutcome& outcome);
+// kOk (at least one block compiled cold). body = the assembly text, moved
+// out of the outcome (callers hand over a temporary).
+[[nodiscard]] net::NetResponse toResponse(RequestOutcome outcome);
 
 // parseRequestLine (line 0: not a line of a file) -> executeRequest ->
 // toResponse. A malformed line answers kError carrying the parse

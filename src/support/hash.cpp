@@ -1,5 +1,8 @@
 #include "support/hash.h"
 
+#include <bit>
+#include <cstring>
+
 namespace aviv {
 
 namespace {
@@ -124,6 +127,62 @@ uint64_t hash64(const void* data, size_t n) {
   h.bytes(data, n);
   const Hash128 d = h.digest();
   return d.hi ^ d.lo;
+}
+
+namespace {
+
+// One little-endian word from any alignment.
+uint64_t loadWord(const char* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (std::endian::native == std::endian::big)
+    w = __builtin_bswap64(w);
+  return w;
+}
+
+constexpr uint64_t kMixA = 0x87c37b91114253d5ull;
+constexpr uint64_t kMixB = 0x4cf5ad432745937full;
+
+// Bijective per-word scramble before a word enters a lane.
+uint64_t scramble(uint64_t w, int rot, uint64_t m1, uint64_t m2) {
+  return std::rotl(w * m1, rot) * m2;
+}
+
+}  // namespace
+
+Hash128 contentHash(std::string_view bytes) {
+  // Two lanes over alternating words (Murmur3 x64-128's shape). For fixed
+  // words each step, the tail and the finalizer are bijections of the
+  // (a, b) state, and for a fixed state a step is injective in its words,
+  // so two inputs of one length that differ anywhere get different keys.
+  const char* p = bytes.data();
+  const size_t n = bytes.size();
+  uint64_t a = 0x243f6a8885a308d3ull ^ n;
+  uint64_t b = 0x13198a2e03707344ull + n;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    a ^= scramble(loadWord(p + i), 31, kMixA, kMixB);
+    a = (std::rotl(a, 27) + b) * 5 + 0x52dce729;
+    b ^= scramble(loadWord(p + i + 8), 33, kMixB, kMixA);
+    b = (std::rotl(b, 31) + a) * 5 + 0x38495ab5;
+  }
+  // Tail: up to two zero-padded words; the length mixed in above keeps
+  // trailing zero bytes from aliasing a shorter input.
+  uint64_t tail[2] = {0, 0};
+  if (n > i) std::memcpy(tail, p + i, n - i);
+  if constexpr (std::endian::native == std::endian::big) {
+    tail[0] = __builtin_bswap64(tail[0]);
+    tail[1] = __builtin_bswap64(tail[1]);
+  }
+  a ^= scramble(tail[0], 31, kMixA, kMixB);
+  b ^= scramble(tail[1], 33, kMixB, kMixA);
+  a += b;
+  b += a;
+  a = fmix64(a);
+  b = fmix64(b);
+  a += b;
+  b += a;
+  return Hash128{a, b};
 }
 
 }  // namespace aviv

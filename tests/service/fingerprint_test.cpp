@@ -12,6 +12,7 @@
 #include "ir/parser.h"
 #include "isdl/parser.h"
 #include "service/fingerprint.h"
+#include "verify/verify.h"
 
 namespace aviv {
 namespace {
@@ -165,6 +166,60 @@ TEST(CompileFingerprint, DigestOverloadEqualsDagOverload) {
           << name << " salt " << salt;
     }
   }
+}
+
+// Cache keys of arch1/ex1, captured before fingerprintOptions kept a
+// per-thread memo: a key that moves strands every cached entry. The option
+// sets alternate on this thread, so a memo entry served for the wrong
+// options fails here.
+TEST(CompileFingerprint, PinnedKeysSurviveAlternatingOptions) {
+  CodegenOptions outputsMem;
+  outputsMem.outputsToMemory = true;
+  const struct {
+    const char* name;
+    CodegenOptions options;
+  } optionSets[] = {{"default", CodegenOptions{}},
+                    {"heuristicsOff", CodegenOptions::heuristicsOff()},
+                    {"outputs-mem", outputsMem}};
+  const struct {
+    const char* name;
+    uint32_t salt;  // the verifier salt the driver passes
+  } verifyLevels[] = {{"verify=off", 0u}, {"verify=all", kVerifierVersion}};
+  const char* const pinned[2][3] = {
+      {"fec9402f191017c7625f324b97ab1d3a", "7be246ac65a27c3ade8020b79ba2f421",
+       "bfe27361cd415a27256aeec09031885a"},
+      {"abf09471a75e6b9a23ddeb610e40c115", "86319b9f5d386667dd3ba9a7dd89a5fc",
+       "0a639579d22af0b87e0cee386442fa0b"},
+  };
+  const BlockDag dag = loadBlock("ex1");
+  CodegenContext ctx(loadMachine("arch1"), CodegenOptions{}, 1);
+  for (int round = 0; round < 3; ++round)
+    for (size_t v = 0; v < 2; ++v)
+      for (size_t o = 0; o < 3; ++o)
+        EXPECT_EQ(compileFingerprint(ctx, dag, optionSets[o].options, true,
+                                     true, verifyLevels[v].salt)
+                      .hex(),
+                  pinned[v][o])
+            << optionSets[o].name << " " << verifyLevels[v].name
+            << " round " << round;
+}
+
+// The options memo compares doubles by bit pattern, as the hash does:
+// 0.0 and -0.0 hash differently, so alternating them must too.
+TEST(FingerprintOptions, MemoKeepsSignedZerosApart) {
+  CodegenOptions positive;
+  positive.timeLimitSeconds = 0.0;
+  CodegenOptions negative;
+  negative.timeLimitSeconds = -0.0;
+  const Hash128 a = fingerprintOptions(positive, true, true);
+  const Hash128 b = fingerprintOptions(negative, true, true);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(fingerprintOptions(positive, true, true), a);
+  EXPECT_EQ(fingerprintOptions(negative, true, true), b);
+  // The two driver flags are part of the memo key too.
+  EXPECT_NE(fingerprintOptions(positive, false, true), a);
+  EXPECT_NE(fingerprintOptions(positive, true, false), a);
+  EXPECT_EQ(fingerprintOptions(positive, true, true), a);
 }
 
 }  // namespace

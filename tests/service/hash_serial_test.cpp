@@ -56,6 +56,33 @@ TEST(Hasher, SingleBitChangesDigest) {
         << "bit " << bit;
 }
 
+TEST(ContentHash, EverySingleByteChangeMovesTheKey) {
+  // Lengths 0-40 cover the two-word loop and every tail length.
+  for (size_t n = 0; n <= 40; ++n) {
+    std::string bytes(n, '\0');
+    for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>(i * 37 + n);
+    const Hash128 base = contentHash(bytes);
+    EXPECT_EQ(contentHash(std::string(bytes)), base) << "length " << n;
+    for (size_t offset = 0; offset < n; ++offset)
+      for (int delta = 1; delta < 256; ++delta) {
+        std::string changed = bytes;
+        changed[offset] = static_cast<char>(changed[offset] + delta);
+        EXPECT_NE(contentHash(changed), base)
+            << "length " << n << " offset " << offset << " delta " << delta;
+      }
+  }
+}
+
+TEST(ContentHash, LengthMattersAndViewsHashTheirBytes) {
+  EXPECT_NE(contentHash(""), contentHash(std::string(1, '\0')));
+  EXPECT_NE(contentHash(std::string(8, '\0')),
+            contentHash(std::string(9, '\0')));
+  // Only the viewed bytes count, wherever they start.
+  const std::string text = "xxmachine arch1 {}yy";
+  EXPECT_EQ(contentHash(std::string_view(text).substr(2, 16)),
+            contentHash("machine arch1 {}"));
+}
+
 TEST(Hash64, ChecksumDetectsFlips) {
   const std::string payload = "the quick brown fox";
   const uint64_t sum = hash64(payload.data(), payload.size());

@@ -647,6 +647,33 @@ TEST(Request, BlockMemoServesAnEditedBlockFile) {
   EXPECT_EQ(serveAsm(line, cache).body, after.body);
 }
 
+// The memo key covers every byte, the last (in the hash's tail word)
+// included: a file whose only edit is its final byte misses the memo and
+// is parsed again. The edit leaves the DAG as it was, so the result cache
+// still hits.
+TEST(Request, BlockMemoMissesWhenOnlyTheLastByteChanges) {
+  const MetricsOn metricsOn;
+  const TempDir dir("block-last-byte");
+  const auto cache = memoryCache();
+  std::string text = readFile(blockPath("ex1"));
+  ASSERT_EQ(text.back(), '\n');
+  const std::string line = "machine=arch1 block=" + dir.write("b.blk", text);
+  const net::NetResponse cold = serveAsm(line, cache);
+  ASSERT_EQ(cold.type, net::FrameType::kOk) << cold.detail;
+  ASSERT_EQ(serveAsm(line, cache).type, net::FrameType::kHit);
+
+  text.back() = ' ';
+  (void)dir.write("b.blk", text);
+  const int64_t hits = memoCount("service.blockMemoHits");
+  const int64_t misses = memoCount("service.blockMemoMisses");
+  net::NetResponse edited;
+  EXPECT_TRUE(parsesBlock(traceOf([&] { edited = serveAsm(line, cache); })));
+  EXPECT_EQ(memoCount("service.blockMemoHits") - hits, 0);
+  EXPECT_EQ(memoCount("service.blockMemoMisses") - misses, 1);
+  ASSERT_EQ(edited.type, net::FrameType::kHit) << edited.detail;
+  EXPECT_EQ(edited.body, cold.body);
+}
+
 // A parse that throws is never memoized, and answers with exactly the
 // message the parser produced for those bytes.
 TEST(Request, BlockMemoNeverKeepsAFailedParse) {
